@@ -261,7 +261,7 @@ def check_gs(
     bounds: dict[int, float] = {}
     for i in range(1, closed.k + 1):
         b = closed.sigmas[i](c)
-        gain = closed.gs_input_gains.get(i)
+        gain = closed.input_gains.get(i)
         if gain is not None and u_norm > 0.0:
             b = max(b, gain(u_norm))
         bounds[i] = float(b)

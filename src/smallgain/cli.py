@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import logging
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,24 +339,12 @@ def cmd_verify(args) -> int:
         )
         jobs.append((value, sub, cfg, child_args))
 
-    def job(cfg, child_args, sub):
-        lines: list[str] = []
-        code = _verify_one(cfg, child_args, sub, say=lines.append)
-        return code, lines
-
     parent = _Run(args.out)
     runs = []
-    workers = min(len(jobs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (value, sub, pool.submit(job, cfg, child_args, sub))
-            for value, sub, cfg, child_args in jobs
-        ]
-        for value, sub, fut in futures:
-            code, lines = fut.result()
-            for line in lines:
-                print(f"[{key}={value!r}] {line}")
-            runs.append({"value": value, "dir": sub.name, "exit_code": code})
+    for value, sub, cfg, child_args in jobs:
+        say = functools.partial(print, f"[{key}={value!r}]")
+        code = _verify_one(cfg, child_args, sub, say=say)
+        runs.append({"value": value, "dir": sub.name, "exit_code": code})
     code = max(r["exit_code"] for r in runs)
     parent.manifest(args, {"sweep_key": key, "runs": runs, "exit_code": code})
     print(f"sweep: {len(runs)} runs, worst exit code {code}")
@@ -431,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--sweep",
-        help="fan out runs over delta=... or gain_scale=... value lists",
+        help="fan out runs over delta=... or gain_scale=... value lists, "
+        "run one after another in the order given",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(fn=cmd_verify)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -273,7 +274,14 @@ class GridSpec:
             raise ValueError(f"only logarithmic spacing is supported, got {self.spacing!r}")
 
     def points(self) -> np.ndarray:
-        return np.geomspace(self.s_min, self.s_max, self.n_points)
+        """The grid, computed once per GridSpec and read-only."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        pts = np.geomspace(self.s_min, self.s_max, self.n_points)
+        pts.flags.writeable = False
+        return pts
 
 
 DEFAULT_GRID = GridSpec()

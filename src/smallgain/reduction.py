@@ -286,21 +286,19 @@ class ClosedLoopGains:
     input_gains[i] bounds the asymptotic influence of the external input
     on node i (None when the input cannot reach the node at all), and
     the same functions serve as the input part of the transient
-    estimate (gs_input_gains aliases them).  sigmas[i] maps the combined
-    initial constant c to node i's transient overshoot bound.
+    estimate.  sigmas[i] maps the combined initial constant c to node
+    i's transient overshoot bound.
     """
 
     k: int
     input_gains: Mapping[int, KFunction | None]
     sigmas: Mapping[int, KFunction]
-    gs_input_gains: Mapping[int, KFunction | None]
     order: tuple[int, ...]
     trace: tuple[ElimStep, ...] = field(default_factory=tuple, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_gains", MappingProxyType(dict(self.input_gains)))
         object.__setattr__(self, "sigmas", MappingProxyType(dict(self.sigmas)))
-        object.__setattr__(self, "gs_input_gains", MappingProxyType(dict(self.gs_input_gains)))
 
     def to_dict(self, samples: Sequence[float] = ()) -> dict:
         """JSON-friendly form: expression strings plus evaluation tables."""
@@ -399,7 +397,6 @@ def closed_loop_input_gains(
         k=g.k,
         input_gains=input_gains,
         sigmas=sigmas,
-        gs_input_gains=dict(input_gains),
         order=order,
         trace=tuple(trace),
     )

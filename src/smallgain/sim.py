@@ -16,8 +16,12 @@ fixed step h that must divide every delay.  Because every delay is at
 least one step, all delayed stage values lie in already-computed
 territory: stage times fall on grid nodes or midpoints, where a cubic
 Hermite interpolant built from stored states and derivatives is exact to
-the method's order.  The same interpolant provides dense output on the
-whole time range.
+the method's order.  That interpolant is written once, in _hermite:
+Trajectory.interpolate_many evaluates it for all requested times in one
+vectorised pass, which is the dense output on the whole time range, and
+the shortened final step uses it for its off-grid delayed values.  The
+RK4 loop reads delayed midpoints through its u = 1/2 specialisation,
+(x_a + x_b)/2 + (h/8)(f_a - f_b), written out in that hot path.
 
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
@@ -55,6 +59,10 @@ __all__ = [
 ]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
+
+
+class _Diverged(Exception):
+    """A stage or state update overflowed: the run blew up."""
 
 
 class SimulationError(RuntimeError):
@@ -322,6 +330,21 @@ def build_auxiliary_system(
 # trajectories
 
 
+def _hermite(u, dt, xa, fa, xb, fb):
+    """Cubic Hermite interpolant on a step [ta, ta + dt] at u = (t - ta)/dt.
+
+    xa, xb are the end states and fa, fb the end derivatives.  Works on
+    scalars and on arrays, where u and dt broadcast against the state
+    rows.  At u = 1/2 it reduces to the midpoint form
+    (xa + xb)/2 + (dt/8)(fa - fb) used inside the integrator.
+    """
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return h00 * xa + h10 * dt * fa + h01 * xb + h11 * dt * fb
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense solution of a simulation run.
@@ -387,36 +410,38 @@ class Trajectory:
 
     def interpolate(self, t: float) -> np.ndarray:
         """Dense state at time t in [-theta, t_end]."""
-        t = float(t)
-        if t < -self.theta - 1e-12 or t > self.t_end + 1e-12:
-            raise ValueError(f"time {t} outside trajectory range [{-self.theta}, {self.t_end}]")
-        if t <= 0.0:
-            return self._hist_value(max(t, -self.theta))
-        if len(self.t_nodes) == 1:
-            return self.states[0].copy()
-        t = min(t, self.t_end)
-        j = int(np.searchsorted(self.t_nodes, t, side="right")) - 1
-        j = min(max(j, 0), len(self.t_nodes) - 2)
-        ta, tb = float(self.t_nodes[j]), float(self.t_nodes[j + 1])
-        if t == ta:
-            return self.states[j].copy()
-        if t == tb:
-            return self.states[j + 1].copy()
-        dt = tb - ta
-        u = (t - ta) / dt
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
-        h01 = u * u * (3.0 - 2.0 * u)
-        h11 = u * u * (u - 1.0)
-        return (
-            h00 * self.states[j]
-            + h10 * dt * self.derivs[j]
-            + h01 * self.states[j + 1]
-            + h11 * dt * self.derivs[j + 1]
-        )
+        return self.interpolate_many([t])[0]
 
     def interpolate_many(self, times: Sequence[float]) -> np.ndarray:
-        return np.vstack([self.interpolate(t) for t in times])
+        """Dense states at times in [-theta, t_end], one row per time.
+
+        Times at or below zero read the history functions; later times
+        use the cubic Hermite interpolant of the step they fall in, and a
+        time equal to a node returns that node's stored state exactly.
+        """
+        ts = np.asarray(times, dtype=float).reshape(-1)
+        out = np.empty((ts.size, self.total_dim))
+        inside = (ts >= -self.theta - 1e-12) & (ts <= self.t_end + 1e-12)
+        if not inside.all():
+            t = float(ts[~inside][0])
+            raise ValueError(f"time {t} outside trajectory range [{-self.theta}, {self.t_end}]")
+        past = ts <= 0.0
+        for r in np.flatnonzero(past):
+            out[r] = self._hist_value(max(float(ts[r]), -self.theta))
+        t = np.minimum(ts[~past], self.t_end)
+        if len(self.t_nodes) == 1:
+            out[~past] = self.states[0]
+            return out
+        nodes = self.t_nodes
+        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+        ta, tb = nodes[j], nodes[j + 1]
+        dt = (tb - ta)[:, None]
+        u = (t - ta)[:, None] / dt
+        xa, xb = self.states[j], self.states[j + 1]
+        vals = _hermite(u, dt, xa, self.derivs[j], xb, self.derivs[j + 1])
+        vals = np.where((t == ta)[:, None], xa, np.where((t == tb)[:, None], xb, vals))
+        out[~past] = vals
+        return out
 
     def node_norms(self, subsystem: int | None = None, include_history: bool = True) -> np.ndarray:
         """Per-node norms: subsystem block Euclidean norm, or the max
@@ -662,13 +687,15 @@ def simulate(
             dx[off[i] : off[i + 1]] = out
         return dx
 
-    def checked(stage: np.ndarray, t: float, x_ref: np.ndarray) -> np.ndarray | None:
-        """None signals overflow (divergence); NaN raises."""
-        if np.all(np.isfinite(stage)):
-            return stage
-        if np.any(np.isnan(stage)):
-            raise SimulationError("NaN in right-hand side evaluation", t, x_ref)
-        return None
+    def checked(
+        vec: np.ndarray, t: float, x_ref: np.ndarray, what: str = "right-hand side evaluation"
+    ) -> np.ndarray:
+        """vec itself when finite; NaN raises, overflow raises _Diverged."""
+        if np.all(np.isfinite(vec)):
+            return vec
+        if np.any(np.isnan(vec)):
+            raise SimulationError(f"NaN in {what}", t, x_ref)
+        raise _Diverged
 
     t_nodes = np.empty(N + 1)
     t_nodes[0] = 0.0
@@ -690,39 +717,16 @@ def simulate(
             fr_mid, fr_end = mid / h, hs / h
 
         stage_eval = eval_rhs if hs == h else general_eval
-
-        k1 = stage_eval(nstep, 0.0, t_n, x_n, completed)
-        ck = checked(k1, t_n, x_n)
-        if ck is None:
-            final = nstep
-            blow_up, escape_time = True, t_n
-            break
-        derivs[nstep] = k1
-
-        k2 = stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k1, completed)
-        ck = checked(k2, t_n, x_n)
-        if ck is None:
-            final = nstep
-            blow_up, escape_time = True, t_n
-            break
-        k3 = stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k2, completed)
-        ck = checked(k3, t_n, x_n)
-        if ck is None:
-            final = nstep
-            blow_up, escape_time = True, t_n
-            break
-        k4 = stage_eval(nstep, fr_end, t_n + hs, x_n + hs * k3, completed)
-        ck = checked(k4, t_n, x_n)
-        if ck is None:
-            final = nstep
-            blow_up, escape_time = True, t_n
-            break
-
-        x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_next = t_n + hs if hs == h else T
-        if np.any(np.isnan(x_next)):
-            raise SimulationError("NaN in state update", t_next, x_n)
-        if not np.all(np.isfinite(x_next)):
+        try:
+            k1 = checked(stage_eval(nstep, 0.0, t_n, x_n, completed), t_n, x_n)
+            derivs[nstep] = k1
+            k2 = checked(stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k1, completed), t_n, x_n)
+            k3 = checked(stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k2, completed), t_n, x_n)
+            k4 = checked(stage_eval(nstep, fr_end, t_n + hs, x_n + hs * k3, completed), t_n, x_n)
+            x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            checked(x_next, t_next, x_n, "state update")
+        except _Diverged:
             final = nstep
             blow_up, escape_time = True, t_n
             break
@@ -795,13 +799,4 @@ def _dense_lookup(
         return states[j, src]
     if u >= 1.0 - 1e-12:
         return states[j + 1, src]
-    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-    h10 = u * (1.0 - u) ** 2
-    h01 = u * u * (3.0 - 2.0 * u)
-    h11 = u * u * (u - 1.0)
-    return (
-        h00 * states[j, src]
-        + h10 * h * derivs[j, src]
-        + h01 * states[j + 1, src]
-        + h11 * h * derivs[j + 1, src]
-    )
+    return _hermite(u, h, states[j, src], derivs[j, src], states[j + 1, src], derivs[j + 1, src])

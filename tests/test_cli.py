@@ -279,6 +279,33 @@ class TestSweep:
         meta = read_json(out / "delta_0.5", "trajectory_meta.json")
         assert meta["delays"] == [0.5]
 
+    def test_sweep_children_match_plain_runs(self, tmp_path, capsys):
+        deltas = (1.0, 0.5, 2.0)  # not sorted: children run in the given order
+        out = tmp_path / "sweep"
+        spec = "delta=" + ",".join(repr(d) for d in deltas)
+        sweep_code = main(["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec])
+        sweep_lines = capsys.readouterr().out.splitlines()
+        expected_lines, codes = [], []
+        for d in deltas:
+            plain = tmp_path / f"plain_{d!r}"
+            cfg = write_doc(tmp_path, ring_config(delta=d, T=4.0), name=f"ring_{d!r}.json")
+            codes.append(main(["verify", cfg, "--out", str(plain)]))
+            expected_lines += [f"[delta={d!r}] {line}" for line in capsys.readouterr().out.splitlines()]
+            child = out / f"delta_{d!r}"
+            names = sorted(p.name for p in child.iterdir())
+            assert names == sorted(p.name for p in plain.iterdir())
+            for name in names:
+                if name == "manifest.json":
+                    # Only the paths differ.
+                    a, b = read_json(child, name), read_json(plain, name)
+                    for doc in (a, b):
+                        del doc["out"], doc["config"]
+                    assert a == b
+                else:
+                    assert (child / name).read_bytes() == (plain / name).read_bytes(), name
+        assert sweep_code == max(codes)
+        assert sweep_lines == expected_lines + [f"sweep: 3 runs, worst exit code {max(codes)}"]
+
     def test_gain_scale_sweep_reports_worst_code(self, tmp_path):
         out = tmp_path / "out"
         code = main(

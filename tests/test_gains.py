@@ -186,6 +186,16 @@ class TestGridSpec:
         assert pts[-1] == pytest.approx(1e8)
         assert len(pts) == 4096
 
+    def test_points_cached_and_read_only(self):
+        grid = GridSpec(s_min=1e-3, s_max=1e4, n_points=257)
+        pts = grid.points()
+        np.testing.assert_array_equal(pts, np.geomspace(1e-3, 1e4, 257))
+        assert grid.points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+        assert GridSpec(s_min=1e-3, s_max=1e4, n_points=258).points().size == 258
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(s_min=0.0)

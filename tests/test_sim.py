@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallgain.gains import Linear
 from smallgain.sim import (
@@ -238,6 +239,114 @@ class TestDenseOutput:
             left = traj.interpolate(t - 1e-10)[0]
             right = traj.interpolate(t + 1e-10)[0]
             assert abs(left - right) < 1e-8
+
+
+def reference_interpolate(traj: Trajectory, t: float) -> np.ndarray:
+    """Per-point cubic Hermite dense output, the oracle of interpolate_many."""
+    t = float(t)
+    if t < -traj.theta - 1e-12 or t > traj.t_end + 1e-12:
+        raise ValueError(f"time {t} outside trajectory range [{-traj.theta}, {traj.t_end}]")
+    if t <= 0.0:
+        return traj._hist_value(max(t, -traj.theta))
+    if len(traj.t_nodes) == 1:
+        return traj.states[0].copy()
+    t = min(t, traj.t_end)
+    j = int(np.searchsorted(traj.t_nodes, t, side="right")) - 1
+    j = min(max(j, 0), len(traj.t_nodes) - 2)
+    ta, tb = float(traj.t_nodes[j]), float(traj.t_nodes[j + 1])
+    if t == ta:
+        return traj.states[j].copy()
+    if t == tb:
+        return traj.states[j + 1].copy()
+    dt = tb - ta
+    u = (t - ta) / dt
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return (
+        h00 * traj.states[j]
+        + h10 * dt * traj.derivs[j]
+        + h01 * traj.states[j + 1]
+        + h11 * dt * traj.derivs[j + 1]
+    )
+
+
+@st.composite
+def coupled_trajectories(draw):
+    """Two coupled scalar delay equations with polynomial histories.
+
+    The horizon is zero, a whole number of steps, or arbitrary, so the
+    last step is often shortened.
+    """
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    tau = draw(st.integers(1, 4)) * h
+    T = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(1, 12).map(lambda n: n * h),
+            st.floats(0.0, 3.0, allow_nan=False),
+        )
+    )
+    a, b = draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3))
+    key = (2, tau), (1, tau)
+    subs = [
+        Subsystem(dim=1, rhs=lambda t, x, z, u: -x + a * z[key[0]], references=(key[0],)),
+        Subsystem(dim=1, rhs=lambda t, x, z, u: -x + b * np.sin(z[key[1]]) + np.cos(t), references=(key[1],)),
+    ]
+    hist = [HistoryFunction.polynomial([coeffs]), HistoryFunction.polynomial([coeffs[::-1]])]
+    return simulate(build_interconnection(subs, [tau]), hist, None, T=T, h=h)
+
+
+class TestVectorisedDenseOutput:
+    @settings(max_examples=60, deadline=None)
+    @given(coupled_trajectories(), st.data())
+    def test_agrees_with_per_point_reference(self, traj, data):
+        lo, hi = -traj.theta, traj.t_end
+        nodes = traj.grid_times()
+        mids = (nodes[:-1] + nodes[1:]) / 2.0
+        ends = np.array([lo, lo - 5e-13, 0.0, hi, hi + 5e-13])
+        exact = np.concatenate([nodes, mids, ends])
+        free = np.array(data.draw(st.lists(st.floats(lo, hi), max_size=40)))
+        # Shuffled together, so the rows must come back in input order.
+        times = data.draw(st.permutations(np.concatenate([exact, free]).tolist()))
+        got = traj.interpolate_many(times)
+        ref = np.vstack([reference_interpolate(traj, t) for t in times])
+        assert got.shape == (len(times), traj.total_dim)
+        is_exact = np.isin(times, exact) | (np.asarray(times) <= 0.0)
+        np.testing.assert_array_equal(got[is_exact], ref[is_exact])
+        # Elsewhere numpy squares (1 - u) exactly where the scalar ** may
+        # round differently, so the two agree to a few ulp of the step.
+        scale = max(np.abs(traj.states).max(), traj.h * np.abs(traj.derivs).max())
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=4 * np.spacing(scale))
+        for t, row in zip(times[:5], got):
+            np.testing.assert_array_equal(traj.interpolate(t), row)
+
+    def test_shortened_final_step_and_t_end(self):
+        sys = scalar_system(lambda t, x, z, u: -x + np.sin(t))
+        traj = simulate(sys, [HistoryFunction.constant([1.0])], None, T=0.33, h=0.1)
+        assert traj.t_nodes[-1] - traj.t_nodes[-2] == pytest.approx(0.03)
+        times = [0.3, 0.315, 0.33, 0.33 + 1e-13]
+        ref = np.vstack([reference_interpolate(traj, t) for t in times])
+        np.testing.assert_allclose(traj.interpolate_many(times), ref, rtol=0.0, atol=1e-15)
+        assert traj.interpolate_many([0.33])[0, 0] == traj.states[-1, 0]
+
+    def test_zero_horizon(self):
+        hist = HistoryFunction.polynomial([[1.0, 0.5]])
+        sub = Subsystem(dim=1, rhs=lambda t, x, z, u: -z[(1, 1.0)], references=((1, 1.0),))
+        traj = simulate(build_interconnection([sub], [1.0]), [hist], None, T=0.0, h=0.1)
+        got = traj.interpolate_many([-1.0, -0.5, 0.0, 1e-13])
+        np.testing.assert_array_equal(got[:, 0], [0.5, 0.75, 1.0, traj.states[0, 0]])
+
+    def test_out_of_range_and_empty(self):
+        sys = scalar_system(lambda t, x, z, u: -x, dim=1)
+        traj = simulate(sys, [HistoryFunction.constant([1.0])], None, T=1.0, h=0.1)
+        for bad in ([1.0 + 1e-9], [0.5, -1e-9 - traj.theta], [0.2, float("nan")]):
+            with pytest.raises(ValueError, match="outside trajectory range"):
+                traj.interpolate_many(bad)
+        assert traj.interpolate_many([]).shape == (0, 1)
+        assert traj.interpolate_many(np.empty(0)).shape == (0, 1)
 
 
 class TestFailureModes:
