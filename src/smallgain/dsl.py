@@ -37,6 +37,7 @@ from .sim import (
     InputSignal,
     Subsystem,
     build_interconnection,
+    reference_rows,
 )
 
 __all__ = [
@@ -621,6 +622,7 @@ class _RhsCompiler:
         delays: Sequence[float],
         source: str,
         time_only: bool = False,
+        rows: Mapping[tuple[int, float], int] | None = None,
     ):
         self.index = index
         self.dims = list(dims)
@@ -630,6 +632,12 @@ class _RhsCompiler:
         self.time_only = time_only
         self.k = len(self.dims)
         self.references: set[tuple[int, float]] = set()
+        # With rows (the Z layout of sim.reference_rows), emit the network
+        # form f(t, x, Z, u) over the flat vectors instead of the
+        # subsystem form rhs(t, x, z, u).
+        self.rows = rows
+        self.x_base = sum(self.dims[: index - 1]) if rows is not None else 0
+        self.u_base = sum(self.input_dims[: index - 1]) if rows is not None else 0
 
     def error(self, message: str, pos: int):
         raise RhsParseError(message, self.source, pos)
@@ -693,10 +701,8 @@ class _RhsCompiler:
                 )
             comp = self._component(ref, self.dims[self.index - 1], f"x_{ref.index}")
             if ref.delay is None:
-                return f"x[{comp - 1}]"
-            theta = self._check_delay(ref)
-            self.references.add((ref.index, theta))
-            return f"z[({ref.index}, {theta!r})][{comp - 1}]"
+                return f"x[{self.x_base + comp - 1}]"
+            return self._delayed(ref, comp)
         if ref.kind == "v":
             if not 1 <= ref.index <= self.k:
                 self.error(
@@ -709,9 +715,7 @@ class _RhsCompiler:
                     ref.pos,
                 )
             comp = self._component(ref, self.dims[ref.index - 1], f"v_{ref.index}")
-            theta = self._check_delay(ref)
-            self.references.add((ref.index, theta))
-            return f"z[({ref.index}, {theta!r})][{comp - 1}]"
+            return self._delayed(ref, comp)
         if ref.kind == "u":
             if ref.index != self.index:
                 self.error(
@@ -729,8 +733,45 @@ class _RhsCompiler:
                     ref.pos,
                 )
             comp = self._component(ref, input_dim, f"u_{ref.index}")
-            return f"u[{comp - 1}]"
+            return f"u[{self.u_base + comp - 1}]"
         raise AssertionError(f"unhandled reference kind {ref.kind!r}")
+
+    def _delayed(self, ref: _RRef, comp: int) -> str:
+        key = (ref.index, self._check_delay(ref))
+        self.references.add(key)
+        if self.rows is None:
+            return f"z[{key!r}][{comp - 1}]"
+        return f"Z[{self.rows[key] + comp - 1}]"
+
+
+def _vector_function(name: str, params: str, pieces: Sequence[str], filename: str) -> Callable:
+    """exec one function returning the float array of the given expressions."""
+    src = f"def {name}({params}):\n    return _np.array([{', '.join(pieces)}], dtype=float)\n"
+    env: dict[str, Any] = {"_np": np, **_CODEGEN_FUNCS}
+    exec(compile(src, filename, "exec"), env)
+    return env[name]
+
+
+def _emit(exprs: Sequence[str], trees: Sequence, *compiler_args, **compiler_kw) -> tuple[list[str], set]:
+    """Source of every expression tree, and the references they read."""
+    pieces, references = [], set()
+    for expr, tree in zip(exprs, trees):
+        compiler = _RhsCompiler(*compiler_args, expr, **compiler_kw)
+        pieces.append(compiler.emit(tree))
+        references |= compiler.references
+    return pieces, references
+
+
+def _compile_subsystem(exprs, index, dims, input_dims, delays) -> tuple[Callable, tuple, list]:
+    if len(exprs) != dims[index - 1]:
+        raise ValueError(
+            f"subsystem {index} has dimension {dims[index - 1]} but "
+            f"{len(exprs)} right-hand-side expressions"
+        )
+    trees = [_RhsParser(expr).parse() for expr in exprs]
+    pieces, references = _emit(exprs, trees, index, dims, input_dims, delays)
+    rhs = _vector_function("_rhs", "t, x, z, u", pieces, f"<subsystem {index} rhs>")
+    return rhs, tuple(sorted(references)), trees
 
 
 def compile_rhs(
@@ -746,39 +787,14 @@ def compile_rhs(
     with signature ``rhs(t, x, z, u)`` and the sorted tuple of delayed
     references ``(source_index, delay)`` the expressions mention.
     """
-    if len(exprs) != dims[index - 1]:
-        raise ValueError(
-            f"subsystem {index} has dimension {dims[index - 1]} but "
-            f"{len(exprs)} right-hand-side expressions"
-        )
-    pieces = []
-    references: set[tuple[int, float]] = set()
-    for expr in exprs:
-        parser = _RhsParser(expr)
-        tree = parser.parse()
-        compiler = _RhsCompiler(index, dims, input_dims, delays, expr)
-        pieces.append(compiler.emit(tree))
-        references |= compiler.references
-    body = ", ".join(pieces)
-    src = f"def _rhs(t, x, z, u):\n    return _np.array([{body}], dtype=float)\n"
-    env: dict[str, Any] = {"_np": np, **_CODEGEN_FUNCS}
-    exec(compile(src, f"<subsystem {index} rhs>", "exec"), env)
-    return env["_rhs"], tuple(sorted(references))
+    return _compile_subsystem(exprs, index, dims, input_dims, delays)[:2]
 
 
 def compile_time_expression(exprs: Sequence[str]) -> Callable[[float], np.ndarray]:
     """Compile expressions in ``t`` alone into a vector-valued callable."""
-    pieces = []
-    for expr in exprs:
-        parser = _RhsParser(expr)
-        tree = parser.parse()
-        compiler = _RhsCompiler(1, [1], [0], [], expr, time_only=True)
-        pieces.append(compiler.emit(tree))
-    body = ", ".join(pieces)
-    src = f"def _fn(t):\n    return _np.array([{body}], dtype=float)\n"
-    env: dict[str, Any] = {"_np": np, **_CODEGEN_FUNCS}
-    exec(compile(src, "<time expression>", "exec"), env)
-    return env["_fn"]
+    trees = [_RhsParser(expr).parse() for expr in exprs]
+    pieces, _ = _emit(exprs, trees, 1, [1], [0], [], time_only=True)
+    return _vector_function("_fn", "t", pieces, "<time expression>")
 
 
 # ---------------------------------------------------------------------------
@@ -978,14 +994,16 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
         input_dims.append(sub.get("input_dim", 0))
 
     subsystems = []
+    trees = []
     for i, sub in enumerate(subs_doc):
         index = i + 1
         try:
-            rhs, references = compile_rhs(
+            rhs, references, sub_trees = _compile_subsystem(
                 sub["rhs"], index, dims, input_dims, delays
             )
         except (RhsParseError, ValueError) as exc:
             raise ConfigError(f"$.subsystems[{i}].rhs: {exc}") from exc
+        trees.append(sub_trees)
         subsystems.append(
             Subsystem(
                 dim=dims[i],
@@ -996,10 +1014,18 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
             )
         )
 
+    # One network right-hand side over the flat state, from the trees
+    # already validated above.
+    rows = reference_rows(subsystems)
+    pieces = []
+    for i, sub in enumerate(subs_doc):
+        pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows)[0]
+    network = _vector_function("_f", "t, x, Z, u", pieces, "<network rhs>")
+
     # Declared-but-unreferenced delays are legal; the builder checks the
     # converse (every referenced delay must be declared).
     try:
-        system = build_interconnection(subsystems, delays)
+        system = build_interconnection(subsystems, delays, rhs=network)
     except ValueError as exc:
         raise ConfigError(f"$.subsystems: {exc}") from exc
 

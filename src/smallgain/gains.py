@@ -18,7 +18,8 @@ Scalar and vectorized evaluation share IEEE overflow behaviour: an
 intermediate that overflows gives ``inf``, not an ``OverflowError`` (a
 scalar whose Python-float evaluation overflows is evaluated again as
 ``np.float64``).  ``SaturatingRational`` gives c wherever s^q overflows,
-since it is bounded by c and tends to c.
+since it is bounded by c and tends to c; for c > 1 it evaluates
+c*(s^q/(1+s^q)), so c*s^q overflowing cannot push it above c.
 
 The one nontrivial decision procedure here is :func:`less_than_identity`,
 which checks ``g(s) < s`` on a logarithmic grid with local refinement and
@@ -160,14 +161,22 @@ class SaturatingRational(KFunction):
     def _eval(self, s: Scalar) -> Scalar:
         u = s**self.q
         try:
-            return self.c * u / (1.0 + u)
+            return self._saturate(u)
         except FloatingPointError:
             # inf/inf where s^q overflowed.  Numpy raises it only under
             # np.errstate(invalid="raise"), which KFunction.__call__ and
             # less_than_identity set, so the common path pays no check.
             # The gain tends to c, its bound.
             with np.errstate(invalid="ignore"):
-                return np.where(np.isinf(u), self.c, self.c * u / (1.0 + u))
+                return np.where(np.isinf(u), self.c, self._saturate(u))
+
+    def _saturate(self, u: Scalar) -> Scalar:
+        # c*u overflows for finite u only when c > 1; taking the ratio
+        # first keeps the result at most c there.  c <= 1 keeps the
+        # plain expression and its bits.
+        if self.c > 1.0:
+            return self.c * (u / (1.0 + u))
+        return self.c * u / (1.0 + u)
 
     def to_expr(self) -> str:
         return f"{self.c!r}*s^{self.q!r}/(1+s^{self.q!r})"

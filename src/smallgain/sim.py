@@ -11,17 +11,36 @@ the subsystem's input block.  The interconnection convention is that a
 subsystem's output equals its state, so cross-couplings always read
 delayed state blocks of other subsystems.
 
+The integrator calls one network right-hand side over the flat state
+
+    f(t, x, Z, u) -> dx/dt            (ndarray of the total dim)
+
+where x and u are the flat state and input vectors and Z is the gathered
+delayed state: every distinct declared reference (j, theta), in sorted
+order, contributes the components of subsystem j's state at t - theta
+(reference_rows gives where each one starts).  By default f is an
+adapter that slices Z into each subsystem's z mapping and calls the
+subsystem right-hand sides; the JSON configuration parser instead
+generates a single function from all expressions that reads x, Z and u
+directly.
+
 Integration uses the classical fourth-order Runge-Kutta scheme with a
 fixed step h that must divide every delay.  Because every delay is at
 least one step, all delayed stage values lie in already-computed
 territory: stage times fall on grid nodes or midpoints, where a cubic
 Hermite interpolant built from stored states and derivatives is exact to
-the method's order.  That interpolant is written once, in _hermite:
+the method's order.  Each reference component is numbered once, as a
+source column and a delay in steps, so a stage gathers its whole Z with
+one fancy index.  Node-aligned stages index a buffer holding the history
+samples followed by the computed states.  Midpoint stages index a buffer
+with one row per step interval: rows inside the history window are the
+history functions sampled once at the half-step times, and rows of
+computed intervals hold the u = 1/2 form of the Hermite interpolant,
+(x_a + x_b)/2 + (h/8)(f_a - f_b), filled as soon as f_b is known.  The
+general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
 vectorised pass, which is the dense output on the whole time range, and
-the shortened final step uses it for its off-grid delayed values.  The
-RK4 loop reads delayed midpoints through its u = 1/2 specialisation,
-(x_a + x_b)/2 + (h/8)(f_a - f_b), written out in that hot path.
+the shortened final step uses it for its off-grid delayed values.
 
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
@@ -53,6 +72,7 @@ __all__ = [
     "DelaySystemSpec",
     "build_interconnection",
     "build_auxiliary_system",
+    "reference_rows",
     "Trajectory",
     "simulate",
     "DEFAULT_DIVERGENCE_THRESHOLD",
@@ -200,6 +220,11 @@ class Subsystem:
     as (subsystem index, delay) pairs; the simulator provides exactly
     those entries in z.  Reading own state delayed is declared the same
     way with the subsystem's own index.
+
+    rhs is called once per Runge-Kutta stage, in subsystem order, when
+    the system integrates through the default network right-hand side.
+    A system that carries its own network function (as parse_system
+    builds) never calls it.
     """
 
     dim: int
@@ -229,11 +254,19 @@ class StateFeedback:
 @dataclass(frozen=True)
 class DelaySystemSpec:
     """Complete interconnected system: subsystems, shared delay set,
-    optional disturbance closure."""
+    optional disturbance closure, optional network right-hand side.
+
+    rhs, when given, is the network right-hand side f(t, x, Z, u) of
+    the module docstring; Z follows reference_rows(subsystems).
+    simulate calls it once per Runge-Kutta stage instead of the
+    subsystems' own rhs callables.  When rhs is None, simulate uses an
+    adapter that calls every subsystem's rhs once per stage.
+    """
 
     subsystems: tuple[Subsystem, ...]
     delays: tuple[float, ...]
     feedback: StateFeedback | None = None
+    rhs: Callable | None = None
 
     @property
     def k(self) -> int:
@@ -266,15 +299,56 @@ class DelaySystemSpec:
         return tuple(out)
 
 
+def reference_rows(subsystems: Sequence[Subsystem]) -> dict[tuple[int, float], int]:
+    """First row in Z of every distinct declared reference (j, theta).
+
+    References are taken in sorted order, and each occupies as many rows
+    as subsystem j has state components.
+    """
+    rows, row = {}, 0
+    for j, th in sorted({ref for s in subsystems for ref in s.references}):
+        rows[(j, th)] = row
+        row += subsystems[j - 1].dim
+    return rows
+
+
+def _subsystem_adapter(subsystems: Sequence[Subsystem]) -> Callable:
+    """Network right-hand side that calls each subsystem's own rhs."""
+    rows = reference_rows(subsystems)
+    plan = []
+    x_off = u_off = 0
+    for i, s in enumerate(subsystems, start=1):
+        refs = tuple((key, slice(rows[key], rows[key] + subsystems[key[0] - 1].dim)) for key in s.references)
+        plan.append((i, s.rhs, s.dim, slice(x_off, x_off + s.dim), slice(u_off, u_off + s.input_dim), refs))
+        x_off += s.dim
+        u_off += s.input_dim
+    n = x_off
+
+    def f(t: float, x: np.ndarray, Z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        dx = np.empty(n)
+        for i, rhs, dim, xs, us, refs in plan:
+            z = {key: Z[rs] for key, rs in refs}
+            out = np.asarray(rhs(t, x[xs], z, u[us]), dtype=float).reshape(-1)
+            if out.shape != (dim,):
+                raise SimulationError(
+                    f"subsystem {i} right-hand side returned shape {out.shape}, expected ({dim},)", t
+                )
+            dx[xs] = out
+        return dx
+
+    return f
+
+
 def build_interconnection(
-    subsystems: Sequence[Subsystem], delays: Sequence[float] = ()
+    subsystems: Sequence[Subsystem], delays: Sequence[float] = (), rhs: Callable | None = None
 ) -> DelaySystemSpec:
     """Assemble and validate a DelaySystemSpec.
 
     Checks that delays are positive, finite and distinct, and that every
     declared reference points at an existing subsystem and a declared
     delay.  Dangling references are rejected here rather than surfacing
-    as KeyErrors mid-integration.
+    as KeyErrors mid-integration.  rhs is an optional network right-hand
+    side equivalent to the subsystems' (see DelaySystemSpec).
     """
     subs = tuple(subsystems)
     if not subs:
@@ -300,7 +374,7 @@ def build_interconnection(
                 raise ValueError(
                     f"subsystem {idx} references delay {th} not in the declared set {ds}"
                 )
-    return DelaySystemSpec(subs, ds)
+    return DelaySystemSpec(subs, ds, rhs=rhs)
 
 
 def build_auxiliary_system(
@@ -559,30 +633,21 @@ def simulate(
     M = max(delay_steps.values(), default=0)
     n = sys.total_dim
     off = sys.offsets()
-    in_off = [0]
-    for s in sys.subsystems:
-        in_off.append(in_off[-1] + s.input_dim)
     m_total = sys.total_input_dim
+    f = sys.rhs if sys.rhs is not None else _subsystem_adapter(sys.subsystems)
 
-    # Per-subsystem reference plumbing: (key, delay step count, source slice).
-    ref_plumbing: list[list[tuple[tuple[int, float], int, slice]]] = []
-    for s in sys.subsystems:
-        rows = []
-        for j, th in s.references:
-            rows.append(((j, th), delay_steps[th], slice(off[j - 1], off[j])))
-        ref_plumbing.append(rows)
-
-    # History sampled on the step grid (node 0 duplicates the initial state).
-    hist_times = np.array([(j - M) * h for j in range(M + 1)])
-    if M == 0:
-        hist_times = np.array([0.0])
-    hist_states = np.empty((M + 1, n))
-    for row, t in enumerate(hist_times):
-        vals = np.concatenate([fn(float(t)) for fn in hist])
-        if not np.all(np.isfinite(vals)):
-            raise SimulationError("history function produced non-finite values", float(t), vals)
-        hist_states[row] = vals
-    x0 = hist_states[-1].copy()
+    # Every reference component once, in the order of Z: its source
+    # column, its delay, and that delay in steps.
+    cols, thetas = [], []
+    for j, th in reference_rows(sys.subsystems):
+        cols.extend(range(off[j - 1], off[j]))
+        thetas.extend([th] * (off[j] - off[j - 1]))
+    lag = np.array([delay_steps[th] for th in thetas], dtype=np.intp)
+    thetas = np.array(thetas)
+    cols = np.array(cols, dtype=np.intp)
+    # Row of each component's delayed interval start at step 0, in the
+    # state buffer and in the midpoint buffer alike.
+    base = M - lag
 
     N_full = int(math.floor(T / h + 1e-12))
     remainder = T - N_full * h
@@ -590,21 +655,67 @@ def simulate(
         remainder = 0.0
     N = N_full + (1 if remainder > 0.0 else 0)
 
-    states = np.empty((N + 1, n))
+    def sample_history(t: float) -> np.ndarray:
+        vals = np.concatenate([fn(t) for fn in hist])
+        if not np.isfinite(vals).all():
+            raise SimulationError("history function produced non-finite values", t, vals)
+        return vals
+
+    # History samples on the step grid, then the computed states: row
+    # M + j holds node j, so node 0 is the last history sample.
+    xs = np.empty((M + N + 1, n))
+    hist_times = np.array([(j - M) * h for j in range(M + 1)])
+    for row, t in enumerate(hist_times):
+        xs[row] = sample_history(float(t))
+    states = xs[M:]
     derivs = np.zeros((N + 1, n))
-    states[0] = x0
+
+    # Delayed midpoints, row M + j for the interval [t_j, t_j+1].  The
+    # history rows that midpoint stages read are sampled here; the loop
+    # fills the row of each computed interval once its end derivative is
+    # known.
+    mids = np.empty((M + N, n))
+    for idx in sorted({i for m in set(lag.tolist()) for i in range(-m, min(0, N_full - m))}):
+        mids[idx + M] = sample_history((idx + 0.5) * h)
+    h8 = h / 8.0
+
+    def gather_at(t_stage: float, completed: int) -> np.ndarray:
+        """Z at an off-grid stage time (the shortened final step)."""
+        Z = np.empty(cols.size)
+        for th in sorted(set(thetas.tolist())):
+            sel = thetas == th
+            c = cols[sel]
+            tq = t_stage - th
+            if tq <= 0.0:
+                Z[sel] = sample_history(tq)[c]
+                continue
+            j = min(int(math.floor(tq / h + 1e-12)), completed - 1)
+            u = (tq - j * h) / h
+            if u <= 1e-12:
+                Z[sel] = states[j, c]
+            elif u >= 1.0 - 1e-12:
+                Z[sel] = states[j + 1, c]
+            else:
+                Z[sel] = _hermite(u, h, states[j, c], derivs[j, c], states[j + 1, c], derivs[j + 1, c])
+        return Z
+
+    # Max over blocks of the Euclidean block norm, bit-equal to
+    # np.linalg.norm per block: that is sqrt(b.dot(b)), and sqrt is
+    # monotone, so the max can be taken before it.
+    blocks = [slice(off[i], off[i + 1]) for i in range(k)]
+    if n == k:
+
+        def block_max_norm(x: np.ndarray) -> float:
+            return math.sqrt((x * x).max())
+
+    else:
+
+        def block_max_norm(x: np.ndarray) -> float:
+            return math.sqrt(max(x[b].dot(x[b]) for b in blocks))
+
     norms_all = np.empty(M + N + 1)
-
-    def block_max_norm(x: np.ndarray) -> float:
-        best = 0.0
-        for i in range(k):
-            v = float(np.linalg.norm(x[off[i] : off[i + 1]]))
-            if v > best:
-                best = v
-        return best
-
     for row in range(M + 1):
-        norms_all[row] = block_max_norm(hist_states[row])
+        norms_all[row] = block_max_norm(xs[row])
 
     clamp_warned = False
 
@@ -619,11 +730,13 @@ def simulate(
             clamp_warned = True
         return clipped
 
+    no_input = np.empty(0)
+
     def input_vector(t: float, step: int, frac: float, x_stage: np.ndarray, completed: int) -> np.ndarray:
         if m_total == 0:
-            return np.empty(0)
+            return no_input
         if feedback is None:
-            return np.concatenate([inputs[i](t) if sys.subsystems[i].input_dim else np.empty(0) for i in range(k)])
+            return np.concatenate([u(t) for u in inputs if u.dim])
         # History-window norm on the step grid, stage state included.
         pos = step + frac
         lo = max(int(math.ceil(pos - M - 1e-9)), -M)
@@ -633,67 +746,15 @@ def simulate(
         scale = feedback.rho(wnorm)
         return scale * disturbance(t)
 
-    def delayed_value(step: int, frac: float, msteps: int, src: slice) -> np.ndarray:
-        idx = step - msteps
-        if frac == 0.0:
-            return states[idx, src] if idx >= 0 else hist_states[idx + M, src]
-        if frac == 1.0:
-            idx += 1
-            return states[idx, src] if idx >= 0 else hist_states[idx + M, src]
-        # Midpoint: exact node straddle is impossible, the interval is
-        # either fully in history or fully computed.
-        if idx + 1 <= 0:
-            t_mid = (idx + 0.5) * h
-            full = np.concatenate([fn(t_mid) for fn in hist])
-            return full[src]
-        xa = states[idx, src]
-        xb = states[idx + 1, src]
-        fa = derivs[idx, src]
-        fb = derivs[idx + 1, src]
-        return 0.5 * (xa + xb) + (h / 8.0) * (fa - fb)
-
-    def eval_rhs(step: int, frac: float, t: float, x_stage: np.ndarray, completed: int) -> np.ndarray:
-        u_full = input_vector(t, step, frac, x_stage, completed)
-        dx = np.empty(n)
-        for i in range(k):
-            sub = sys.subsystems[i]
-            z = {key: delayed_value(step, frac, msteps, src) for key, msteps, src in ref_plumbing[i]}
-            u_i = u_full[in_off[i] : in_off[i + 1]]
-            out = np.asarray(sub.rhs(t, x_stage[off[i] : off[i + 1]], z, u_i), dtype=float).reshape(-1)
-            if out.shape != (sub.dim,):
-                raise SimulationError(
-                    f"subsystem {i + 1} right-hand side returned shape {out.shape}, expected ({sub.dim},)", t
-                )
-            dx[off[i] : off[i + 1]] = out
-        return dx
-
-    def general_eval(step: int, frac: float, t_stage: float, x_stage: np.ndarray, completed: int) -> np.ndarray:
-        # Fallback for the shortened final step, where delayed times are
-        # no longer node/midpoint aligned.
-        u_full = input_vector(t_stage, step, frac, x_stage, completed)
-        dx = np.empty(n)
-        for i in range(k):
-            sub = sys.subsystems[i]
-            z = {}
-            for key, msteps, src in ref_plumbing[i]:
-                tq = t_stage - key[1]
-                z[key] = _dense_lookup(tq, h, states, derivs, hist_states, hist, M, completed, src)
-            u_i = u_full[in_off[i] : in_off[i + 1]]
-            out = np.asarray(sub.rhs(t_stage, x_stage[off[i] : off[i + 1]], z, u_i), dtype=float).reshape(-1)
-            if out.shape != (sub.dim,):
-                raise SimulationError(
-                    f"subsystem {i + 1} right-hand side returned shape {out.shape}, expected ({sub.dim},)", t_stage
-                )
-            dx[off[i] : off[i + 1]] = out
-        return dx
-
     def checked(
         vec: np.ndarray, t: float, x_ref: np.ndarray, what: str = "right-hand side evaluation"
     ) -> np.ndarray:
         """vec itself when finite; NaN raises, overflow raises _Diverged."""
-        if np.all(np.isfinite(vec)):
+        # A finite sum means every entry is finite; only a sum that is
+        # not (or that overflowed) needs the entrywise test.
+        if math.isfinite(np.add.reduce(vec)) or np.isfinite(vec).all():
             return vec
-        if np.any(np.isnan(vec)):
+        if np.isnan(vec).any():
             raise SimulationError(f"NaN in {what}", t, x_ref)
         raise _Diverged
 
@@ -705,25 +766,37 @@ def simulate(
 
     step_sizes = [h] * N_full + ([remainder] if remainder > 0.0 else [])
     final = N
+    Z_node = xs[base, cols]  # delayed state of the stage at the current node
     for nstep, hs in enumerate(step_sizes):
         t_n = nstep * h
         x_n = states[nstep]
         mid = hs / 2.0
-        if hs == h:
+        full = hs == h
+        if full:
             fr_mid, fr_end = 0.5, 1.0
         else:
             # Shortened final step: stage offsets as fractions of the
             # nominal grid spacing.
             fr_mid, fr_end = mid / h, hs / h
-
-        stage_eval = eval_rhs if hs == h else general_eval
-        t_next = t_n + hs if hs == h else T
+        a = base + nstep
+        t_next = t_n + hs if full else T
         try:
-            k1 = checked(stage_eval(nstep, 0.0, t_n, x_n, completed), t_n, x_n)
+            Z = Z_node if full else gather_at(t_n, completed)
+            k1 = checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
             derivs[nstep] = k1
-            k2 = checked(stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k1, completed), t_n, x_n)
-            k3 = checked(stage_eval(nstep, fr_mid, t_n + mid, x_n + mid * k2, completed), t_n, x_n)
-            k4 = checked(stage_eval(nstep, fr_end, t_n + hs, x_n + hs * k3, completed), t_n, x_n)
+            if full:
+                if nstep:
+                    mids[M + nstep - 1] = 0.5 * (states[nstep - 1] + x_n) + h8 * (derivs[nstep - 1] - k1)
+                Z = mids[a, cols]
+            else:
+                Z = gather_at(t_n + mid, completed)
+            x_s = x_n + mid * k1
+            k2 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+            x_s = x_n + mid * k2
+            k3 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+            Z_node = xs[a + 1, cols] if full else gather_at(t_n + hs, completed)
+            x_s = x_n + hs * k3
+            k4 = checked(f(t_n + hs, x_s, Z_node, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
             x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             checked(x_next, t_next, x_n, "state update")
         except _Diverged:
@@ -738,65 +811,31 @@ def simulate(
             final = nstep + 1
             blow_up, escape_time = True, float(t_next)
             break
-    else:
-        final = N
 
     # Derivative at the last stored node, for dense output on the final
     # interval.  Best effort when the run blew up.
-    if final >= 0:
-        t_fin = float(t_nodes[final])
+    t_fin = float(t_nodes[final])
+    x_fin = states[final]
+    try:
         on_grid = remainder == 0.0 or final < N
-        try:
-            if on_grid:
-                dfin = eval_rhs(final, 0.0, t_fin, states[final], completed)
-            else:
-                dfin = general_eval(final, 0.0, t_fin, states[final], completed)
-            if np.all(np.isfinite(dfin)):
-                derivs[final] = dfin
-        except (SimulationError, FloatingPointError, OverflowError):
-            pass
-
-    states = states[: final + 1]
-    derivs = derivs[: final + 1]
-    t_nodes = t_nodes[: final + 1]
+        Z = xs[base + final, cols] if on_grid else gather_at(t_fin, completed)
+        dfin = f(t_fin, x_fin, Z, input_vector(t_fin, final, 0.0, x_fin, completed))
+        if np.isfinite(dfin).all():
+            derivs[final] = dfin
+    except (SimulationError, FloatingPointError, OverflowError):
+        pass
 
     return Trajectory(
         dims=sys.dims,
         delays=sys.delays,
         h=h,
-        t_nodes=t_nodes,
-        states=states,
-        derivs=derivs,
+        t_nodes=t_nodes[: final + 1],
+        states=states[: final + 1],
+        derivs=derivs[: final + 1],
         hist_times=hist_times,
-        hist_states=hist_states,
+        hist_states=xs[: M + 1],
         history=tuple(hist),
         blow_up=blow_up,
         escape_time=escape_time,
         requested_T=T,
     )
-
-
-def _dense_lookup(
-    tq: float,
-    h: float,
-    states: np.ndarray,
-    derivs: np.ndarray,
-    hist_states: np.ndarray,
-    hist: Sequence[HistoryFunction],
-    M: int,
-    current: int,
-    src: slice,
-) -> np.ndarray:
-    """General time-based dense lookup used by the shortened final step."""
-    if tq <= 0.0:
-        full = np.concatenate([fn(tq) for fn in hist])
-        return full[src]
-    j = int(math.floor(tq / h + 1e-12))
-    j = min(j, current - 1)
-    ta = j * h
-    u = (tq - ta) / h
-    if u <= 1e-12:
-        return states[j, src]
-    if u >= 1.0 - 1e-12:
-        return states[j + 1, src]
-    return _hermite(u, h, states[j, src], derivs[j, src], states[j + 1, src], derivs[j + 1, src])

@@ -100,6 +100,19 @@ class TestEvaluation:
         np.testing.assert_array_equal(f(np.array([1e8, math.inf])), [0.5, 0.5])
         assert math.isnan(f(math.nan))
 
+    def test_saturating_stays_below_its_level_where_c_times_power_overflows(self):
+        # s^q is finite where c*s^q overflows; the gain stays at c there.
+        g = Compose(SaturatingRational(10.0, 1.0), Linear(1e300))
+        assert g(5e7) == 10.0
+        assert g(1e-300) == pytest.approx(5.0)
+        vals = g(np.array([1e-300, 1.0, 5e7, 1e300, math.inf]))
+        np.testing.assert_array_equal(vals[1:], [10.0] * 4)
+        assert vals[0] == pytest.approx(5.0)
+        # Levels up to 1 keep c*u/(1+u) bit for bit.
+        s = np.geomspace(1e-8, 1e8, 101)
+        for c in (0.5, 1.0):
+            np.testing.assert_array_equal(SaturatingRational(c, 2.0)(s), c * s**2.0 / (1.0 + s**2.0))
+
     @given(gain_trees())
     @settings(max_examples=200, deadline=None)
     def test_zero_at_zero_and_positive(self, f):
@@ -271,6 +284,14 @@ class TestLessThanIdentity:
         v = less_than_identity(g)
         assert v.violated and not math.isnan(v.margin)
         assert g(v.witness) >= v.witness
+
+    def test_saturation_level_overflow_keeps_verdict(self):
+        # At most 1e-9 everywhere, though c*s^q of the inner gain
+        # overflows for s above about 1.8e7.
+        g = Compose(Linear(1e-10), Compose(SaturatingRational(10.0, 1.0), Linear(1e300)))
+        v = less_than_identity(g)
+        assert v.verified
+        assert v.value <= 1e-9
 
     @given(gain_trees(max_leaves=4))
     @settings(max_examples=60, deadline=None)

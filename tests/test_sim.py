@@ -1,18 +1,24 @@
 """Delay-system integrator: accuracy, dense output, and failure modes."""
 
 import math
+import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallgain.gains import Linear
+from smallgain.dsl import parse_system
+from smallgain.gains import Linear, SaturatingRational
 from smallgain.sim import (
+    DEFAULT_DIVERGENCE_THRESHOLD,
     HistoryFunction,
     InputSignal,
     SimulationError,
     Subsystem,
     Trajectory,
+    _resolve_steps,
     build_auxiliary_system,
     build_interconnection,
     simulate,
@@ -347,6 +353,345 @@ class TestVectorisedDenseOutput:
                 traj.interpolate_many(bad)
         assert traj.interpolate_many([]).shape == (0, 1)
         assert traj.interpolate_many(np.empty(0)).shape == (0, 1)
+
+
+class _RefDiverged(Exception):
+    pass
+
+
+def reference_simulate(sys, hist, inputs, T, h, divergence_threshold=DEFAULT_DIVERGENCE_THRESHOLD):
+    """The per-subsystem, per-reference stage loop, the oracle of simulate.
+
+    It calls every subsystem's own rhs with a dict of delayed blocks, one
+    delayed lookup per reference, and evaluates the history functions at
+    every delayed midpoint that falls in the history window.  Argument
+    checks are left to simulate.
+    """
+    k = sys.k
+    hist = list(hist)
+    feedback = sys.feedback
+    if feedback is None:
+        if inputs is None:
+            inputs = [InputSignal.zero(s.input_dim) for s in sys.subsystems]
+        inputs = list(inputs)
+    delay_steps = _resolve_steps(sys.delays, h)
+    M = max(delay_steps.values(), default=0)
+    n = sys.total_dim
+    off = sys.offsets()
+    in_off = [0]
+    for s in sys.subsystems:
+        in_off.append(in_off[-1] + s.input_dim)
+    m_total = sys.total_input_dim
+    ref_plumbing = [
+        [((j, th), delay_steps[th], slice(off[j - 1], off[j])) for j, th in s.references]
+        for s in sys.subsystems
+    ]
+
+    hist_times = np.array([(j - M) * h for j in range(M + 1)])
+    hist_states = np.empty((M + 1, n))
+    for row, t in enumerate(hist_times):
+        vals = np.concatenate([fn(float(t)) for fn in hist])
+        if not np.all(np.isfinite(vals)):
+            raise SimulationError("history function produced non-finite values", float(t), vals)
+        hist_states[row] = vals
+
+    N_full = int(math.floor(T / h + 1e-12))
+    remainder = T - N_full * h
+    if remainder <= 1e-12 * max(T, h):
+        remainder = 0.0
+    N = N_full + (1 if remainder > 0.0 else 0)
+    states = np.empty((N + 1, n))
+    derivs = np.zeros((N + 1, n))
+    states[0] = hist_states[-1]
+    norms_all = np.empty(M + N + 1)
+
+    def block_max_norm(x):
+        return max([0.0] + [float(np.linalg.norm(x[off[i] : off[i + 1]])) for i in range(k)])
+
+    for row in range(M + 1):
+        norms_all[row] = block_max_norm(hist_states[row])
+
+    def input_vector(t, step, frac, x_stage, completed):
+        if m_total == 0:
+            return np.empty(0)
+        if feedback is None:
+            return np.concatenate([inputs[i](t) for i in range(k)])
+        pos = step + frac
+        lo = max(int(math.ceil(pos - M - 1e-9)), -M)
+        wnorm = float(norms_all[lo + M : completed + M + 1].max(initial=0.0))
+        wnorm = max(wnorm, block_max_norm(x_stage))
+        return feedback.rho(wnorm) * np.clip(feedback.d(t), -1.0, 1.0)
+
+    def hermite(u, dt, xa, fa, xb, fb):
+        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+        h10 = u * (1.0 - u) ** 2
+        h01 = u * u * (3.0 - 2.0 * u)
+        h11 = u * u * (u - 1.0)
+        return h00 * xa + h10 * dt * fa + h01 * xb + h11 * dt * fb
+
+    def delayed_value(step, frac, msteps, src):
+        idx = step - msteps
+        if frac == 1.0:
+            idx += 1
+        if frac in (0.0, 1.0):
+            return states[idx, src] if idx >= 0 else hist_states[idx + M, src]
+        if idx + 1 <= 0:
+            return np.concatenate([fn((idx + 0.5) * h) for fn in hist])[src]
+        return 0.5 * (states[idx, src] + states[idx + 1, src]) + (h / 8.0) * (derivs[idx, src] - derivs[idx + 1, src])
+
+    def dense_lookup(tq, current, src):
+        if tq <= 0.0:
+            return np.concatenate([fn(tq) for fn in hist])[src]
+        j = min(int(math.floor(tq / h + 1e-12)), current - 1)
+        u = (tq - j * h) / h
+        if u <= 1e-12:
+            return states[j, src]
+        if u >= 1.0 - 1e-12:
+            return states[j + 1, src]
+        return hermite(u, h, states[j, src], derivs[j, src], states[j + 1, src], derivs[j + 1, src])
+
+    def eval_rhs(step, frac, t, x_stage, completed, aligned=True):
+        u_full = input_vector(t, step, frac, x_stage, completed)
+        dx = np.empty(n)
+        for i, sub in enumerate(sys.subsystems):
+            if aligned:
+                z = {key: delayed_value(step, frac, m, src) for key, m, src in ref_plumbing[i]}
+            else:
+                z = {key: dense_lookup(t - key[1], completed, src) for key, m, src in ref_plumbing[i]}
+            out = np.asarray(sub.rhs(t, x_stage[off[i] : off[i + 1]], z, u_full[in_off[i] : in_off[i + 1]]), dtype=float)
+            dx[off[i] : off[i + 1]] = out.reshape(-1)
+        return dx
+
+    def checked(vec, t, x_ref, what="right-hand side evaluation"):
+        if np.all(np.isfinite(vec)):
+            return vec
+        if np.any(np.isnan(vec)):
+            raise SimulationError(f"NaN in {what}", t, x_ref)
+        raise _RefDiverged
+
+    t_nodes = np.empty(N + 1)
+    t_nodes[0] = 0.0
+    blow_up, escape_time, completed = False, None, 0
+    final = N
+    for nstep, hs in enumerate([h] * N_full + ([remainder] if remainder > 0.0 else [])):
+        t_n = nstep * h
+        x_n = states[nstep]
+        mid = hs / 2.0
+        aligned = hs == h
+        fr_mid, fr_end = (0.5, 1.0) if aligned else (mid / h, hs / h)
+        t_next = t_n + hs if aligned else T
+        try:
+            k1 = checked(eval_rhs(nstep, 0.0, t_n, x_n, completed, aligned), t_n, x_n)
+            derivs[nstep] = k1
+            k2 = checked(eval_rhs(nstep, fr_mid, t_n + mid, x_n + mid * k1, completed, aligned), t_n, x_n)
+            k3 = checked(eval_rhs(nstep, fr_mid, t_n + mid, x_n + mid * k2, completed, aligned), t_n, x_n)
+            k4 = checked(eval_rhs(nstep, fr_end, t_n + hs, x_n + hs * k3, completed, aligned), t_n, x_n)
+            x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            checked(x_next, t_next, x_n, "state update")
+        except _RefDiverged:
+            final = nstep
+            blow_up, escape_time = True, t_n
+            break
+        states[nstep + 1] = x_next
+        t_nodes[nstep + 1] = t_next
+        norms_all[M + nstep + 1] = block_max_norm(x_next)
+        completed = nstep + 1
+        if norms_all[M + nstep + 1] > divergence_threshold:
+            final = nstep + 1
+            blow_up, escape_time = True, float(t_next)
+            break
+
+    t_fin = float(t_nodes[final])
+    try:
+        dfin = eval_rhs(final, 0.0, t_fin, states[final], completed, remainder == 0.0 or final < N)
+        if np.all(np.isfinite(dfin)):
+            derivs[final] = dfin
+    except (SimulationError, FloatingPointError, OverflowError):
+        pass
+    return Trajectory(
+        dims=sys.dims,
+        delays=sys.delays,
+        h=h,
+        t_nodes=t_nodes[: final + 1],
+        states=states[: final + 1],
+        derivs=derivs[: final + 1],
+        hist_times=hist_times,
+        hist_states=hist_states,
+        history=tuple(hist),
+        blow_up=blow_up,
+        escape_time=escape_time,
+        requested_T=T,
+    )
+
+
+def dsl_system(exprs, delays, input_dims=None):
+    """Parse a network given as one list of expressions per subsystem."""
+    input_dims = input_dims or [0] * len(exprs)
+    doc = {
+        "k": len(exprs),
+        "delays": list(delays),
+        "subsystems": [{"rhs": e, "input_dim": m} for e, m in zip(exprs, input_dims)],
+        "gains": {},
+    }
+    return parse_system(doc).system
+
+
+def outcome(run):
+    """Everything a run produces, as bytes, or the error it raised."""
+    try:
+        traj = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (traj.t_nodes, traj.states, traj.derivs, traj.hist_times, traj.hist_states)
+    return traj.blow_up, traj.escape_time, [(a.shape, a.tobytes()) for a in arrays]
+
+
+def same_as_reference(sys, hist, inputs, T, h, **kw):
+    """simulate on sys and on its subsystem adapter both match the oracle."""
+    ref = outcome(lambda: reference_simulate(sys, hist, inputs, T, h, **kw))
+    assert outcome(lambda: simulate(sys, hist, inputs, T, h, **kw)) == ref
+    adapted = replace(sys, rhs=None)
+    assert outcome(lambda: simulate(adapted, hist, inputs, T, h, **kw)) == ref
+    return ref
+
+
+_coef = st.floats(-1.5, 1.5).map(lambda v: round(v, 3))
+
+
+@st.composite
+def histories(draw, dim):
+    kind = draw(st.sampled_from(["constant", "polynomial", "table", "callable"]))
+    if kind == "constant":
+        return HistoryFunction.constant(draw(st.lists(_coef, min_size=dim, max_size=dim)))
+    if kind == "polynomial":
+        rows = st.lists(_coef, min_size=1, max_size=3)
+        return HistoryFunction.polynomial(draw(st.lists(rows, min_size=dim, max_size=dim)))
+    if kind == "table":
+        row = st.lists(_coef, min_size=dim, max_size=dim)
+        return HistoryFunction.table([-1.6, -0.35, 0.0], draw(st.lists(row, min_size=3, max_size=3)))
+    w, c0 = draw(_coef), draw(_coef)
+    return HistoryFunction.from_callable(lambda t: c0 + np.cos(w * t) * np.ones(dim), dim)
+
+
+@st.composite
+def input_signals(draw, dim):
+    kind = draw(st.sampled_from(["zero", "constant", "piecewise", "callable"]))
+    if dim == 0 or kind == "zero":
+        return InputSignal.zero(dim)
+    vec = st.lists(_coef, min_size=dim, max_size=dim)
+    if kind == "constant":
+        return InputSignal.constant(draw(vec))
+    if kind == "piecewise":
+        return InputSignal.piecewise_constant([0.0, draw(st.floats(0.01, 3.0))], [draw(vec), draw(vec)])
+    w = draw(_coef)
+    return InputSignal.from_callable(lambda t: np.sin(w * t + np.arange(dim)), dim)
+
+
+@st.composite
+def dsl_cases(draw):
+    """Random DSL networks with histories, inputs or a feedback closure."""
+    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    k = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    input_dims = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    delays = [m * h for m in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))]
+
+    def delayed(i):
+        j = draw(st.integers(1, k))
+        name = draw(st.sampled_from(["x", "v"])) if j == i else "v"
+        return f"{name}_{j}_{draw(st.integers(1, dims[j - 1]))}[-{draw(st.sampled_from(delays))!r}]"
+
+    exprs = []
+    for i in range(1, k + 1):
+        rows = []
+        for c in range(1, dims[i - 1] + 1):
+            terms = [f"-{draw(st.floats(0.5, 3.0).map(lambda v: round(v, 3)))!r}*x_{i}_{c}"]
+            for _ in range(draw(st.integers(0, 3))):
+                fn = draw(st.sampled_from(["", "tanh", "sin", "cos"]))
+                ref = f"{fn}({delayed(i)})" if fn else delayed(i)
+                terms.append(f"{draw(_coef)!r}*{ref}" + draw(st.sampled_from(["", "^2"])))
+            if input_dims[i - 1]:
+                terms.append(f"{draw(_coef)!r}*u_{i}_{draw(st.integers(1, input_dims[i - 1]))}")
+            if draw(st.booleans()):
+                terms.append(f"{draw(_coef)!r}*sin(t)")
+            if draw(st.integers(0, 9)) == 0:  # occasionally a run that escapes
+                terms.append(f"{draw(st.floats(0.5, 3.0).map(lambda v: round(v, 3)))!r}*x_{i}_{c}^2")
+            rows.append(" + ".join(terms))
+        exprs.append(rows)
+    sys = dsl_system(exprs, delays, input_dims)
+    hist = [draw(histories(d)) for d in dims]
+    inputs = None
+    m = sum(input_dims)
+    mode = draw(st.sampled_from(["default", "signals", "feedback"])) if m else "default"
+    if mode == "signals":
+        inputs = [draw(input_signals(d)) for d in input_dims]
+    elif mode == "feedback":
+        rho = draw(st.sampled_from([Linear(0.5), Linear(2.0), SaturatingRational(1.5, 2.0)]))
+        sys = build_auxiliary_system(sys, rho, draw(input_signals(m)))
+    T = draw(st.one_of(st.integers(0, 30).map(lambda n: n * h), st.floats(0.0, 4.0)))
+    return sys, hist, inputs, T, h
+
+
+class TestStageGatherAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(dsl_cases())
+    def test_bit_identical_to_reference_loop(self, case):
+        sys, hist, inputs, T, h = case
+        assert sys.rhs is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            same_as_reference(sys, hist, inputs, T, h)
+
+    def test_blow_up_matches_reference(self):
+        sys = dsl_system([["x_1^2 + 0.5*v_1[-0.1]"]], [0.1])
+        hist = [HistoryFunction.constant([2.0])]
+        blow_up, escape_time, _ = same_as_reference(sys, hist, None, 1.0, 0.01)
+        assert blow_up and 0.3 < escape_time < 0.6
+        blow_up, _, _ = same_as_reference(sys, hist, None, 1.0, 0.01, divergence_threshold=1e3)
+        assert blow_up
+
+    def test_nan_matches_reference(self):
+        sys = dsl_system([["x_1^0.5 + v_1[-0.1]"]], [0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            err, message = same_as_reference(sys, [HistoryFunction.constant([-1.0])], None, 1.0, 0.01)
+        assert err is SimulationError and message.startswith("NaN in right-hand side evaluation")
+
+    def test_history_sampled_once_per_half_step(self):
+        calls = Counter()
+
+        def counted(i):
+            def fn(t):
+                calls[i] += 1
+                return np.array([1.0 + 0.1 * i * t])
+
+            return HistoryFunction.from_callable(fn, 1)
+
+        exprs = [[f"-x_{i} + 0.3*v_{i % 3 + 1}[-0.5] + 0.2*v_{(i + 1) % 3 + 1}[-1.0]"] for i in (1, 2, 3)]
+        sys = dsl_system(exprs, [0.5, 1.0])
+        hist = [counted(i) for i in (1, 2, 3)]
+        M = 100  # steps in the longest delay
+        simulate(sys, hist, None, T=3.0, h=0.01)
+        assert calls == {1: 2 * M + 1, 2: 2 * M + 1, 3: 2 * M + 1}
+        calls.clear()
+        reference_simulate(sys, hist, None, T=3.0, h=0.01)
+        # The oracle calls every history function once per reference at
+        # each of the two midpoint stages of every step whose delayed
+        # midpoint lies in the history window: 50 steps for each of the
+        # three 0.5 references, 100 for each of the three 1.0 ones.
+        assert calls == {i: M + 1 + 2 * (3 * 50 + 3 * 100) for i in (1, 2, 3)}
+
+    def test_nonfinite_history_at_half_steps_is_bad_input(self):
+        h = 0.1
+        spiky = HistoryFunction.from_callable(
+            lambda t: np.array([1.0 if abs(t / h - round(t / h)) < 0.25 else math.inf]), 1
+        )
+        sys = dsl_system([["-x_1 + v_1[-0.2]"]], [0.2])
+        with pytest.raises(SimulationError, match="history function produced non-finite values"):
+            simulate(sys, [spiky], None, 1.0, h)
+        # The oracle reads it unchecked and reports a blow-up at t=0.
+        traj = reference_simulate(sys, [spiky], None, 1.0, h)
+        assert traj.blow_up and traj.escape_time == 0.0
 
 
 class TestFailureModes:
