@@ -200,16 +200,19 @@ class BoundReport:
 
 def _history_norms(traj: Trajectory, hist: Sequence[HistoryFunction]) -> dict[int, float]:
     """Sup norm of each subsystem's initial segment on the step grid
-    (plus midpoints)."""
+    (plus midpoints).
+
+    When ``hist`` holds the functions the trajectory was simulated from,
+    the grid values are the samples stored in ``traj.hist_states`` (taken
+    at the same times), and only the midpoints call the functions.
+    """
     times = traj.hist_times
-    if times.size > 1:
-        mids = (times[:-1] + times[1:]) / 2.0
-        sample = np.concatenate([times, mids])
-    else:
-        sample = times
+    mids = (times[:-1] + times[1:]) / 2.0
+    stored = len(hist) == len(traj.history) and all(a is b for a, b in zip(hist, traj.history))
     out = {}
     for i, fn in enumerate(hist, start=1):
-        vals = np.vstack([fn(float(t)) for t in sample])
+        nodes = traj.hist_states[:, traj.block(i)] if stored else [fn(float(t)) for t in times]
+        vals = np.vstack([*nodes, *(fn(float(t)) for t in mids)])
         out[i] = float(np.max(np.linalg.norm(vals, axis=1)))
     return out
 

@@ -166,7 +166,7 @@ def _analyze_stage(cfg: ParsedConfig, run: _Run, say=print) -> tuple[int, object
             say("small-gain: verified (no cycles)")
         else:
             say(f"small-gain: verified, min margin {worst.margin:.6g}")
-        closed = closed_loop_input_gains(cfg.digraph, cfg.checks.grid)
+        closed = closed_loop_input_gains(cfg.digraph, cfg.checks.grid, check=result)
         run.write_json(
             "closed_loop_gains.json", closed.to_dict(_GAIN_TABLE_SAMPLES)
         )

@@ -14,6 +14,16 @@ exactly (same floating-point operations regardless of how the tree was
 assembled), supports scalar and vectorized evaluation, and serializes to
 a small expression grammar via :meth:`KFunction.to_expr`.
 
+Trees built by elimination share subtrees, so they are really DAGs.
+Scalar evaluation and serialization visit each distinct node once per
+argument: a memo keyed by ``(id(node), id(argument))`` returns the
+value already computed for that node at that very argument object, and
+each distinct node's expression string is built once per ``to_expr``
+call.  Every node still performs the same operations on the same
+operands, so values and strings are bit-for-bit those of the plain tree
+recursion.  Array evaluation does not memoise, so it holds no more
+arrays at once than the recursion would.
+
 Scalar and vectorized evaluation share IEEE overflow behaviour: an
 intermediate that overflows gives ``inf``, not an ``OverflowError`` (a
 scalar whose Python-float evaluation overflows is evaluated again as
@@ -77,27 +87,38 @@ class KFunction:
     come for free and trees can be used as dict keys.
     """
 
-    def __call__(self, s: Scalar) -> Scalar:
+    def __call__(self, s: Scalar, memo: dict | None = None) -> Scalar:
+        """Evaluate at a scalar or an array.
+
+        A scalar call may pass ``memo``, a dict shared by calls at the
+        same argument object (see :func:`_evaluate`); array calls never
+        memoise.
+        """
         if np.isscalar(s) or isinstance(s, (int, float)):
             # Plain floats are the fast path, but float ** raises on overflow
             # and a saturated SaturatingRational gives nan there; either
             # sends the point through the np.float64 path below.
             try:
-                out = float(self._eval(s))
+                out = float(_evaluate(self, s, {} if memo is None else memo))
             except OverflowError:
                 out = math.nan
             if not math.isnan(out) or math.isnan(s):
                 return out
             with np.errstate(invalid="raise"):
-                return float(self._eval(np.float64(s)))
+                return float(_evaluate(self, np.float64(s), {}))
         with np.errstate(invalid="raise"):
-            return self._eval(s)
+            return _evaluate(self, s)
 
     def _eval(self, s: Scalar) -> Scalar:
+        """Evaluate a primitive; Compose and Max go through :func:`_evaluate`."""
         raise NotImplementedError
 
     def to_expr(self) -> str:
         """Serialize to the gain expression grammar (see the dsl module)."""
+        return _serialize(self, {})
+
+    def _expr(self) -> str:
+        """Expression string of a primitive."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -111,7 +132,7 @@ class Identity(KFunction):
     def _eval(self, s: Scalar) -> Scalar:
         return s
 
-    def to_expr(self) -> str:
+    def _expr(self) -> str:
         return "s"
 
 
@@ -127,7 +148,7 @@ class Linear(KFunction):
     def _eval(self, s: Scalar) -> Scalar:
         return self.a * s
 
-    def to_expr(self) -> str:
+    def _expr(self) -> str:
         return f"{self.a!r}*s"
 
 
@@ -143,7 +164,7 @@ class Power(KFunction):
     def _eval(self, s: Scalar) -> Scalar:
         return s**self.p
 
-    def to_expr(self) -> str:
+    def _expr(self) -> str:
         return f"s^{self.p!r}"
 
 
@@ -178,7 +199,7 @@ class SaturatingRational(KFunction):
             return self.c * (u / (1.0 + u))
         return self.c * u / (1.0 + u)
 
-    def to_expr(self) -> str:
+    def _expr(self) -> str:
         return f"{self.c!r}*s^{self.q!r}/(1+s^{self.q!r})"
 
 
@@ -194,12 +215,6 @@ class Compose(KFunction):
             if not isinstance(part, KFunction):
                 raise TypeError(f"Compose expects KFunction operands, got {part!r}")
 
-    def _eval(self, s: Scalar) -> Scalar:
-        return self.outer._eval(self.inner._eval(s))
-
-    def to_expr(self) -> str:
-        return f"compose({self.outer.to_expr()},{self.inner.to_expr()})"
-
 
 @dataclass(frozen=True)
 class Max(KFunction):
@@ -213,11 +228,47 @@ class Max(KFunction):
             if not isinstance(part, KFunction):
                 raise TypeError(f"Max expects KFunction operands, got {part!r}")
 
-    def _eval(self, s: Scalar) -> Scalar:
-        return np.maximum(self.left._eval(s), self.right._eval(s))
 
-    def to_expr(self) -> str:
-        return f"max({self.left.to_expr()},{self.right.to_expr()})"
+def _evaluate(g: KFunction, s: Scalar, memo: dict | None = None) -> Scalar:
+    """Evaluate g at s, each distinct (node, argument) pair once.
+
+    ``memo`` maps ``(id(node), id(arg))`` to ``(value, arg)``; holding
+    the argument keeps its id from being reused while the memo lives, and
+    the nodes are held by the tree being evaluated.  One memo may be
+    shared by several trees evaluated at the same argument object.  A
+    node reached again through a shared subtree at an argument object it
+    has already seen returns the stored value, which is the value the
+    recursion would compute again.  With ``memo`` None every node is
+    evaluated as often as it occurs in the tree.
+    """
+    if memo is not None:
+        key = (id(g), id(s))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+    if isinstance(g, Compose):
+        out = _evaluate(g.outer, _evaluate(g.inner, s, memo), memo)
+    elif isinstance(g, Max):
+        out = np.maximum(_evaluate(g.left, s, memo), _evaluate(g.right, s, memo))
+    else:
+        out = g._eval(s)
+    if memo is not None:
+        memo[key] = (out, s)
+    return out
+
+
+def _serialize(g: KFunction, memo: dict[int, str]) -> str:
+    """Expression string of g, built once per distinct node in ``memo``."""
+    out = memo.get(id(g))
+    if out is None:
+        if isinstance(g, Compose):
+            out = f"compose({_serialize(g.outer, memo)},{_serialize(g.inner, memo)})"
+        elif isinstance(g, Max):
+            out = f"max({_serialize(g.left, memo)},{_serialize(g.right, memo)})"
+        else:
+            out = g._expr()
+        memo[id(g)] = out
+    return out
 
 
 def compose(outer: KFunction, inner: KFunction) -> Compose:
@@ -268,7 +319,6 @@ class GridSpec:
     n_points: int = 4096
     refinement_depth: int = 8
     margin: float = 1e-12
-    spacing: str = "log"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.s_min < self.s_max) or not math.isfinite(self.s_max):
@@ -279,8 +329,6 @@ class GridSpec:
             raise ValueError("refinement_depth must be nonnegative")
         if not (0.0 <= self.margin < 1.0):
             raise ValueError("margin must lie in [0, 1)")
-        if self.spacing != "log":
-            raise ValueError(f"only logarithmic spacing is supported, got {self.spacing!r}")
 
     def points(self) -> np.ndarray:
         """The grid, computed once per GridSpec and read-only."""
@@ -338,7 +386,7 @@ class Verdict:
 
 
 def _relative_margins(g: KFunction, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.asarray(g._eval(pts), dtype=float)
+    vals = np.asarray(_evaluate(g, pts), dtype=float)
     if vals.shape != pts.shape:
         vals = np.broadcast_to(vals, pts.shape).astype(float)
     return vals, 1.0 - vals / pts

@@ -225,10 +225,17 @@ class CycleReport:
 
 @dataclass(frozen=True)
 class SmallGainCheck:
-    """Aggregate result of checking every simple cycle."""
+    """Aggregate result of checking every simple cycle.
+
+    digraph and grid record what the check was computed for, so that
+    elimination can accept it as a certificate instead of checking the
+    cycles again; they take no part in equality or serialization.
+    """
 
     status: VerdictStatus
     reports: tuple[CycleReport, ...]
+    digraph: GainDigraph | None = field(default=None, compare=False, repr=False)
+    grid: GridSpec | None = field(default=None, compare=False)
 
     @property
     def verified(self) -> bool:
@@ -270,7 +277,7 @@ def check_cyclic_small_gain(
         status = VerdictStatus.INCONCLUSIVE
     else:
         status = VerdictStatus.VERIFIED_ON_GRID
-    return SmallGainCheck(status, tuple(reports))
+    return SmallGainCheck(status, tuple(reports), g, grid)
 
 
 def linear_cycle_products(

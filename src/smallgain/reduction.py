@@ -42,10 +42,10 @@ from .gains import (
     GridSpec,
     Identity,
     KFunction,
-    Max,
     less_than_identity,
+    max_of,
 )
-from .graph import CycleReport, GainDigraph, check_cyclic_small_gain
+from .graph import CycleReport, GainDigraph, SmallGainCheck, check_cyclic_small_gain
 
 __all__ = [
     "SmallGainViolation",
@@ -168,7 +168,7 @@ def _eliminate(
             if j == i or (m, j) not in edges:
                 continue
             via = Compose(g_im, edges[(m, j)])
-            merged = Max(edges[(i, j)], via) if (i, j) in edges else via
+            merged = max_of([edges[(i, j)], via] if (i, j) in edges else [via])
             out_edges[(i, j)] = merged
             new_edges[(i, j)] = merged
 
@@ -183,7 +183,7 @@ def _eliminate(
                 if (i, m) not in edges:
                     continue
                 via = Compose(edges[(i, m)], g_mu)
-                merged = Max(out_ch[i], via) if i in out_ch else via
+                merged = max_of([out_ch[i], via] if i in out_ch else [via])
                 out_ch[i] = merged
                 new_ch[i] = merged
         out_channels[ch] = out_ch
@@ -252,10 +252,7 @@ def _solve_terminal(
             if i in gains:
                 terms.append(gains[i])
             if terms:
-                out = terms[0]
-                for t in terms[1:]:
-                    out = Max(out, t)
-                solved[ch][i] = out
+                solved[ch][i] = max_of(terms)
     return solved
 
 
@@ -272,10 +269,7 @@ def _back_substitute(
             if ch in step.inputs:
                 terms.append(step.inputs[ch])
             if terms:
-                out = terms[0]
-                for t in terms[1:]:
-                    out = Max(out, t)
-                solved[ch][step.node] = out
+                solved[ch][step.node] = max_of(terms)
     return solved
 
 
@@ -301,20 +295,34 @@ class ClosedLoopGains:
         object.__setattr__(self, "sigmas", MappingProxyType(dict(self.sigmas)))
 
     def to_dict(self, samples: Sequence[float] = ()) -> dict:
-        """JSON-friendly form: expression strings plus evaluation tables."""
+        """JSON-friendly form: expression strings plus evaluation tables.
+
+        The tables are evaluated sample by sample, with one memo per
+        sample shared by every node's gains, so a subexpression common
+        to several gains is evaluated once per sample.
+        """
+        node_ids = range(1, self.k + 1)
+        xs = [float(s) for s in samples]
+        gain_vals: dict[int, list[float]] = {i: [] for i in node_ids if self.input_gains.get(i) is not None}
+        sigma_vals: dict[int, list[float]] = {i: [] for i in node_ids}
+        for x in xs:
+            memo: dict = {}
+            for i in node_ids:
+                sigma_vals[i].append(self.sigmas[i](x, memo))
+                if i in gain_vals:
+                    gain_vals[i].append(self.input_gains[i](x, memo))
         nodes = {}
-        for i in range(1, self.k + 1):
+        for i in node_ids:
             gain = self.input_gains.get(i)
-            sigma = self.sigmas[i]
             entry: dict = {
                 "input_gain": None if gain is None else gain.to_expr(),
-                "sigma": sigma.to_expr(),
+                "sigma": self.sigmas[i].to_expr(),
             }
             if samples:
                 entry["table"] = {
-                    "s": [float(s) for s in samples],
-                    "input_gain": None if gain is None else [gain(float(s)) for s in samples],
-                    "sigma": [sigma(float(s)) for s in samples],
+                    "s": list(xs),
+                    "input_gain": gain_vals.get(i),
+                    "sigma": sigma_vals[i],
                 }
             nodes[str(i)] = entry
         return {
@@ -330,11 +338,18 @@ def closed_loop_input_gains(
     g: GainDigraph,
     grid: GridSpec = DEFAULT_GRID,
     order: Sequence[int] | None = None,
+    *,
+    check: SmallGainCheck | None = None,
 ) -> ClosedLoopGains:
     """Solve the network's gain inequalities for explicit per-node bounds.
 
     Requires the full cyclic small-gain check to verify on ``grid``
     (raises SmallGainViolation with the worst cycle report otherwise).
+    A caller that has already run :func:`check_cyclic_small_gain` may
+    pass its result as ``check`` so that the cycles are not checked a
+    second time; it must have been computed for this very digraph object
+    ``g`` and a grid equal to ``grid`` (ValueError otherwise), and an
+    unverified check raises SmallGainViolation as a fresh one would.
     Nodes are then eliminated one by one, by default in the order
     k, k-1, ..., 3, the remaining pair is solved directly, and the
     eliminated nodes are recovered by back-substitution.  A custom
@@ -346,7 +361,10 @@ def closed_loop_input_gains(
     identity gain into every node, so the returned sigmas are reduced
     exactly like the input gains.
     """
-    check = check_cyclic_small_gain(g, grid)
+    if check is None:
+        check = check_cyclic_small_gain(g, grid)
+    elif check.digraph is not g or check.grid != grid:
+        raise ValueError("the small-gain check was computed for another digraph or grid")
     if not check.verified:
         worst = check.worst()
         raise SmallGainViolation(
@@ -441,12 +459,5 @@ def global_gs_sigma(g: GainDigraph, closed: ClosedLoopGains) -> KFunction:
         c_terms.append(g.edges[key])
     if not c_terms:
         raise ValueError("digraph has neither overshoot gains nor coupling gains; no transient bound exists")
-    c_fun = c_terms[0]
-    for t in c_terms[1:]:
-        c_fun = Max(c_fun, t)
-    out: KFunction | None = None
-    for i in range(1, closed.k + 1):
-        term = Compose(closed.sigmas[i], c_fun)
-        out = term if out is None else Max(out, term)
-    assert out is not None
-    return out
+    c_fun = max_of(c_terms)
+    return max_of([Compose(closed.sigmas[i], c_fun) for i in range(1, closed.k + 1)])

@@ -7,6 +7,7 @@ import pytest
 
 from smallgain.checks import (
     BoundReport,
+    _history_norms,
     check_ag,
     check_gas,
     check_gs,
@@ -280,6 +281,59 @@ class TestCheckGAS:
         for eps in (0.0, -1.0):
             with pytest.raises(ValueError):
                 check_gas(traj, Linear(1.0), hist, eps=eps)
+
+
+class TestHistoryNorms:
+    @staticmethod
+    def delayed_pair(T=1.0, h=0.05):
+        subs = [
+            Subsystem(dim=2, rhs=lambda t, x, z, u: -x + 0.1 * z[(2, 0.35)].sum(), references=((2, 0.35),)),
+            Subsystem(dim=1, rhs=lambda t, x, z, u: -x + 0.1 * z[(1, 0.7)][:1], references=((1, 0.7),)),
+        ]
+        sys = build_interconnection(subs, [0.35, 0.7])
+        calls = []
+
+        def counted(dim, fn):
+            def wrapped(t):
+                calls.append(t)
+                return fn(t)
+            return HistoryFunction(dim=dim, fn=wrapped)
+
+        hist = [
+            counted(2, lambda t: np.array([np.cos(3.0 * t), t * t - 0.3])),
+            counted(1, lambda t: np.array([np.exp(t) / 3.0])),
+        ]
+        return simulate(sys, hist, None, T=T, h=h), hist, calls
+
+    @staticmethod
+    def norms_calling_every_time(traj, hist):
+        times = traj.hist_times
+        sample = np.concatenate([times, (times[:-1] + times[1:]) / 2.0])
+        return {
+            i: float(np.max(np.linalg.norm(np.vstack([fn(float(t)) for t in sample]), axis=1)))
+            for i, fn in enumerate(hist, start=1)
+        }
+
+    def test_reads_stored_samples_and_calls_only_at_midpoints(self):
+        traj, hist, calls = self.delayed_pair()
+        want = self.norms_calling_every_time(traj, hist)
+        calls.clear()
+        assert _history_norms(traj, hist) == want
+        mids = traj.hist_times.size - 1
+        assert mids == 14
+        assert len(calls) == len(hist) * mids
+
+    def test_other_functions_are_sampled_at_every_time(self):
+        traj, hist, calls = self.delayed_pair()
+        doubled = [HistoryFunction(dim=f.dim, fn=lambda t, f=f: 2.0 * f(t)) for f in hist]
+        want = self.norms_calling_every_time(traj, doubled)
+        assert _history_norms(traj, doubled) == want
+        assert want[1] > self.norms_calling_every_time(traj, hist)[1]
+
+    def test_no_delay_reads_the_single_stored_sample(self):
+        traj = scalar_traj(lambda t, x, z, u: -x, x0=-2.5, T=1.0)
+        assert traj.hist_times.size == 1
+        assert _history_norms(traj, traj.history) == {1: 2.5}
 
 
 class TestBoundReport:

@@ -190,6 +190,24 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "GS" in text and "GAS" in text
 
+    def test_cycles_checked_once(self, tmp_path, monkeypatch):
+        import smallgain.cli
+        import smallgain.reduction
+        from smallgain.graph import check_cyclic_small_gain
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_cyclic_small_gain(*args, **kwargs)
+
+        for mod in (smallgain.cli, smallgain.reduction):
+            monkeypatch.setattr(mod, "check_cyclic_small_gain", counted)
+        out = tmp_path / "out"
+        assert main(["verify", ring_doc(tmp_path, T=10.0), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert read_json(out, "closed_loop_gains.json")["k"] == 3
+
     def test_refusal_on_violation(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["verify", violating_doc(tmp_path), "--out", str(out)])

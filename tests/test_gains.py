@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import gain_trees
+from conftest import gain_leaves, gain_trees
 from smallgain.gains import (
     Compose,
     DEFAULT_GRID,
@@ -24,6 +24,8 @@ from smallgain.gains import (
     max_of,
     pointwise_max,
 )
+from smallgain.graph import build_gain_digraph
+from smallgain.reduction import closed_loop_input_gains
 
 
 def eval_oracle(f, s: float) -> float:
@@ -42,6 +44,152 @@ def eval_oracle(f, s: float) -> float:
     if isinstance(f, Max):
         return max(eval_oracle(f.left, s), eval_oracle(f.right, s))
     raise AssertionError(f"unknown node {f!r}")
+
+
+def reference_eval(f, s):
+    """The plain tree recursion: every occurrence of a node is evaluated."""
+    if isinstance(f, Compose):
+        return reference_eval(f.outer, reference_eval(f.inner, s))
+    if isinstance(f, Max):
+        return np.maximum(reference_eval(f.left, s), reference_eval(f.right, s))
+    return f._eval(s)
+
+
+def reference_call(f, s):
+    """``KFunction.__call__`` on top of the tree recursion."""
+    if np.isscalar(s) or isinstance(s, (int, float)):
+        try:
+            out = float(reference_eval(f, s))
+        except OverflowError:
+            out = math.nan
+        if not math.isnan(out) or math.isnan(s):
+            return out
+        with np.errstate(invalid="raise"):
+            return float(reference_eval(f, np.float64(s)))
+    with np.errstate(invalid="raise"):
+        return reference_eval(f, s)
+
+
+def reference_expr(f) -> str:
+    """The plain tree recursion of ``to_expr``."""
+    if isinstance(f, Compose):
+        return f"compose({reference_expr(f.outer)},{reference_expr(f.inner)})"
+    if isinstance(f, Max):
+        return f"max({reference_expr(f.left)},{reference_expr(f.right)})"
+    return f._expr()
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def gain_dags(draw, max_ops: int = 12):
+    """Gains whose trees share subtrees: each new node combines two nodes
+    already built, so one node object can sit under many parents.
+    Returns the pool, newest last."""
+    pool = draw(st.lists(gain_leaves(), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, max_ops))):
+        a = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from(pool))
+        pool.append(draw(st.sampled_from([Compose, Max]))(a, b))
+    return pool
+
+
+# Points that overflow float ** (1e300 under Power(2)), make inf/inf
+# (1.7e308 times a coefficient above 1 under a saturation) or are not
+# finite, next to ordinary ones.
+DAG_POINTS = (0.0, 1e-300, 1e-8, 0.37, 1.0, 2.5, 1e8, 1e154, 1e300, 1.7e308, math.inf, math.nan)
+
+contractive_gains = st.one_of(
+    st.builds(Linear, st.floats(0.05, 0.7)),
+    st.builds(SaturatingRational, st.floats(0.05, 0.7), st.floats(1.0, 2.0)),
+)
+
+
+@st.composite
+def verified_digraphs(draw):
+    """Small digraphs whose edges all lie below 0.7*s, so every cycle
+    verifies; input gains are arbitrary."""
+    k = draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    edges = {p: draw(contractive_gains) for p in chosen}
+    nodes = draw(st.lists(st.integers(1, k), unique=True, max_size=k))
+    inputs = {i: draw(gain_leaves()) for i in nodes}
+    return build_gain_digraph(k, edges, input_gains=inputs)
+
+
+class TestSharedSubexpressions:
+    """Memoised evaluation and serialization against the tree recursion."""
+
+    @given(gain_dags(), st.lists(st.one_of(st.sampled_from(DAG_POINTS), st.floats(0.0, 1e308)), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example(
+        pool=[Compose(Power(2.0), Identity()), Compose(SaturatingRational(0.5, 1.0), Linear(10.0))],
+        points=[1e300, 1.7e308],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalars_equal_the_tree_recursion_bit_for_bit(self, pool, points):
+        for x in points:
+            want = [bits(reference_call(g, x)) for g in pool]
+            # One memo shared by every gain at this argument, as in
+            # ClosedLoopGains.to_dict, and a fresh one per call.
+            memo: dict = {}
+            assert [bits(g(x, memo)) for g in pool] == want
+            assert [bits(g(x)) for g in pool] == want
+
+    @given(gain_dags())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arrays_equal_the_tree_recursion_bit_for_bit(self, pool):
+        pts = np.array([p for p in DAG_POINTS if not math.isnan(p)] + list(np.geomspace(1e-3, 1e3, 9)))
+        for g in pool:
+            assert bits(g(pts)) == bits(reference_call(g, pts))
+
+    @given(gain_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_strings_equal_the_tree_recursion(self, pool):
+        for g in pool:
+            assert g.to_expr() == reference_expr(g)
+
+    def test_shared_node_is_evaluated_once_per_argument(self):
+        calls = []
+
+        class Counted(Linear):
+            def _eval(self, s):
+                calls.append(s)
+                return super()._eval(s)
+
+        leaf = Counted(0.5)
+        g = leaf
+        for _ in range(30):
+            g = Max(g, g)  # 2^30 leaf occurrences in the tree
+        x = 3.0
+        assert g(x) == 1.5
+        assert len(calls) == 1
+        memo: dict = {}
+        g(x, memo), Compose(g, g)(x, memo)
+        assert len(calls) == 3  # leaf at x again, then at g(x) for the outer g
+
+    @given(verified_digraphs())
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_closed_loop_gains_equal_the_tree_recursion(self, g):
+        closed = closed_loop_input_gains(g, GridSpec(n_points=256, refinement_depth=2))
+        samples = (1e-3, 0.5, 1.0, 7.0, 1e300)
+        doc = closed.to_dict(samples)
+        for i in range(1, g.k + 1):
+            entry = doc["nodes"][str(i)]
+            sigma, gain = closed.sigmas[i], closed.input_gains[i]
+            assert entry["sigma"] == reference_expr(sigma)
+            assert [bits(v) for v in entry["table"]["sigma"]] == [bits(reference_call(sigma, s)) for s in samples]
+            if gain is None:
+                assert entry["input_gain"] is None and entry["table"]["input_gain"] is None
+            else:
+                assert entry["input_gain"] == reference_expr(gain)
+                want = [bits(reference_call(gain, s)) for s in samples]
+                assert [bits(v) for v in entry["table"]["input_gain"]] == want
 
 
 class TestEvaluation:
@@ -220,7 +368,7 @@ class TestGridSpec:
             GridSpec(refinement_depth=-1)
         with pytest.raises(ValueError):
             GridSpec(margin=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GridSpec(spacing="linear")
 
 

@@ -1,5 +1,7 @@
 """Node elimination and closed-loop gain construction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from smallgain.gains import (
     Power,
     SaturatingRational,
 )
-from smallgain.graph import build_gain_digraph
+from smallgain.graph import build_gain_digraph, check_cyclic_small_gain
 from smallgain.reduction import (
     SmallGainViolation,
     closed_loop_input_gains,
@@ -224,6 +226,47 @@ class TestClosedLoopGains:
             closed_loop_input_gains(g)
         assert err.value.report is not None
         assert err.value.report.cycle == (1, 2)
+
+    def test_accepts_its_own_check_without_checking_again(self, monkeypatch):
+        import smallgain.reduction
+
+        g, _ = generic_three_node()
+        grid = GridSpec(n_points=512)
+        check = check_cyclic_small_gain(g, grid)
+        assert check.digraph is g and check.grid == grid
+        fresh = closed_loop_input_gains(g, grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cycles checked a second time")
+
+        monkeypatch.setattr(smallgain.reduction, "check_cyclic_small_gain", refuse)
+        closed = closed_loop_input_gains(g, GridSpec(n_points=512), check=check)
+        assert closed == fresh
+        assert closed.to_dict((0.5, 2.0)) == fresh.to_dict((0.5, 2.0))
+
+    def test_unverified_check_raises_violation(self):
+        g = build_gain_digraph(
+            2, {(1, 2): Linear(1.5), (2, 1): Linear(1.5)}, input_gains={1: Linear(1.0)}
+        )
+        check = check_cyclic_small_gain(g)
+        assert not check.verified
+        with pytest.raises(SmallGainViolation) as err:
+            closed_loop_input_gains(g, check=check)
+        assert err.value.report is not None
+        assert err.value.report.cycle == (1, 2)
+
+    def test_refuses_a_check_of_another_digraph_or_grid(self):
+        g, _ = generic_three_node()
+        twin = build_gain_digraph(g.k, g.edges, g.input_gains, g.gs_gains)
+        assert twin == g
+        check = check_cyclic_small_gain(g)
+        with pytest.raises(ValueError, match="another digraph or grid"):
+            closed_loop_input_gains(twin, check=check)
+        with pytest.raises(ValueError, match="another digraph or grid"):
+            closed_loop_input_gains(g, GridSpec(n_points=512), check=check)
+        # A check built by hand records neither.
+        with pytest.raises(ValueError, match="another digraph or grid"):
+            closed_loop_input_gains(g, check=replace(check, digraph=None, grid=None))
 
     def test_order_validation(self):
         g, _ = generic_three_node()
