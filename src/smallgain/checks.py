@@ -30,7 +30,7 @@ import numpy as np
 from .gains import KFunction
 from .graph import GainDigraph
 from .reduction import ClosedLoopGains, combined_initial_constant
-from .sim import HistoryFunction, InputSignal, Trajectory
+from .sim import HistoryFunction, InputSignal, Trajectory, segment_norms
 
 __all__ = [
     "sup_norm",
@@ -203,18 +203,12 @@ def _history_norms(traj: Trajectory, hist: Sequence[HistoryFunction]) -> dict[in
     (plus midpoints).
 
     When ``hist`` holds the functions the trajectory was simulated from,
-    the grid values are the samples stored in ``traj.hist_states`` (taken
-    at the same times), and only the midpoints call the functions.
+    these are the trajectory's ``history_norms``, computed once and shared
+    by the GS and GAS checks; other functions are sampled at every time.
     """
-    times = traj.hist_times
-    mids = (times[:-1] + times[1:]) / 2.0
-    stored = len(hist) == len(traj.history) and all(a is b for a, b in zip(hist, traj.history))
-    out = {}
-    for i, fn in enumerate(hist, start=1):
-        nodes = traj.hist_states[:, traj.block(i)] if stored else [fn(float(t)) for t in times]
-        vals = np.vstack([*nodes, *(fn(float(t)) for t in mids)])
-        out[i] = float(np.max(np.linalg.norm(vals, axis=1)))
-    return out
+    if len(hist) == len(traj.history) and all(a is b for a, b in zip(hist, traj.history)):
+        return dict(traj.history_norms)
+    return segment_norms(traj.hist_times, hist)
 
 
 def _input_norm(traj: Trajectory, u: Sequence[InputSignal] | None) -> float:

@@ -752,6 +752,24 @@ def _vector_function(name: str, params: str, pieces: Sequence[str], filename: st
     return env[name]
 
 
+def _compiled_on_first_call(*source) -> Callable:
+    """The function of :func:`_vector_function`, compiled when first called.
+
+    A parsed system integrates through its network function, so most
+    per-subsystem callables are never called; the source is already
+    emitted, so every error in it has been raised.
+    """
+    compiled = None
+
+    def call(*args):
+        nonlocal compiled
+        if compiled is None:
+            compiled = _vector_function(*source)
+        return compiled(*args)
+
+    return call
+
+
 def _emit(exprs: Sequence[str], trees: Sequence, *compiler_args, **compiler_kw) -> tuple[list[str], set]:
     """Source of every expression tree, and the references they read."""
     pieces, references = [], set()
@@ -770,7 +788,7 @@ def _compile_subsystem(exprs, index, dims, input_dims, delays) -> tuple[Callable
         )
     trees = [_RhsParser(expr).parse() for expr in exprs]
     pieces, references = _emit(exprs, trees, index, dims, input_dims, delays)
-    rhs = _vector_function("_rhs", "t, x, z, u", pieces, f"<subsystem {index} rhs>")
+    rhs = _compiled_on_first_call("_rhs", "t, x, z, u", pieces, f"<subsystem {index} rhs>")
     return rhs, tuple(sorted(references)), trees
 
 
@@ -783,9 +801,10 @@ def compile_rhs(
 ) -> tuple[Callable, tuple[tuple[int, float], ...]]:
     """Compile right-hand-side expressions for subsystem ``index``.
 
-    One expression per state component.  Returns the compiled callable
-    with signature ``rhs(t, x, z, u)`` and the sorted tuple of delayed
-    references ``(source_index, delay)`` the expressions mention.
+    One expression per state component.  Returns the callable with
+    signature ``rhs(t, x, z, u)``, compiled when first called, and the
+    sorted tuple of delayed references ``(source_index, delay)`` the
+    expressions mention.
     """
     return _compile_subsystem(exprs, index, dims, input_dims, delays)[:2]
 

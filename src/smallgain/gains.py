@@ -35,7 +35,12 @@ The one nontrivial decision procedure here is :func:`less_than_identity`,
 which checks ``g(s) < s`` on a logarithmic grid with local refinement and
 returns a three-valued verdict: verified with a margin, violated with a
 concrete witness, or inconclusive when the margin falls below floating
-point trust.
+point trust.  :func:`less_than_identity_chains` decides many composed
+chains of gains in one batch, as the cyclic small-gain check needs: each
+distinct innermost suffix of gains is evaluated on the grid once, and
+the refinement rounds of all chains share one probe array per round.
+Each verdict keeps the bits of checking its chain alone, and
+``less_than_identity`` is the batch of one.
 
 All objects are immutable and all functions are pure, so everything in
 this module is safe to share across threads.
@@ -47,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -66,6 +71,7 @@ __all__ = [
     "VerdictStatus",
     "Verdict",
     "less_than_identity",
+    "less_than_identity_chains",
     "additive_to_max",
 ]
 
@@ -186,7 +192,7 @@ class SaturatingRational(KFunction):
         except FloatingPointError:
             # inf/inf where s^q overflowed.  Numpy raises it only under
             # np.errstate(invalid="raise"), which KFunction.__call__ and
-            # less_than_identity set, so the common path pays no check.
+            # less_than_identity_chains set, so the common path pays no check.
             # The gain tends to c, its bound.
             with np.errstate(invalid="ignore"):
                 return np.where(np.isinf(u), self.c, self._saturate(u))
@@ -385,14 +391,6 @@ class Verdict:
         }
 
 
-def _relative_margins(g: KFunction, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.asarray(_evaluate(g, pts), dtype=float)
-    if vals.shape != pts.shape:
-        vals = np.broadcast_to(vals, pts.shape).astype(float)
-    return vals, 1.0 - vals / pts
-
-
-@np.errstate(invalid="raise")  # see SaturatingRational._eval
 def less_than_identity(g: KFunction, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     """Check g(s) < s for all s, sampled on a logarithmic grid.
 
@@ -410,43 +408,140 @@ def less_than_identity(g: KFunction, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     After the initial sweep the point of worst margin is refined by
     ``grid.refinement_depth`` rounds of geometric bisection, which
     tightens the reported margin and can surface violations that fall
-    between grid points.
+    between grid points.  This is :func:`less_than_identity_chains` on
+    the single chain ``(g,)``.
     """
+    return less_than_identity_chains([(g,)], grid)[0]
+
+
+@np.errstate(invalid="raise")  # see SaturatingRational._eval
+def less_than_identity_chains(
+    chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
+) -> list[Verdict]:
+    """Check ``compose_chain(*chain) < id`` for every chain in one batch.
+
+    Verdict i equals ``less_than_identity(compose_chain(*chains[i]),
+    grid)`` bit for bit: each chain is evaluated with the same
+    floating-point operations on the same operands as on its own, and
+    the chains only share the work.
+
+    * Grid sweep: the chains are walked sorted by the identities
+      (``id``) of their gains, innermost first, keeping a stack with the
+      grid array of each depth of the current chain.  A chain starts
+      from the deepest array it shares with the previous one, so each
+      distinct innermost suffix is evaluated once, and at most the
+      longest chain's length plus one arrays are held.  A chain's worst
+      grid point is either its witness of violation or the centre of its
+      refinement bracket.
+    * Refinement: each round puts the two probes of every undecided
+      chain into one array (an ``(n, 2)`` array, stored flat) and
+      evaluates it depth by depth, each distinct gain once on the
+      entries of the chains that have it at that depth.  The
+      bookkeeping stays per chain, in Python floats, and a violated
+      chain leaves the batch.
+
+    numpy evaluates elementwise, so an entry of the shared array gets
+    the bits it gets in a chain's own two-probe array; the tests check
+    that premise for every primitive.
+    """
+    if not all(chains):
+        raise ValueError("every chain needs at least one gain")
     pts = grid.points()
-    vals, margins = _relative_margins(g, pts)
+    verdicts: list[Verdict | None] = [None] * len(chains)
+    # Undecided chains: index and [centre_margin, centre_s, centre_val,
+    # lo, hi, best_margin, best_s, best_val].
+    batch: list[tuple[int, list]] = []
 
-    def verdict_at(i: int, pts: np.ndarray, vals: np.ndarray, margins: np.ndarray) -> tuple[float, float, float]:
-        return float(margins[i]), float(pts[i]), float(vals[i])
+    # stack[d] is the grid array after the d innermost gains of the
+    # previous chain, whose gain identities are prev.
+    stack, prev = [pts], ()
+    for key, i in sorted([(tuple(map(id, reversed(chain))), i) for i, chain in enumerate(chains)]):
+        shared = 0
+        for a, b in zip(key, prev):
+            if a != b:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for f in reversed(chains[i][: len(key) - shared]):
+            stack.append(_evaluate(f, stack[-1]))
+        prev, vals = key, stack[-1]
+        margins = 1.0 - vals / pts
+        worst = int(np.argmin(margins))
+        margin, s, val = float(margins[worst]), float(pts[worst]), float(vals[worst])
+        if margin <= 0.0 and val >= s:
+            verdicts[i] = Verdict(VerdictStatus.VIOLATED, margin, s, val)
+        else:
+            # The bracket is the pair of neighbouring grid points.
+            lo, hi = pts[max(worst - 1, 0)], pts[min(worst + 1, len(pts) - 1)]
+            batch.append((i, [margin, s, val, lo, hi, margin, s, val]))
+    del stack
 
-    worst = int(np.argmin(margins))
-    best_margin, best_s, best_val = verdict_at(worst, pts, vals, margins)
-    if best_margin <= 0.0 and vals[worst] >= pts[worst]:
-        return Verdict(VerdictStatus.VIOLATED, best_margin, best_s, best_val)
-
-    # Bisection refinement around the worst grid point.  The bracket is the
-    # pair of neighbouring grid points; each round evaluates the two
-    # geometric midpoints and re-centres on the worst sample found.
-    lo = pts[max(worst - 1, 0)]
-    hi = pts[min(worst + 1, len(pts) - 1)]
-    centre_s, centre_margin, centre_val = best_s, best_margin, best_val
+    # Each round evaluates the two geometric midpoints of every bracket
+    # and re-centres it on the worst of the three samples.  Entries 2r
+    # and 2r+1 of a round's arrays are the probes of the r-th chain.
+    plan = None
     for _ in range(grid.refinement_depth):
-        probes = np.array([math.sqrt(lo * centre_s), math.sqrt(centre_s * hi)])
-        pvals, pmargins = _relative_margins(g, probes)
-        for j in range(2):
-            if pmargins[j] < best_margin:
-                best_margin, best_s, best_val = float(pmargins[j]), float(probes[j]), float(pvals[j])
-            if pvals[j] >= probes[j]:
-                return Verdict(VerdictStatus.VIOLATED, float(pmargins[j]), float(probes[j]), float(pvals[j]))
-        candidates = [
-            (float(pmargins[0]), float(probes[0]), float(pvals[0]), lo, centre_s),
-            (centre_margin, centre_s, centre_val, float(probes[0]), float(probes[1])),
-            (float(pmargins[1]), float(probes[1]), float(pvals[1]), centre_s, hi),
-        ]
-        centre_margin, centre_s, centre_val, lo, hi = min(candidates, key=lambda c: c[0])
+        if not batch:
+            break
+        if plan is None:
+            plan = _depth_plan([chains[i] for i, _ in batch])
+        pr = []
+        for _, st in batch:
+            pr += math.sqrt(st[3] * st[1]), math.sqrt(st[1] * st[4])
+        probes = np.array(pr)
+        pvals = probes.copy()
+        for f, entries in plan:
+            pvals[entries] = _evaluate(f, pvals[entries])
+        pm, pv = (1.0 - pvals / probes).tolist(), pvals.tolist()
+        kept = []
+        for r, (i, st) in enumerate(batch):
+            centre_margin, centre_s, centre_val, lo, hi, best_margin, best_s, best_val = st
+            a, b = 2 * r, 2 * r + 1
+            for j in (a, b):
+                if pm[j] < best_margin:
+                    best_margin, best_s, best_val = pm[j], pr[j], pv[j]
+                if pv[j] >= pr[j]:
+                    verdicts[i] = Verdict(VerdictStatus.VIOLATED, pm[j], pr[j], pv[j])
+                    break
+            else:
+                # The first of the three samples with the smallest margin.
+                centre = (pm[a], pr[a], pv[a], lo, centre_s)
+                if centre_margin < centre[0]:
+                    centre = (centre_margin, centre_s, centre_val, pr[a], pr[b])
+                if pm[b] < centre[0]:
+                    centre = (pm[b], pr[b], pv[b], centre_s, hi)
+                kept.append((i, [*centre, best_margin, best_s, best_val]))
+        if len(kept) < len(batch):
+            plan = None
+        batch = kept
 
-    if best_margin > grid.margin:
-        return Verdict(VerdictStatus.VERIFIED_ON_GRID, best_margin, best_s, best_val)
-    return Verdict(VerdictStatus.INCONCLUSIVE, best_margin, best_s, best_val)
+    for i, st in batch:
+        best_margin, best_s, best_val = st[5:]
+        status = VerdictStatus.VERIFIED_ON_GRID if best_margin > grid.margin else VerdictStatus.INCONCLUSIVE
+        verdicts[i] = Verdict(status, best_margin, best_s, best_val)
+    return verdicts
+
+
+def _depth_plan(chains: list[tuple[KFunction, ...]]) -> list[tuple[KFunction, slice | np.ndarray]]:
+    """Evaluation plan of a refinement round, two probe entries per chain.
+
+    Lists ``(gain, entries)`` depth by depth, innermost gain first, once
+    per distinct gain at each depth.  ``entries`` is a slice where the
+    chains that have the gain there are adjacent, else an index array.
+    """
+    plan = []
+    for depth in range(1, max(map(len, chains)) + 1):
+        rows: dict[int, tuple[KFunction, list[int]]] = {}
+        for r, chain in enumerate(chains):
+            if depth <= len(chain):
+                f = chain[-depth]
+                rows.setdefault(id(f), (f, []))[1].append(r)
+        for f, rs in rows.values():
+            if rs[-1] - rs[0] == len(rs) - 1:
+                plan.append((f, slice(2 * rs[0], 2 * rs[-1] + 2)))
+            else:
+                plan.append((f, np.array([j for r in rs for j in (2 * r, 2 * r + 1)])))
+    return plan
 
 
 # ---------------------------------------------------------------------------

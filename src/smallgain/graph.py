@@ -11,7 +11,10 @@ gain around the loop must stay below the identity.  Cycles are
 enumerated in canonical rotation (the smallest node first), shortest
 first and lexicographically within each length, via backtracking
 restricted to start-node minima, with a configurable cap guarding
-against combinatorial blowup.
+against combinatorial blowup.  All cycles are then checked in one batch
+(:func:`~smallgain.gains.less_than_identity_chains`), which evaluates
+each distinct innermost run of edge gains once and gives every cycle
+the verdict it gets when checked alone.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .gains import (
     Verdict,
     VerdictStatus,
     compose_chain,
-    less_than_identity,
+    less_than_identity_chains,
 )
 
 __all__ = [
@@ -186,17 +189,21 @@ def enumerate_simple_cycles(
     return cycles
 
 
+def _cycle_edges(g: GainDigraph, cycle: tuple[int, ...]) -> tuple[KFunction, ...]:
+    """Edge gains around a cycle: g[i1,i2], g[i2,i3], ..., g[ir,i1]."""
+    pairs = [(cycle[idx], cycle[(idx + 1) % len(cycle)]) for idx in range(len(cycle))]
+    try:
+        return tuple(g.edges[p] for p in pairs)
+    except KeyError as missing:
+        raise ValueError(f"cycle {cycle} uses absent gain {missing.args[0]}") from None
+
+
 def cycle_gain(g: GainDigraph, cycle: tuple[int, ...]) -> KFunction:
     """Composed gain around a cycle, innermost edge last-to-first.
 
     For cycle (i1, ..., ir) the result evaluates
     g[i1,i2](g[i2,i3](... g[ir,i1](s)))."""
-    pairs = [(cycle[idx], cycle[(idx + 1) % len(cycle)]) for idx in range(len(cycle))]
-    try:
-        funcs = [g.edges[p] for p in pairs]
-    except KeyError as missing:
-        raise ValueError(f"cycle {cycle} uses absent gain {missing.args[0]}") from None
-    return compose_chain(*funcs)
+    return compose_chain(*_cycle_edges(g, cycle))
 
 
 @dataclass(frozen=True)
@@ -265,12 +272,17 @@ def check_cyclic_small_gain(
     The aggregate status is VERIFIED_ON_GRID only if every cycle verifies;
     a single violated cycle makes the whole check VIOLATED (reported with
     its witness), and otherwise any inconclusive cycle makes it
-    INCONCLUSIVE.  A digraph with no cycles verifies vacuously.
+    INCONCLUSIVE.  A digraph with no cycles verifies vacuously.  The
+    cycles are checked in one batch, with the verdicts of checking each
+    cycle's composed gain on its own.
     """
-    reports = []
-    for cycle in enumerate_simple_cycles(g, max_cycles=max_cycles):
-        gain = cycle_gain(g, cycle)
-        reports.append(CycleReport(cycle, gain, less_than_identity(gain, grid)))
+    cycles = enumerate_simple_cycles(g, max_cycles=max_cycles)
+    chains = [_cycle_edges(g, cycle) for cycle in cycles]
+    verdicts = less_than_identity_chains(chains, grid)
+    reports = [
+        CycleReport(cycle, compose_chain(*chain), verdict)
+        for cycle, chain, verdict in zip(cycles, chains, verdicts)
+    ]
     if any(r.verdict.violated for r in reports):
         status = VerdictStatus.VIOLATED
     elif any(r.verdict.inconclusive for r in reports):

@@ -57,6 +57,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -419,6 +421,25 @@ def _hermite(u, dt, xa, fa, xb, fb):
     return h00 * xa + h10 * dt * fa + h01 * xb + h11 * dt * fb
 
 
+def segment_norms(
+    times: np.ndarray, hist: Sequence[HistoryFunction], states: np.ndarray | None = None
+) -> dict[int, float]:
+    """Sup norm of each history function over ``times`` and their midpoints.
+
+    ``states``, when given, holds the flat values at ``times`` (blocks in
+    the order of ``hist``), which are then read instead of calling the
+    functions there.
+    """
+    mids = (times[:-1] + times[1:]) / 2.0
+    out, off = {}, 0
+    for i, fn in enumerate(hist, start=1):
+        nodes = [fn(float(t)) for t in times] if states is None else states[:, off : off + fn.dim]
+        off += fn.dim
+        vals = np.vstack([*nodes, *(fn(float(t)) for t in mids)])
+        out[i] = float(np.max(np.linalg.norm(vals, axis=1)))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense solution of a simulation run.
@@ -478,6 +499,16 @@ class Trajectory:
         if include_history and self.hist_times.size > 1:
             return np.vstack([self.hist_states[:-1], self.states])
         return self.states.copy()
+
+    @cached_property
+    def history_norms(self) -> Mapping[int, float]:
+        """Sup norm of each subsystem's initial segment on the step grid
+        plus midpoints, computed once per trajectory.
+
+        Node times read the stored samples ``hist_states``; only the
+        midpoints call the history functions.
+        """
+        return MappingProxyType(segment_norms(self.hist_times, self.history, self.hist_states))
 
     def _hist_value(self, t: float) -> np.ndarray:
         return np.concatenate([fn(t) for fn in self.history])

@@ -330,6 +330,28 @@ class TestHistoryNorms:
         assert _history_norms(traj, doubled) == want
         assert want[1] > self.norms_calling_every_time(traj, hist)[1]
 
+    def test_gs_and_gas_sample_each_midpoint_once(self):
+        traj, hist, calls = self.delayed_pair()
+        g = build_gain_digraph(2, {(1, 2): Linear(0.1), (2, 1): Linear(0.1)}, gs_gains={1: Linear(1.0), 2: Linear(1.0)})
+        closed = closed_loop_input_gains(g)
+        calls.clear()
+        gs = check_gs(traj, g, closed, hist)
+        gas = check_gas(traj, Linear(4.0), hist, eps=1.0)
+        mids = set(((traj.hist_times[:-1] + traj.hist_times[1:]) / 2.0).tolist())
+        assert sum(t in mids for t in calls) == len(hist) * len(mids)
+        norms = self.norms_calling_every_time(traj, hist)
+        assert gas.details["history_norm"] == max(norms.values())
+        assert gs.details["c"] > 0.0
+
+    def test_cached_norms_are_returned_as_a_copy(self):
+        traj, hist, calls = self.delayed_pair()
+        want = self.norms_calling_every_time(traj, hist)
+        first = _history_norms(traj, hist)
+        first[1] = -1.0
+        calls.clear()
+        assert _history_norms(traj, hist) == want
+        assert calls == []
+
     def test_no_delay_reads_the_single_stored_sample(self):
         traj = scalar_traj(lambda t, x, z, u: -x, x0=-2.5, T=1.0)
         assert traj.hist_times.size == 1

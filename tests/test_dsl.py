@@ -367,6 +367,25 @@ class TestParseSystem:
         b = simulate(ring_system(), hist, None, T=3.0, h=0.01)
         np.testing.assert_allclose(a.states, b.states, atol=1e-9)
 
+    def test_subsystem_rhs_is_compiled_on_first_call(self, monkeypatch):
+        import smallgain.dsl as dsl
+
+        compiled = []
+        vector_function = dsl._vector_function
+
+        def counted(name, *rest):
+            compiled.append(name)
+            return vector_function(name, *rest)
+
+        monkeypatch.setattr(dsl, "_vector_function", counted)
+        cfg = parse_system(base_doc())
+        assert compiled == ["_f"]
+        rhs = cfg.system.subsystems[0].rhs
+        for x1 in (1.0, 3.0):
+            out = rhs(0.0, np.array([x1]), {(2, 0.5): np.array([2.0])}, np.zeros(0))
+            assert out.tolist() == [-x1 + 0.5]
+        assert compiled == ["_f", "_rhs"]
+
     def test_json_text_accepted(self):
         cfg = parse_system(json.dumps(ring_config()))
         assert cfg.k == 3

@@ -1,6 +1,8 @@
 """Gain algebra: evaluation, closure operations, and the identity check."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +18,17 @@ from smallgain.gains import (
     Max,
     Power,
     SaturatingRational,
+    Verdict,
     VerdictStatus,
     additive_to_max,
     compose,
     compose_chain,
     less_than_identity,
+    less_than_identity_chains,
     max_of,
     pointwise_max,
 )
-from smallgain.graph import build_gain_digraph
+from smallgain.graph import build_gain_digraph, check_cyclic_small_gain, cycle_gain, enumerate_simple_cycles
 from smallgain.reduction import closed_loop_input_gains
 
 
@@ -464,6 +468,190 @@ class TestLessThanIdentity:
         assert Compose(r2, r1)(t_star) >= t_star * (1.0 - 1e-9)
         v2 = less_than_identity(Compose(r2, r1), grid)
         assert not (v2.verified and v2.margin > 1e-6)
+
+
+@np.errstate(invalid="raise")
+def reference_less_than_identity(g, grid: GridSpec = DEFAULT_GRID) -> Verdict:
+    """One gain at a time: the grid sweep and refinement loop that
+    ``less_than_identity_chains`` batches."""
+
+    def relative_margins(pts):
+        vals = np.asarray(g(pts), dtype=float)
+        if vals.shape != pts.shape:
+            vals = np.broadcast_to(vals, pts.shape).astype(float)
+        return vals, 1.0 - vals / pts
+
+    pts = grid.points()
+    vals, margins = relative_margins(pts)
+    worst = int(np.argmin(margins))
+    best_margin, best_s, best_val = float(margins[worst]), float(pts[worst]), float(vals[worst])
+    if best_margin <= 0.0 and vals[worst] >= pts[worst]:
+        return Verdict(VerdictStatus.VIOLATED, best_margin, best_s, best_val)
+    lo = pts[max(worst - 1, 0)]
+    hi = pts[min(worst + 1, len(pts) - 1)]
+    centre_s, centre_margin, centre_val = best_s, best_margin, best_val
+    for _ in range(grid.refinement_depth):
+        probes = np.array([math.sqrt(lo * centre_s), math.sqrt(centre_s * hi)])
+        pvals, pmargins = relative_margins(probes)
+        for j in range(2):
+            if pmargins[j] < best_margin:
+                best_margin, best_s, best_val = float(pmargins[j]), float(probes[j]), float(pvals[j])
+            if pvals[j] >= probes[j]:
+                return Verdict(VerdictStatus.VIOLATED, float(pmargins[j]), float(probes[j]), float(pvals[j]))
+        candidates = [
+            (float(pmargins[0]), float(probes[0]), float(pvals[0]), lo, centre_s),
+            (centre_margin, centre_s, centre_val, float(probes[0]), float(probes[1])),
+            (float(pmargins[1]), float(probes[1]), float(pvals[1]), centre_s, hi),
+        ]
+        centre_margin, centre_s, centre_val, lo, hi = min(candidates, key=lambda c: c[0])
+    if best_margin > grid.margin:
+        return Verdict(VerdictStatus.VERIFIED_ON_GRID, best_margin, best_s, best_val)
+    return Verdict(VerdictStatus.INCONCLUSIVE, best_margin, best_s, best_val)
+
+
+# Gains that reach every verdict and every overflow path: a violation, a
+# tangency below floating-point trust, s^q overflowing under a saturation
+# (the inf fallback), and c*s^q overflowing for c > 1.
+SPECIAL_GAINS = (
+    Linear(2.0),
+    Linear(1.0 - 1e-13),
+    SaturatingRational(0.5, 40.0),
+    Compose(SaturatingRational(2.0, 1.0), Power(400.0)),
+    Compose(SaturatingRational(10.0, 1.0), Linear(1e300)),
+    Power(1.01),
+)
+
+edge_gains = st.one_of(gain_trees(max_leaves=3), st.sampled_from(SPECIAL_GAINS))
+
+grids = st.builds(
+    GridSpec,
+    s_min=st.sampled_from([1e-8, 1e-3]),
+    s_max=st.sampled_from([1e3, 1e8]),
+    n_points=st.integers(2, 300),
+    refinement_depth=st.integers(0, 12),
+)
+
+
+@st.composite
+def shared_edge_digraphs(draw):
+    """Digraphs on up to 5 nodes whose edges mostly reuse a few gain
+    objects (some of them sharing subtrees), so that cycles share
+    innermost runs of edges by identity."""
+    k = draw(st.integers(2, 5))
+    pool = draw(gain_dags(max_ops=4)) + draw(st.lists(edge_gains, min_size=1, max_size=3))
+    edges = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i != j and draw(st.booleans()):
+                edges[(i, j)] = draw(st.one_of(st.sampled_from(pool), st.sampled_from(pool), edge_gains))
+    return build_gain_digraph(k, edges)
+
+
+class TestBatchedCycleCheck:
+    @given(shared_edge_digraphs(), grids)
+    @settings(max_examples=60, deadline=None)
+    def test_reports_match_the_per_cycle_reference(self, g, grid):
+        result = check_cyclic_small_gain(g, grid)
+        cycles = enumerate_simple_cycles(g)
+        assert [r.cycle for r in result.reports] == cycles
+        for report in result.reports:
+            assert report.gain == cycle_gain(g, report.cycle)
+            assert report.verdict.to_dict() == reference_less_than_identity(report.gain, grid).to_dict()
+
+    @given(st.one_of(gain_trees(max_leaves=4), st.sampled_from(SPECIAL_GAINS)), grids)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_of_one_matches_the_reference(self, f, grid):
+        assert less_than_identity(f, grid) == reference_less_than_identity(f, grid)
+
+    def test_every_verdict_and_overflow_path_matches(self):
+        # A saturation with a steep step is below the identity at the
+        # three grid points but above it near s = 1.5, which only the
+        # refinement finds.
+        steep = SaturatingRational(1.9, 20.0)
+        coarse = GridSpec(s_min=1e-3, s_max=1e3, n_points=3)
+        assert less_than_identity(steep, replace(coarse, refinement_depth=0)).verified
+        shared = Power(1.5)
+        chains = [
+            (steep,),
+            (Linear(0.5), shared),
+            (shared, Linear(0.5)),
+            (Linear(0.5), Linear(0.5), shared),
+            (Linear(0.5),),
+            *((f,) for f in SPECIAL_GAINS),
+            (Linear(0.5), SaturatingRational(0.5, 40.0)),
+            (Linear(0.9), Linear(0.9)),
+            (SaturatingRational(0.5, 40.0), Linear(0.9), Linear(0.9)),
+        ]
+        for grid in (DEFAULT_GRID, coarse, GridSpec(n_points=2, refinement_depth=12)):
+            got = less_than_identity_chains(chains, grid)
+            want = [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
+            assert got == want
+        statuses = {v.status for v in less_than_identity_chains(chains, coarse)}
+        assert statuses == set(VerdictStatus)
+        assert less_than_identity_chains([(steep,)], coarse)[0].violated
+
+    def test_empty_chain_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one gain"):
+            less_than_identity_chains([(Linear(0.5),), ()])
+        assert less_than_identity_chains([]) == []
+
+    def test_complete_digraph_check_keeps_memory_small(self):
+        # Complete k=6 has 409 cycles; holding each cycle's grid array
+        # would take about 13 MB, the suffix stack a few hundred kB.
+        edges = {
+            (i, j): SaturatingRational(0.5 + 0.1 * ((i * j) % 5), 2.0 + 2.0 * ((i + j) % 2))
+            for i in range(1, 7)
+            for j in range(1, 7)
+            if i != j
+        }
+        g = build_gain_digraph(6, edges)
+        DEFAULT_GRID.points()
+        tracemalloc.start()
+        try:
+            result = check_cyclic_small_gain(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.reports) == 409
+        assert peak < 1.5e6
+
+
+STACKED_PRIMITIVES = (
+    Identity(),
+    Linear(0.7),
+    Linear(3.3),
+    Power(0.37),
+    Power(1.5),
+    Power(2.0),
+    Power(6.0),
+    Power(2.718281828),
+    SaturatingRational(0.5, 2.0),
+    SaturatingRational(10.0, 1.7),
+    SaturatingRational(0.5, 40.0),
+    SaturatingRational(2.0, 0.3),
+)
+
+
+class TestStackedEvaluation:
+    """The premise of the batched refinement: numpy evaluates gains
+    elementwise, so stacking the probes of many chains into one array
+    gives every entry the bits it gets in its own two-entry array."""
+
+    @pytest.mark.parametrize("f", [*STACKED_PRIMITIVES, Max(Power(1.3), Linear(0.2)), Compose(Power(1.1), Power(0.9))])
+    def test_rows_of_a_stacked_batch_keep_their_bits(self, f):
+        rows = 10.0 ** np.random.default_rng(7).uniform(-8.0, 8.0, size=(67, 2))
+        # s^40 overflows at 1e10: this row alone takes the inf fallback of
+        # SaturatingRational(0.5, 40.0).
+        rows[11] = (3.0, 1e10)
+        alone = [bits(f(row)) for row in rows]
+        stacked = f(rows)
+        assert [bits(row) for row in stacked] == alone
+        flat = f(rows.ravel())
+        assert [bits(flat[2 * r : 2 * r + 2]) for r in range(len(rows))] == alone
+        picked = np.array([4, 5, 22, 23, 8, 9])
+        assert bits(f(rows.ravel()[picked])) == b"".join(alone[r] for r in (2, 11, 4))
+        view = rows.ravel()[2:30]
+        assert bits(f(view)) == b"".join(alone[1:15])
 
 
 class TestAdditiveToMax:
