@@ -375,6 +375,15 @@ def _add_config_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_seed_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="label recorded in manifest.json; the pipeline draws no random numbers",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="smallgain",
@@ -392,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(analyze)
     analyze.add_argument("--out", default="smallgain_out", help="artifact directory")
     analyze.add_argument("--grid-points", type=int, help="override grid resolution")
-    analyze.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(analyze)
     analyze.set_defaults(fn=cmd_analyze)
 
     simulate_p = sub.add_parser("simulate", help="integrate the delay system")
@@ -400,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_p.add_argument("--out", default="smallgain_out")
     simulate_p.add_argument("--horizon", type=float, help="override final time T")
     simulate_p.add_argument("--step", type=float, help="override step size h")
-    simulate_p.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(simulate_p)
     simulate_p.set_defaults(fn=cmd_simulate)
 
     verify = sub.add_parser(
@@ -422,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan out runs over delta=... or gain_scale=... value lists, "
         "run one after another in the order given",
     )
-    verify.add_argument("--seed", type=int, default=0)
+    _add_seed_arg(verify)
     verify.set_defaults(fn=cmd_verify)
 
     example = sub.add_parser(

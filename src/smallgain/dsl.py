@@ -1,16 +1,19 @@
 """Text grammars and JSON configuration parsing.
 
-Two small expression languages live here.  The gain grammar turns strings
-like ``"0.5*s^2/(1+s^2)"`` into :class:`~smallgain.gains.KFunction` trees,
-rejecting anything that is not class K by construction.  The dynamics
-grammar turns right-hand-side strings like ``"-3*x_1 + v_2[-1.0]^2"`` into
-compiled callables with their delayed references collected automatically.
-On top of both sits :func:`parse_system`, which reads a JSON document
-describing an interconnection and returns ready-to-use objects.
+One expression grammar and one parser serve two back ends.  The gain back
+end turns strings like ``"0.5*s^2/(1+s^2)"`` into
+:class:`~smallgain.gains.KFunction` trees, rejecting anything that is not
+class K by construction.  The dynamics back end turns right-hand-side
+strings like ``"-3*x_1 + v_2[-1.0]^2"`` into compiled callables with their
+delayed references collected automatically.  On top of both sits
+:func:`parse_system`, which reads a JSON document describing an
+interconnection and returns ready-to-use objects.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -119,29 +122,37 @@ class RhsParseError(_PositionedError):
 
 
 # ---------------------------------------------------------------------------
-# Gain grammar
+# One grammar, two back ends
 #
-# expr    := addend ( "." addend )*          composition, left associative
-# addend  := term ( "+" term )*              only valid inside saturating forms
-# term    := factor ( ("*" | "/") factor )*
-# factor  := atom ( "^" factor )?
-# atom    := NUMBER | "s" | "(" expr ")"
-#          | "max" "(" expr "," expr ")" | "compose" "(" expr "," expr ")"
+# expr  := sum ( "." sum )*                   composition (gains only)
+# sum   := term ( ("+" | "-") term )*
+# term  := unary ( ("*" | "/") unary )*
+# unary := "-" unary | atom ( "^" unary )?
+# atom  := NUMBER | "(" expr ")" | NAME "(" expr ( "," expr )* ")"
+#        | NAME ( "[" "-" NUMBER "]" )?
+#
+# The parser accepts the union of both languages and builds one AST.  The
+# gain back end (_check_class_k, then _compile_gain) turns it into a
+# KFunction and rejects what is not class K; the dynamics back end
+# (_RhsCompiler) emits Python source and rejects "." and anything that
+# does not name t, x_i, v_j, u_i or a one-argument function.
 
 
 @dataclass(frozen=True)
-class _GNum:
+class _Num:
     value: float
     pos: int
 
 
 @dataclass(frozen=True)
-class _GVar:
+class _Name:
+    text: str
+    delay: float | None  # the literal of a "[-delay]" suffix
     pos: int
 
 
 @dataclass(frozen=True)
-class _GBin:
+class _Bin:
     op: str
     left: Any
     right: Any
@@ -149,25 +160,38 @@ class _GBin:
 
 
 @dataclass(frozen=True)
-class _GCall:
+class _Neg:
+    operand: Any
+    pos: int
+
+
+@dataclass(frozen=True)
+class _Call:
     name: str
     args: tuple
     pos: int
 
 
-class _GainParser:
-    def __init__(self, source: str):
+class _Parser:
+    """Recursive descent over the grammar above, raising ``error_cls``.
+
+    Operator texts never occur as number or name tokens, so a token's text
+    alone tells whether it is a given operator.
+    """
+
+    def __init__(self, source: str, error_cls: type):
         self.source = source
-        self.tokens = _tokenize(source, GainParseError)
+        self.error_cls = error_cls
+        self.tokens = _tokenize(source, error_cls)
         self.idx = 0
 
     def error(self, message: str, pos: int | None = None):
         if pos is None:
             pos = self.tokens[self.idx].pos
-        raise GainParseError(message, self.source, pos)
+        raise self.error_cls(message, self.source, pos)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
+    def peek(self) -> str:
+        return self.tokens[self.idx].text
 
     def advance(self) -> _Token:
         tok = self.tokens[self.idx]
@@ -175,87 +199,131 @@ class _GainParser:
         return tok
 
     def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
+        tok = self.tokens[self.idx]
+        if tok.text != text:
             shown = tok.text if tok.kind != "end" else "end of input"
             self.error(f"expected {text!r}, found {shown!r}")
-        return self.advance()
+        self.idx += 1
+        return tok
 
     def parse(self):
         node = self.parse_expr()
-        tok = self.peek()
+        tok = self.tokens[self.idx]
         if tok.kind != "end":
             self.error(f"unexpected trailing input starting at {tok.text!r}")
         return node
 
     def parse_expr(self):
-        node = self.parse_addend()
-        while self.peek().kind == "op" and self.peek().text == ".":
+        node = self.parse_sum()
+        while self.peek() == ".":
             pos = self.advance().pos
-            right = self.parse_addend()
-            node = _GBin(".", node, right, pos)
+            node = _Bin(".", node, self.parse_sum(), pos)
         return node
 
-    def parse_addend(self):
+    def parse_sum(self):
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text == "+":
-            pos = self.advance().pos
-            right = self.parse_term()
-            node = _GBin("+", node, right, pos)
+        while self.peek() in ("+", "-"):
+            tok = self.advance()
+            node = _Bin(tok.text, node, self.parse_term(), tok.pos)
         return node
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
+        node = self.parse_unary()
+        while self.peek() in ("*", "/"):
             tok = self.advance()
-            right = self.parse_factor()
-            node = _GBin(tok.text, node, right, tok.pos)
+            node = _Bin(tok.text, node, self.parse_unary(), tok.pos)
         return node
 
-    def parse_factor(self):
+    def parse_unary(self):
+        tok = self.tokens[self.idx]
+        if tok.text == "-":
+            self.idx += 1
+            return _Neg(self.parse_unary(), tok.pos)
         node = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek() == "^":
             pos = self.advance().pos
-            exponent = self.parse_factor()
-            node = _GBin("^", node, exponent, pos)
+            node = _Bin("^", node, self.parse_unary(), pos)
         return node
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
-            return _GNum(float(tok.text), tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "s":
-                return _GVar(tok.pos)
-            if tok.text in ("max", "compose"):
-                self.expect_op("(")
-                first = self.parse_expr()
-                self.expect_op(",")
-                second = self.parse_expr()
-                self.expect_op(")")
-                return _GCall(tok.text, (first, second), tok.pos)
-            self.error(
-                f"unknown symbol {tok.text!r}; gain expressions use 's', "
-                "'max' and 'compose'",
-                tok.pos,
-            )
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+            return _Num(float(tok.text), tok.pos)
+        if tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        if tok.kind == "op" and tok.text == "-":
-            self.error(
-                "negative quantities cannot appear in a class-K gain", tok.pos
-            )
+        if tok.kind == "ident":
+            if self.peek() == "(":
+                self.idx += 1
+                args = [self.parse_expr()]
+                while self.peek() == ",":
+                    self.idx += 1
+                    args.append(self.parse_expr())
+                self.expect_op(")")
+                return _Call(tok.text, tuple(args), tok.pos)
+            delay = None
+            if self.peek() == "[":
+                self.idx += 1
+                self.expect_op("-")
+                num = self.tokens[self.idx]
+                if num.kind != "num":
+                    self.error("expected a delay literal after '[-'")
+                self.idx += 1
+                delay = float(num.text)
+                self.expect_op("]")
+            return _Name(tok.text, delay, tok.pos)
         shown = tok.text if tok.kind != "end" else "end of input"
-        self.error(f"expected a gain expression, found {shown!r}", tok.pos)
+        self.error(f"expected an expression, found {shown!r}", tok.pos)
+
+
+# ---------------------------------------------------------------------------
+# Gain back end
+
+
+_NEGATIVE_GAIN = "negative quantities cannot appear in a class-K gain"
+
+
+def _check_class_k(node, source: str) -> None:
+    """Raise at the leftmost construct no class-K gain can contain.
+
+    Runs before :func:`_compile_gain`, so an unknown name or a minus sign
+    is reported ahead of any shape error elsewhere in the expression.
+    """
+    if isinstance(node, _Num):
+        return
+    if isinstance(node, _Bin):
+        _check_class_k(node.left, source)
+        if node.op == "-":
+            raise GainParseError(_NEGATIVE_GAIN, source, node.pos)
+        _check_class_k(node.right, source)
+        return
+    if isinstance(node, _Neg):
+        raise GainParseError(_NEGATIVE_GAIN, source, node.pos)
+    if isinstance(node, _Name) and node.text == "s":
+        if node.delay is not None:
+            raise GainParseError(
+                "gain expressions cannot carry a delay suffix", source, node.pos
+            )
+        return
+    if isinstance(node, _Call) and node.name in ("max", "compose") and len(node.args) == 2:
+        for arg in node.args:
+            _check_class_k(arg, source)
+        return
+    name = node.text if isinstance(node, _Name) else node.name
+    if name == "s":
+        message = "'s' is a variable, not a function"
+    elif name in ("max", "compose"):
+        message = f"{name} takes two gains, as in {name}(f, g)"
+    else:
+        message = (
+            f"unknown symbol {name!r}; gain expressions use 's', 'max' and 'compose'"
+        )
+    raise GainParseError(message, source, node.pos)
 
 
 def _flatten_product(node) -> list:
-    if isinstance(node, _GBin) and node.op == "*":
+    if isinstance(node, _Bin) and node.op == "*":
         return _flatten_product(node.left) + _flatten_product(node.right)
     return [node]
 
@@ -268,20 +336,20 @@ def _match_power_term(node) -> tuple[float, float, int] | None:
     """
     factors = _flatten_product(node)
     coeff = 1.0
-    coeff_pos = node.pos if hasattr(node, "pos") else 0
+    coeff_pos = node.pos
     power = None
     for f in factors:
-        if isinstance(f, _GNum):
+        if isinstance(f, _Num):
             coeff *= f.value
             coeff_pos = f.pos
-        elif isinstance(f, _GVar):
+        elif isinstance(f, _Name):
             if power is not None:
                 return None
             power = 1.0
-        elif isinstance(f, _GBin) and f.op == "^":
+        elif isinstance(f, _Bin) and f.op == "^":
             if power is not None:
                 return None
-            if not (isinstance(f.left, _GVar) and isinstance(f.right, _GNum)):
+            if not (isinstance(f.left, _Name) and isinstance(f.right, _Num)):
                 return None
             power = f.right.value
         else:
@@ -297,9 +365,9 @@ def _match_one_plus_power(node) -> tuple[float, float] | None:
     scale = 1.0
     plus = None
     for f in factors:
-        if isinstance(f, _GNum):
+        if isinstance(f, _Num):
             scale *= f.value
-        elif isinstance(f, _GBin) and f.op == "+":
+        elif isinstance(f, _Bin) and f.op == "+":
             if plus is not None:
                 return None
             plus = f
@@ -308,8 +376,8 @@ def _match_one_plus_power(node) -> tuple[float, float] | None:
     if plus is None:
         return None
     sides = (plus.left, plus.right)
-    const = [s for s in sides if isinstance(s, _GNum)]
-    other = [s for s in sides if not isinstance(s, _GNum)]
+    const = [s for s in sides if isinstance(s, _Num)]
+    other = [s for s in sides if not isinstance(s, _Num)]
     if len(const) != 1 or const[0].value != 1.0:
         return None
     matched = _match_power_term(other[0])
@@ -319,25 +387,25 @@ def _match_one_plus_power(node) -> tuple[float, float] | None:
 
 
 def _compile_gain(node, source: str) -> KFunction:
-    if isinstance(node, _GVar):
+    if isinstance(node, _Name):
         return Identity()
-    if isinstance(node, _GNum):
+    if isinstance(node, _Num):
         raise GainParseError(
             "a bare constant is not class K (it does not vanish at zero)",
             source,
             node.pos,
         )
-    if isinstance(node, _GCall):
+    if isinstance(node, _Call):
         left = _compile_gain(node.args[0], source)
         right = _compile_gain(node.args[1], source)
         return Max(left, right) if node.name == "max" else Compose(left, right)
-    if isinstance(node, _GBin):
+    if isinstance(node, _Bin):
         if node.op == ".":
             return Compose(
                 _compile_gain(node.left, source), _compile_gain(node.right, source)
             )
         if node.op == "^":
-            if not isinstance(node.right, _GNum):
+            if not isinstance(node.right, _Num):
                 raise GainParseError(
                     "exponents must be positive numeric literals", source, node.pos
                 )
@@ -346,7 +414,7 @@ def _compile_gain(node, source: str) -> KFunction:
                 raise GainParseError(
                     "exponents must be strictly positive", source, node.right.pos
                 )
-            if isinstance(node.left, _GVar):
+            if isinstance(node.left, _Name):
                 return Power(p)
             base = _compile_gain(node.left, source)
             return Compose(Power(p), base)
@@ -356,7 +424,7 @@ def _compile_gain(node, source: str) -> KFunction:
             coeff_pos = node.pos
             rest = []
             for f in factors:
-                if isinstance(f, _GNum):
+                if isinstance(f, _Num):
                     coeff *= f.value
                     coeff_pos = f.pos
                 else:
@@ -421,185 +489,32 @@ def _compile_gain(node, source: str) -> KFunction:
 def parse_gain(text: str) -> KFunction:
     """Parse a gain expression into a :class:`KFunction`.
 
-    The grammar accepts ``s``, positive numeric literals as multiplicative
-    coefficients or exponents, ``^`` for powers, the saturating shape
-    ``c*s^q/(1+s^q)`` (equivalently ``s^q/(b*(1+s^q))``), ``max(f,g)``,
-    ``compose(f,g)``, and the infix composition ``f . g``.  Everything the
-    grammar accepts is class K by construction; non-conforming input
-    raises :class:`GainParseError` with line and column information.
+    Of the shared grammar, gains accept ``s``, positive numeric literals
+    as multiplicative coefficients or exponents, ``^`` for powers, the
+    saturating shape ``c*s^q/(1+s^q)`` (equivalently ``s^q/(b*(1+s^q))``),
+    ``max(f,g)``, ``compose(f,g)``, and the infix composition ``f . g``.
+    Everything accepted is class K by construction; other input, such as
+    a minus sign, a delay suffix or any other name, raises
+    :class:`GainParseError` with line and column information.
     """
     if not isinstance(text, str):
         raise TypeError(f"gain expression must be a string, got {type(text).__name__}")
     if not text.strip():
         raise GainParseError("empty gain expression", text, 0)
-    parser = _GainParser(text)
-    return _compile_gain(parser.parse(), text)
+    node = _Parser(text, GainParseError).parse()
+    _check_class_k(node, text)
+    return _compile_gain(node, text)
 
 
 # ---------------------------------------------------------------------------
-# Dynamics grammar
+# Dynamics back end
 #
-# expr   := term ( ("+" | "-") term )*
-# term   := unary ( ("*" | "/") unary )*
-# unary  := "-" unary | power
-# power  := atom ( "^" unary )?
-# atom   := NUMBER | ref | func "(" expr ")" | "(" expr ")"
-# ref    := "t" | NAME ( "[" "-" NUMBER "]" )?
-#
-# where NAME is x_<i>, v_<j> or u_<i>, optionally suffixed with a
-# component index (x_1_2 is component 2 of subsystem 1).
+# A NAME is t, x_<i>, v_<j> or u_<i>, optionally suffixed with a component
+# index (x_1_2 is component 2 of subsystem 1); a call applies one of
+# _CODEGEN_FUNCS to one argument.
 
 
-_RHS_FUNCS = ("exp", "sin", "cos", "sqrt", "abs", "tanh")
 _NAME_RE = re.compile(r"^([xvu])_(\d+)(?:_(\d+))?$")
-
-
-@dataclass(frozen=True)
-class _RNum:
-    value: float
-    pos: int
-
-
-@dataclass(frozen=True)
-class _RRef:
-    kind: str  # "x" | "v" | "u" | "t"
-    index: int
-    comp: int | None
-    delay: float | None
-    pos: int
-
-
-@dataclass(frozen=True)
-class _RBin:
-    op: str
-    left: Any
-    right: Any
-    pos: int
-
-
-@dataclass(frozen=True)
-class _RNeg:
-    operand: Any
-    pos: int
-
-
-@dataclass(frozen=True)
-class _RCall:
-    name: str
-    arg: Any
-    pos: int
-
-
-class _RhsParser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source, RhsParseError)
-        self.idx = 0
-
-    def error(self, message: str, pos: int | None = None):
-        if pos is None:
-            pos = self.tokens[self.idx].pos
-        raise RhsParseError(message, self.source, pos)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            self.error(f"expected {text!r}, found {shown!r}")
-        return self.advance()
-
-    def at_op(self, *texts: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in texts
-
-    def parse(self):
-        node = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.error(f"unexpected trailing input starting at {tok.text!r}")
-        return node
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.at_op("+", "-"):
-            tok = self.advance()
-            right = self.parse_term()
-            node = _RBin(tok.text, node, right, tok.pos)
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.at_op("*", "/"):
-            tok = self.advance()
-            right = self.parse_unary()
-            node = _RBin(tok.text, node, right, tok.pos)
-        return node
-
-    def parse_unary(self):
-        if self.at_op("-"):
-            pos = self.advance().pos
-            return _RNeg(self.parse_unary(), pos)
-        return self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_atom()
-        if self.at_op("^"):
-            pos = self.advance().pos
-            exponent = self.parse_unary()
-            node = _RBin("^", node, exponent, pos)
-        return node
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return _RNum(float(tok.text), tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
-                return _RRef("t", 0, None, None, tok.pos)
-            if tok.text in _RHS_FUNCS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return _RCall(tok.text, arg, tok.pos)
-            m = _NAME_RE.match(tok.text)
-            if m is None:
-                self.error(
-                    f"unknown identifier {tok.text!r}; expected t, x_i, v_j, "
-                    "u_i or a function name",
-                    tok.pos,
-                )
-            kind = m.group(1)
-            index = int(m.group(2))
-            comp = int(m.group(3)) if m.group(3) is not None else None
-            delay = None
-            if self.at_op("["):
-                self.advance()
-                self.expect_op("-")
-                num = self.peek()
-                if num.kind != "num":
-                    self.error("expected a delay literal after '[-'")
-                self.advance()
-                delay = float(num.text)
-                self.expect_op("]")
-            return _RRef(kind, index, comp, delay, tok.pos)
-        shown = tok.text if tok.kind != "end" else "end of input"
-        self.error(f"expected an expression, found {shown!r}", tok.pos)
-
 
 _CODEGEN_FUNCS = {
     "exp": math.exp,
@@ -642,102 +557,121 @@ class _RhsCompiler:
     def error(self, message: str, pos: int):
         raise RhsParseError(message, self.source, pos)
 
-    def _component(self, ref: _RRef, dim: int, what: str) -> int:
-        comp = ref.comp
+    def _misused(self, node):
+        """Raise for a name the dynamics cannot read, or read the wrong way."""
+        name = node.text if isinstance(node, _Name) else node.name
+        if isinstance(node, _Call) and (name == "t" or _NAME_RE.match(name)):
+            message = f"{name!r} is a variable, not a function"
+        elif isinstance(node, _Name) and name in _CODEGEN_FUNCS:
+            message = f"{name} is a function; call it as {name}(...)"
+        else:
+            message = (
+                f"unknown identifier {name!r}; expected t, x_i, v_j, u_i or a "
+                "function name"
+            )
+        self.error(message, node.pos)
+
+    def _component(self, comp: int | None, dim: int, what: str, pos: int) -> int:
         if comp is None:
             if dim != 1:
                 self.error(
                     f"{what} has dimension {dim}; write an explicit component "
-                    f"such as {ref.kind}_{ref.index}_1",
-                    ref.pos,
+                    f"such as {what}_1",
+                    pos,
                 )
             comp = 1
         if not 1 <= comp <= dim:
             self.error(
                 f"component {comp} is out of range for {what} "
                 f"(dimension {dim})",
-                ref.pos,
+                pos,
             )
         return comp
 
-    def _check_delay(self, ref: _RRef) -> float:
-        if ref.delay not in self.delays:
-            declared = ", ".join(repr(d) for d in self.delays) or "none"
-            self.error(
-                f"delay {ref.delay!r} is not declared (declared delays: "
-                f"{declared})",
-                ref.pos,
-            )
-        return ref.delay
-
     def emit(self, node) -> str:
-        if isinstance(node, _RNum):
+        if isinstance(node, _Num):
             return repr(node.value)
-        if isinstance(node, _RNeg):
+        if isinstance(node, _Name):
+            return self.emit_name(node)
+        if isinstance(node, _Neg):
             return f"(-{self.emit(node.operand)})"
-        if isinstance(node, _RBin):
+        if isinstance(node, _Bin):
+            left = self.emit(node.left)
+            if node.op == ".":
+                self.error("'.' composes gains; dynamics have no composition", node.pos)
             op = "**" if node.op == "^" else node.op
-            return f"({self.emit(node.left)} {op} {self.emit(node.right)})"
-        if isinstance(node, _RCall):
-            return f"{node.name}({self.emit(node.arg)})"
-        if isinstance(node, _RRef):
-            return self.emit_ref(node)
-        raise AssertionError(f"unhandled node {node!r}")
+            return f"({left} {op} {self.emit(node.right)})"
+        if node.name not in _CODEGEN_FUNCS:
+            self._misused(node)
+        if len(node.args) != 1:
+            self.error(
+                f"{node.name} takes one argument, got {len(node.args)}", node.pos
+            )
+        return f"{node.name}({self.emit(node.args[0])})"
 
-    def emit_ref(self, ref: _RRef) -> str:
-        if ref.kind == "t":
+    def emit_name(self, node: _Name) -> str:
+        if node.text == "t":
+            if node.delay is not None:
+                self.error("t cannot carry a delay suffix", node.pos)
             return "t"
+        m = _NAME_RE.match(node.text)
+        if m is None:
+            self._misused(node)
         if self.time_only:
             self.error(
                 "only t and numeric constants may appear in this expression",
-                ref.pos,
+                node.pos,
             )
-        if ref.kind == "x":
-            if ref.index != self.index:
+        kind, index, comp = m.group(1), int(m.group(2)), m.group(3)
+        comp = int(comp) if comp is not None else None
+        name = f"{kind}_{index}"
+        if kind == "x":
+            if index != self.index:
                 self.error(
-                    f"x_{ref.index} refers to another subsystem's state; "
-                    f"use v_{ref.index}[-delay] for cross references",
-                    ref.pos,
+                    f"{name} refers to another subsystem's state; "
+                    f"use v_{index}[-delay] for cross references",
+                    node.pos,
                 )
-            comp = self._component(ref, self.dims[self.index - 1], f"x_{ref.index}")
-            if ref.delay is None:
+            comp = self._component(comp, self.dims[index - 1], name, node.pos)
+            if node.delay is None:
                 return f"x[{self.x_base + comp - 1}]"
-            return self._delayed(ref, comp)
-        if ref.kind == "v":
-            if not 1 <= ref.index <= self.k:
+            return self._delayed(node, index, comp)
+        if kind == "v":
+            if not 1 <= index <= self.k:
+                self.error(f"{name} is out of range (k = {self.k})", node.pos)
+            if node.delay is None:
                 self.error(
-                    f"v_{ref.index} is out of range (k = {self.k})", ref.pos
+                    f"{name} needs an explicit delay, e.g. {name}[-1.0]", node.pos
                 )
-            if ref.delay is None:
-                self.error(
-                    f"v_{ref.index} needs an explicit delay, e.g. "
-                    f"v_{ref.index}[-1.0]",
-                    ref.pos,
-                )
-            comp = self._component(ref, self.dims[ref.index - 1], f"v_{ref.index}")
-            return self._delayed(ref, comp)
-        if ref.kind == "u":
-            if ref.index != self.index:
-                self.error(
-                    f"u_{ref.index} belongs to subsystem {ref.index}; "
-                    f"subsystem {self.index} can only read u_{self.index}",
-                    ref.pos,
-                )
-            if ref.delay is not None:
-                self.error("inputs cannot carry a delay suffix", ref.pos)
-            input_dim = self.input_dims[self.index - 1]
-            if input_dim == 0:
-                self.error(
-                    f"subsystem {self.index} declares no input channels "
-                    "(set input_dim to use u)",
-                    ref.pos,
-                )
-            comp = self._component(ref, input_dim, f"u_{ref.index}")
-            return f"u[{self.u_base + comp - 1}]"
-        raise AssertionError(f"unhandled reference kind {ref.kind!r}")
+            comp = self._component(comp, self.dims[index - 1], name, node.pos)
+            return self._delayed(node, index, comp)
+        if index != self.index:
+            self.error(
+                f"{name} belongs to subsystem {index}; "
+                f"subsystem {self.index} can only read u_{self.index}",
+                node.pos,
+            )
+        if node.delay is not None:
+            self.error("inputs cannot carry a delay suffix", node.pos)
+        input_dim = self.input_dims[self.index - 1]
+        if input_dim == 0:
+            self.error(
+                f"subsystem {self.index} declares no input channels "
+                "(set input_dim to use u)",
+                node.pos,
+            )
+        comp = self._component(comp, input_dim, name, node.pos)
+        return f"u[{self.u_base + comp - 1}]"
 
-    def _delayed(self, ref: _RRef, comp: int) -> str:
-        key = (ref.index, self._check_delay(ref))
+    def _delayed(self, node: _Name, index: int, comp: int) -> str:
+        if node.delay not in self.delays:
+            declared = ", ".join(repr(d) for d in self.delays) or "none"
+            self.error(
+                f"delay {node.delay!r} is not declared (declared delays: "
+                f"{declared})",
+                node.pos,
+            )
+        key = (index, node.delay)
         self.references.add(key)
         if self.rows is None:
             return f"z[{key!r}][{comp - 1}]"
@@ -786,7 +720,7 @@ def _compile_subsystem(exprs, index, dims, input_dims, delays) -> tuple[Callable
             f"subsystem {index} has dimension {dims[index - 1]} but "
             f"{len(exprs)} right-hand-side expressions"
         )
-    trees = [_RhsParser(expr).parse() for expr in exprs]
+    trees = [_Parser(expr, RhsParseError).parse() for expr in exprs]
     pieces, references = _emit(exprs, trees, index, dims, input_dims, delays)
     rhs = _compiled_on_first_call("_rhs", "t, x, z, u", pieces, f"<subsystem {index} rhs>")
     return rhs, tuple(sorted(references)), trees
@@ -811,7 +745,7 @@ def compile_rhs(
 
 def compile_time_expression(exprs: Sequence[str]) -> Callable[[float], np.ndarray]:
     """Compile expressions in ``t`` alone into a vector-valued callable."""
-    trees = [_RhsParser(expr).parse() for expr in exprs]
+    trees = [_Parser(expr, RhsParseError).parse() for expr in exprs]
     pieces, _ = _emit(exprs, trees, 1, [1], [0], [], time_only=True)
     return _vector_function("_fn", "t", pieces, "<time expression>")
 
@@ -824,17 +758,12 @@ class ConfigError(ValueError):
     """Raised when a configuration document fails validation."""
 
 
-_SCHEMA_CACHE: dict | None = None
-
-
+@functools.cache
 def _schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        from importlib import resources
+    from importlib import resources
 
-        text = resources.files("smallgain").joinpath("config_schema.json").read_text()
-        _SCHEMA_CACHE = json.loads(text)
-    return _SCHEMA_CACHE
+    text = resources.files("smallgain").joinpath("config_schema.json").read_text()
+    return json.loads(text)
 
 
 @dataclass(frozen=True)
@@ -877,6 +806,28 @@ def _parse_gain_at(path: str, text: str) -> KFunction:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _parse_shared_entry(path: str, entry, dim: int, cls, what: str):
+    """The ``constant`` and ``expression`` entries, which histories and
+    inputs share; ``cls`` is :class:`HistoryFunction` or :class:`InputSignal`."""
+    if entry["type"] == "constant":
+        values = entry.get("values")
+        if values is None:
+            _fail(path, f"constant {what} needs 'values'")
+        if len(values) != dim:
+            _fail(path, f"expected {dim} components, got {len(values)}")
+        return cls.constant(values)
+    exprs = entry.get("exprs")
+    if exprs is None:
+        _fail(path, f"expression {what} needs 'exprs'")
+    if len(exprs) != dim:
+        _fail(path, f"expected {dim} expressions, got {len(exprs)}")
+    try:
+        fn = compile_time_expression(exprs)
+    except RhsParseError as exc:
+        _fail(path, str(exc))
+    return cls.from_callable(fn, dim)
+
+
 def _parse_history_entry(
     path: str, entry, dim: int
 ) -> HistoryFunction:
@@ -885,13 +836,8 @@ def _parse_history_entry(
             _fail(path, f"expected {dim} components, got {len(entry)}")
         return HistoryFunction.constant(entry)
     kind = entry["type"]
-    if kind == "constant":
-        values = entry.get("values")
-        if values is None:
-            _fail(path, "constant history needs 'values'")
-        if len(values) != dim:
-            _fail(path, f"expected {dim} components, got {len(values)}")
-        return HistoryFunction.constant(values)
+    if kind in ("constant", "expression"):
+        return _parse_shared_entry(path, entry, dim, HistoryFunction, "history")
     if kind == "polynomial":
         coeffs = entry.get("coeffs")
         if coeffs is None:
@@ -910,17 +856,6 @@ def _parse_history_entry(
             return HistoryFunction.table(times, rows)
         except ValueError as exc:
             _fail(path, str(exc))
-    if kind == "expression":
-        exprs = entry.get("exprs")
-        if exprs is None:
-            _fail(path, "expression history needs 'exprs'")
-        if len(exprs) != dim:
-            _fail(path, f"expected {dim} expressions, got {len(exprs)}")
-        try:
-            fn = compile_time_expression(exprs)
-        except RhsParseError as exc:
-            _fail(path, str(exc))
-        return HistoryFunction.from_callable(fn, dim)
     _fail(path, f"unsupported history type {kind!r}")
 
 
@@ -932,13 +867,8 @@ def _parse_input_entry(path: str, entry, input_dim: int) -> InputSignal:
     kind = entry["type"]
     if kind == "zero":
         return InputSignal.zero(input_dim)
-    if kind == "constant":
-        values = entry.get("values")
-        if values is None:
-            _fail(path, "constant input needs 'values'")
-        if len(values) != input_dim:
-            _fail(path, f"expected {input_dim} components, got {len(values)}")
-        return InputSignal.constant(values)
+    if kind in ("constant", "expression"):
+        return _parse_shared_entry(path, entry, input_dim, InputSignal, "input")
     if kind == "piecewise":
         times = entry.get("times")
         values = entry.get("values")
@@ -950,17 +880,6 @@ def _parse_input_entry(path: str, entry, input_dim: int) -> InputSignal:
             return InputSignal.piecewise_constant(times, values)
         except ValueError as exc:
             _fail(path, str(exc))
-    if kind == "expression":
-        exprs = entry.get("exprs")
-        if exprs is None:
-            _fail(path, "expression input needs 'exprs'")
-        if len(exprs) != input_dim:
-            _fail(path, f"expected {input_dim} expressions, got {len(exprs)}")
-        try:
-            fn = compile_time_expression(exprs)
-        except RhsParseError as exc:
-            _fail(path, str(exc))
-        return InputSignal.from_callable(fn, input_dim)
     _fail(path, f"unsupported input type {kind!r}")
 
 
@@ -1060,24 +979,20 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
         edges[(i, j)] = _parse_gain_at(
             f"$.gains.edges[{key!r}]", gains_doc["edges"][key]
         )
-    input_gains = {}
-    for key in sorted(gains_doc.get("input", {})):
-        i = int(key)
-        if not 1 <= i <= k:
-            _fail(f"$.gains.input[{key!r}]", f"index must lie in 1..{k}")
-        input_gains[i] = _parse_gain_at(
-            f"$.gains.input[{key!r}]", gains_doc["input"][key]
-        )
-    gs_gains = {}
-    for key in sorted(gains_doc.get("sigma", {})):
-        i = int(key)
-        if not 1 <= i <= k:
-            _fail(f"$.gains.sigma[{key!r}]", f"index must lie in 1..{k}")
-        gs_gains[i] = _parse_gain_at(
-            f"$.gains.sigma[{key!r}]", gains_doc["sigma"][key]
-        )
+    node_gains = {}
+    for section in ("input", "sigma"):
+        node_gains[section] = {}
+        for key in sorted(gains_doc.get(section, {})):
+            path = f"$.gains.{section}[{key!r}]"
+            i = int(key)
+            if not 1 <= i <= k:
+                _fail(path, f"index must lie in 1..{k}")
+            node_gains[section][i] = _parse_gain_at(path, gains_doc[section][key])
     digraph = build_gain_digraph(
-        k, edges, input_gains=input_gains or None, gs_gains=gs_gains or None
+        k,
+        edges,
+        input_gains=node_gains["input"] or None,
+        gs_gains=node_gains["sigma"] or None,
     )
 
     history = None
@@ -1111,16 +1026,8 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     grid = DEFAULT_GRID
     grid_doc = checks_doc.get("grid")
     if grid_doc is not None:
-        fields = {
-            "s_min": DEFAULT_GRID.s_min,
-            "s_max": DEFAULT_GRID.s_max,
-            "n_points": DEFAULT_GRID.n_points,
-            "refinement_depth": DEFAULT_GRID.refinement_depth,
-            "margin": DEFAULT_GRID.margin,
-        }
-        fields.update(grid_doc)
         try:
-            grid = GridSpec(**fields)
+            grid = dataclasses.replace(DEFAULT_GRID, **grid_doc)
         except ValueError as exc:
             raise ConfigError(f"$.checks.grid: {exc}") from exc
     run = checks_doc.get("run")

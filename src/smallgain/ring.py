@@ -16,17 +16,16 @@ admits the gain profile
 
 whose unique simple cycle composes to s^12 / (2 (1 + s^12)), strictly
 below the identity, so the ring is certifiably stable for any delay.
-This fixture doubles as an end-to-end test bed: the same system ships as
-a JSON configuration for the command-line interface.
+The system is written down once, as the JSON configuration document of
+:func:`ring_config` that the command-line interface ships;
+:func:`ring_system` and :func:`ring_gains` parse it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .gains import Linear, Power, SaturatingRational
-from .graph import GainDigraph, build_gain_digraph
-from .sim import DelaySystemSpec, Subsystem, build_interconnection
+from .dsl import parse_system
+from .graph import GainDigraph
+from .sim import DelaySystemSpec
 
 __all__ = ["ring_system", "ring_gains", "ring_config"]
 
@@ -35,43 +34,16 @@ def ring_system(delta: float = 1.0) -> DelaySystemSpec:
     """The ring with all couplings delayed by ``delta`` (> 0)."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    delta = float(delta)
-
-    def rhs1(t, x, z, u):
-        w = z[(2, delta)][0]
-        return np.array([-3.0 * x[0] + w * w / (1.0 + w * w)])
-
-    def rhs2(t, x, z, u):
-        w = z[(3, delta)][0]
-        return np.array([-1.5 * x[0] + w * w * w])
-
-    def rhs3(t, x, z, u):
-        w = z[(1, delta)][0]
-        return np.array([-2.0 * x[0] + w * w])
-
-    subsystems = [
-        Subsystem(dim=1, rhs=rhs1, references=((2, delta),), name="node1"),
-        Subsystem(dim=1, rhs=rhs2, references=((3, delta),), name="node2"),
-        Subsystem(dim=1, rhs=rhs3, references=((1, delta),), name="node3"),
-    ]
-    return build_interconnection(subsystems, [delta])
+    return parse_system(ring_config(delta)).system
 
 
 def ring_gains() -> GainDigraph:
     """Gain digraph certifying the ring's stability."""
-    return build_gain_digraph(
-        k=3,
-        gains={
-            (1, 2): SaturatingRational(0.5, 2.0),
-            (2, 3): Power(3.0),
-            (3, 1): Power(2.0),
-        },
-        gs_gains={1: Linear(7.0), 2: Linear(4.0), 3: Linear(3.0)},
-    )
+    return parse_system(ring_config()).digraph
 
 
 def ring_config(delta: float = 1.0, T: float = 20.0, h: float = 0.01) -> dict:
-    """The same system as a JSON-ready configuration document."""
+    """The ring as a JSON-ready configuration document."""
     d = float(delta)
     return {
         "name": "delayed-ring-3",

@@ -36,8 +36,9 @@ from smallgain.gains import (
     Power,
     SaturatingRational,
 )
+from smallgain.graph import build_gain_digraph
 from smallgain.ring import ring_config, ring_gains, ring_system
-from smallgain.sim import HistoryFunction, simulate
+from smallgain.sim import HistoryFunction, Subsystem, build_interconnection, simulate
 
 
 class TestGainGrammar:
@@ -91,6 +92,12 @@ class TestGainGrammar:
             "foo(s, s)",
             "q",
             "s $ 2",
+            "-s",
+            "s - 1",
+            "t",
+            "x_1",
+            "s[-1.0]",
+            "exp(s)",
         ],
     )
     def test_rejects(self, text):
@@ -300,6 +307,11 @@ class TestRhsCompiler:
             ("(x_1_1", r"expected '\)'"),
             ("x_1_1)", "trailing input"),
             ("x_1_1[-w]", "delay literal"),
+            ("x_1_1 . x_1_2", "composes gains"),
+            ("max(x_1_1, x_1_2)", "unknown identifier"),
+            ("exp(x_1_1, x_1_2)", "takes one argument"),
+            ("t[-0.5]", "t cannot carry a delay"),
+            ("s", "unknown identifier"),
         ],
     )
     def test_rejects(self, expr, fragment):
@@ -330,6 +342,50 @@ class TestRhsCompiler:
 
 
 # ---------------------------------------------------------------------------
+# One parser reads both grammars; each back end rejects what the other
+# language allows.
+
+
+def compile_dynamics(expr):
+    return compile_rhs([expr, "-x_1_2", "-x_1_3"], 1, DIMS, INPUT_DIMS, DELAYS)
+
+
+@pytest.mark.parametrize(
+    "compile_fn, text, error_cls, line, col, fragment",
+    [
+        (parse_gain, "-s", GainParseError, 1, 1, "negative"),
+        (parse_gain, "s - 1", GainParseError, 1, 3, "negative"),
+        (parse_gain, "t", GainParseError, 1, 1, "unknown symbol 't'"),
+        (parse_gain, "x_1", GainParseError, 1, 1, "unknown symbol 'x_1'"),
+        (parse_gain, "s[-1.0]", GainParseError, 1, 1, "delay suffix"),
+        (parse_gain, "exp(s)", GainParseError, 1, 1, "unknown symbol 'exp'"),
+        (parse_gain, "max(s)", GainParseError, 1, 1, "max takes two gains"),
+        (parse_gain, "max(s, s, s)", GainParseError, 1, 1, "max takes two gains"),
+        (parse_gain, "compose + s", GainParseError, 1, 1, "compose takes two gains"),
+        (parse_gain, "s(2)", GainParseError, 1, 1, "variable, not a function"),
+        # Unknown names are found before the shape of the gain is checked.
+        (parse_gain, "s/(2+s) . q", GainParseError, 1, 11, "unknown symbol 'q'"),
+        (parse_gain, "max(s,\n  s^2 - s)", GainParseError, 2, 7, "negative"),
+        (compile_dynamics, "x_1_1 . x_1_2", RhsParseError, 1, 7, "composes gains"),
+        (compile_dynamics, "max(x_1_1, x_1_2)", RhsParseError, 1, 1, "unknown identifier 'max'"),
+        (compile_dynamics, "exp(x_1_1, x_1_2)", RhsParseError, 1, 1, "exp takes one argument, got 2"),
+        (compile_dynamics, "t[-0.5]", RhsParseError, 1, 1, "t cannot carry a delay"),
+        (compile_dynamics, "s", RhsParseError, 1, 1, "unknown identifier 's'"),
+        (compile_dynamics, "1 + exp", RhsParseError, 1, 5, "call it as exp(...)"),
+        (compile_dynamics, "t(1)", RhsParseError, 1, 1, "variable, not a function"),
+        (compile_dynamics, "x_1_1 +\n  cos(t) . t", RhsParseError, 2, 10, "composes gains"),
+    ],
+)
+def test_cross_grammar_rejections(compile_fn, text, error_cls, line, col, fragment):
+    with pytest.raises(error_cls) as exc_info:
+        compile_fn(text)
+    err = exc_info.value
+    assert type(err) is error_cls
+    assert (err.line, err.col) == (line, col)
+    assert fragment in err.bare_message
+
+
+# ---------------------------------------------------------------------------
 # JSON configuration
 
 
@@ -349,23 +405,87 @@ def base_doc() -> dict:
     }
 
 
+def hand_built_ring_system(delta: float = 1.0):
+    """The bundled ring written as closures: the oracle of its config."""
+
+    def rhs1(t, x, z, u):
+        w = z[(2, delta)][0]
+        return np.array([-3.0 * x[0] + w * w / (1.0 + w * w)])
+
+    def rhs2(t, x, z, u):
+        w = z[(3, delta)][0]
+        return np.array([-1.5 * x[0] + w * w * w])
+
+    def rhs3(t, x, z, u):
+        w = z[(1, delta)][0]
+        return np.array([-2.0 * x[0] + w * w])
+
+    subsystems = [
+        Subsystem(dim=1, rhs=rhs1, references=((2, delta),), name="node1"),
+        Subsystem(dim=1, rhs=rhs2, references=((3, delta),), name="node2"),
+        Subsystem(dim=1, rhs=rhs3, references=((1, delta),), name="node3"),
+    ]
+    return build_interconnection(subsystems, [delta])
+
+
+def hand_built_ring_gains():
+    return build_gain_digraph(
+        k=3,
+        gains={
+            (1, 2): SaturatingRational(0.5, 2.0),
+            (2, 3): Power(3.0),
+            (3, 1): Power(2.0),
+        },
+        gs_gains={1: Linear(7.0), 2: Linear(4.0), 3: Linear(3.0)},
+    )
+
+
 class TestParseSystem:
     def test_ring_config_matches_hand_built_system(self):
         cfg = parse_system(ring_config())
         assert isinstance(cfg, ParsedConfig)
         assert cfg.k == 3
         assert cfg.name == "delayed-ring-3"
-        assert cfg.digraph == ring_gains()
+        assert cfg.digraph == hand_built_ring_gains()
+        assert ring_gains() == hand_built_ring_gains()
         assert cfg.sim == SimParams(T=20.0, h=0.01)
         assert cfg.inputs is None
         assert cfg.checks.eps == pytest.approx(1e-3)
 
-        # The bundled system hand-codes its closures, so integrating both
-        # is a genuine two-route comparison of the compiled dynamics.
+        # The oracle hand-codes its closures, so integrating both is a
+        # genuine two-route comparison of the compiled dynamics.
         hist = [HistoryFunction.constant([1.0])] * 3
-        a = simulate(cfg.system, hist, None, T=3.0, h=0.01)
-        b = simulate(ring_system(), hist, None, T=3.0, h=0.01)
+        a = simulate(ring_system(), hist, None, T=3.0, h=0.01)
+        b = simulate(hand_built_ring_system(), hist, None, T=3.0, h=0.01)
         np.testing.assert_allclose(a.states, b.states, atol=1e-9)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            ring_system(0.0)
+
+    def test_ring_network_source_is_pinned(self, monkeypatch):
+        # Trajectories keep their bits only while the emitted source does.
+        import smallgain.dsl as dsl
+
+        emitted = []
+        vector_function = dsl._vector_function
+
+        def recorded(*args):
+            emitted.append(args)
+            return vector_function(*args)
+
+        monkeypatch.setattr(dsl, "_vector_function", recorded)
+        parse_system(ring_config())
+        assert emitted == [
+            (
+                "_f",
+                "t, x, Z, u",
+                [
+                    "(((-3.0) * x[0]) + ((Z[1] ** 2.0) / (1.0 + (Z[1] ** 2.0))))",
+                    "(((-1.5) * x[1]) + (Z[2] ** 3.0))",
+                    "(((-2.0) * x[2]) + (Z[0] ** 2.0))",
+                ],
+                "<network rhs>",
+            )
+        ]
 
     def test_subsystem_rhs_is_compiled_on_first_call(self, monkeypatch):
         import smallgain.dsl as dsl
@@ -536,4 +656,4 @@ class TestParseSystem:
         path.write_text(json.dumps(ring_config()))
         cfg = load_config(path)
         assert cfg.k == 3
-        assert cfg.digraph == ring_gains()
+        assert cfg.digraph == hand_built_ring_gains()
