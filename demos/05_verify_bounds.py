@@ -41,13 +41,14 @@ system = ring_system(delta=1.0)
 hist = [HistoryFunction.constant([1.0]) for _ in range(3)]
 traj = simulate(system, hist, None, T=20.0, h=0.01)
 
-# Step 4: check the bounds.  GS holds the whole trajectory below the
+# Step 4: check the bounds.  Each check reads the history and the inputs
+# from the trajectory itself.  GS holds the whole trajectory below the
 # transient envelope; AG compares tail limsups against the input gains
 # (zero here, the system is unforced); GAS additionally demands the
 # tail shrink below an explicit epsilon.
-gs = check_gs(traj, g, closed, hist)
+gs = check_gs(traj, g, closed)
 ag = check_ag(traj, closed)
-gas = check_gas(traj, global_gs_sigma(g, closed), hist, eps=1e-3)
+gas = check_gas(traj, global_gs_sigma(g, closed), eps=1e-3)
 
 for rep in (gs, ag, gas):
     print(f"\n{rep.summary()}")

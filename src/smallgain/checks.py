@@ -1,8 +1,9 @@
 """Checking certified stability bounds against simulated trajectories.
 
-Three families of checks, all evaluated on a trajectory's step grid plus
-step midpoints (the dense interpolant's accuracy makes finer sampling
-pointless, which is the documented approximation of every sup here):
+Three families of checks, each reading only the trajectory: its history,
+its inputs, and its norm table at the step-grid nodes plus step midpoints
+(the dense interpolant's accuracy makes finer sampling pointless, which
+is the documented approximation of every sup here):
 
 * transient (GS): every subsystem stays below a constant computed from
   the combined initial constant c and the input norm,
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .gains import KFunction
 from .graph import GainDigraph
 from .reduction import ClosedLoopGains, combined_initial_constant
-from .sim import HistoryFunction, InputSignal, Trajectory, segment_norms
+from .sim import Trajectory
 
 __all__ = [
     "sup_norm",
@@ -47,14 +48,29 @@ _SETTLE_RTOL = 1e-6
 _SETTLE_ATOL = 1e-12
 
 
-def _window_times(traj: Trajectory, a: float, b: float) -> np.ndarray:
-    """Grid nodes in [a, b] plus step midpoints and the two endpoints."""
-    nodes = traj.grid_times()
-    inside = nodes[(nodes >= a - 1e-12) & (nodes <= b + 1e-12)]
-    mids = (nodes[:-1] + nodes[1:]) / 2.0
-    mids = mids[(mids >= a) & (mids <= b)]
-    extra = [t for t in (a, b) if -traj.theta <= t <= traj.t_end]
-    return np.unique(np.concatenate([inside, mids, np.asarray(extra)]))
+def _samples(traj: Trajectory, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times in [a, b], in order, and the block norms there: the
+    norm-table rows of nodes within 1e-12 of the window and of midpoints
+    inside it, plus a and b, interpolated, where they are not samples."""
+    times, norms = traj.norm_table
+    slack = np.where(np.arange(times.size) % 2, 0.0, 1e-12)
+    keep = (times >= a - slack) & (times <= b + slack)
+    times, norms = times[keep], norms[keep]
+    ends = sorted(t for t in {a, b} if -traj.theta <= t <= traj.t_end and t not in times)
+    if ends:
+        at = np.searchsorted(times, ends)
+        times = np.insert(times, at, ends)
+        norms = np.insert(norms, at, traj.block_norms(traj.interpolate_many(ends)), axis=0)
+    return times, norms
+
+
+def _column(traj: Trajectory, norms: np.ndarray, subsystem: int | None) -> np.ndarray:
+    """One subsystem's norms, or the maximum over blocks for None."""
+    if subsystem is None:
+        return norms.max(axis=1)
+    if not (1 <= subsystem <= len(traj.dims)):
+        raise ValueError(f"subsystem index {subsystem} out of range 1..{len(traj.dims)}")
+    return norms[:, subsystem - 1]
 
 
 def sup_norm(
@@ -76,9 +92,7 @@ def sup_norm(
         raise ValueError(
             f"interval [{a}, {b}] outside trajectory range [{-traj.theta}, {traj.t_end}]"
         )
-    times = _window_times(traj, a, b)
-    vals = traj.interpolate_many(times)
-    return float(np.max(traj._block_norms(vals, subsystem)))
+    return float(np.max(_column(traj, _samples(traj, a, b)[1], subsystem)))
 
 
 @dataclass(frozen=True)
@@ -198,24 +212,8 @@ class BoundReport:
         return line
 
 
-def _history_norms(traj: Trajectory, hist: Sequence[HistoryFunction]) -> dict[int, float]:
-    """Sup norm of each subsystem's initial segment on the step grid
-    (plus midpoints).
-
-    When ``hist`` holds the functions the trajectory was simulated from,
-    these are the trajectory's ``history_norms``, computed once and shared
-    by the GS and GAS checks; other functions are sampled at every time.
-    """
-    if len(hist) == len(traj.history) and all(a is b for a, b in zip(hist, traj.history)):
-        return dict(traj.history_norms)
-    return segment_norms(traj.hist_times, hist)
-
-
-def _input_norm(traj: Trajectory, u: Sequence[InputSignal] | None) -> float:
-    if u is None:
-        return 0.0
-    times = traj.t_nodes
-    return max((sig.sup_norm(times) for sig in u if sig.dim > 0), default=0.0)
+def _input_norm(traj: Trajectory) -> float:
+    return max((sig.sup_norm(traj.t_nodes) for sig in traj.inputs or () if sig.dim > 0), default=0.0)
 
 
 def _pointwise_check(
@@ -223,13 +221,12 @@ def _pointwise_check(
 ) -> tuple[dict[int, float], Witness | None]:
     """Compare each subsystem's norm against its constant bound on
     [0, t_end]; returns per-node margins and the earliest violation."""
-    times = _window_times(traj, 0.0, traj.t_end)
-    vals = traj.interpolate_many(times)
+    times, block_norms = _samples(traj, 0.0, traj.t_end)
     margins: dict[int, float] = {}
     witness: Witness | None = None
     for i in sorted(bounds):
         # Key 0 stands for the whole state rather than one block.
-        norms = traj._block_norms(vals, i if i != 0 else None)
+        norms = _column(traj, block_norms, i if i != 0 else None)
         margins[i] = float(bounds[i] - np.max(norms))
         if margins[i] < 0.0 and witness is None:
             bad = np.nonzero(norms > bounds[i])[0]
@@ -242,19 +239,17 @@ def check_gs(
     traj: Trajectory,
     sys_gains: GainDigraph,
     closed: ClosedLoopGains,
-    hist: Sequence[HistoryFunction],
-    u: Sequence[InputSignal] | None = None,
 ) -> BoundReport:
     """Check the transient (GS) bound on a trajectory.
 
-    The combined initial constant c is computed from the history norms
-    through the digraph's overshoot and coupling gains; each subsystem
-    is then held below max{sigma_i(c), gamma_iu(||u||)} at every sampled
-    time.  A blown-up trajectory fails outright with the escape time as
-    witness.
+    The combined initial constant c is computed from the trajectory's
+    history norms through the digraph's overshoot and coupling gains;
+    each subsystem is then held below max{sigma_i(c), gamma_iu(||u||)},
+    with u the trajectory's inputs, at every sampled time.  A blown-up
+    trajectory fails outright with the escape time as witness.
     """
-    c = combined_initial_constant(sys_gains, _history_norms(traj, hist))
-    u_norm = _input_norm(traj, u)
+    c = combined_initial_constant(sys_gains, traj.history_norms)
+    u_norm = _input_norm(traj)
     bounds: dict[int, float] = {}
     for i in range(1, closed.k + 1):
         b = closed.sigmas[i](c)
@@ -289,20 +284,20 @@ def check_gs(
 def check_ag(
     traj: Trajectory,
     closed: ClosedLoopGains,
-    u: Sequence[InputSignal] | None = None,
     tail_fraction: float = 0.2,
     atol: float = 1e-3,
 ) -> BoundReport:
     """Check the asymptotic-gain (AG) bound on a trajectory.
 
     Each subsystem's limsup estimate must stay within ``atol`` of its
-    closed-loop input gain at the input norm; subsystems the input
-    cannot reach get a zero bound, which the finite-horizon tail can
-    only meet up to the transient remainder, hence the tolerance.
+    closed-loop input gain at the norm of the trajectory's inputs;
+    subsystems the input cannot reach get a zero bound, which the
+    finite-horizon tail can only meet up to the transient remainder,
+    hence the tolerance.
     """
     if traj.blow_up:
         raise ValueError("trajectory blew up; asymptotic bounds are undefined")
-    u_norm = _input_norm(traj, u)
+    u_norm = _input_norm(traj)
     bounds: dict[int, float] = {}
     margins: dict[int, float] = {}
     limsups: dict[str, LimsupEstimate] = {}
@@ -337,19 +332,18 @@ def check_ag(
 def check_gas(
     traj: Trajectory,
     sigma: KFunction,
-    hist: Sequence[HistoryFunction],
     eps: float,
     tail_fraction: float = 0.2,
 ) -> BoundReport:
     """Check asymptotic stability of an unforced trajectory.
 
-    Two conditions: the state norm stays below sigma(||history||) at
-    every sampled time, and the tail supremum falls below ``eps``.
-    Blow-up is an immediate violation.
+    Two conditions: the state norm stays below sigma(||history||), with
+    the trajectory's own history, at every sampled time, and the tail
+    supremum falls below ``eps``.  Blow-up is an immediate violation.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    xi = max(_history_norms(traj, hist).values())
+    xi = max(traj.history_norms.values())
     bound = float(sigma(xi))
     if traj.blow_up:
         esc = traj.escape_time if traj.escape_time is not None else traj.t_end

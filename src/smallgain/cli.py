@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_ag, check_gas, check_gs
-from .dsl import ConfigError, ParsedConfig, SimParams, parse_system
+from .dsl import ConfigError, ParsedConfig, SimParams, load_document, parse_system
 from .gains import VerdictStatus
 from .graph import CycleCountExceeded, check_cyclic_small_gain
 from .reduction import (
@@ -112,23 +112,15 @@ class _Run:
         (self.out / "manifest.json").write_text(text, encoding="utf-8")
 
 
-def _load_doc(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"configuration file not found: {path}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}")
-
-
 def _apply_overrides(cfg: ParsedConfig, args) -> ParsedConfig:
     checks = cfg.checks
     grid_points = getattr(args, "grid_points", None)
     if grid_points is not None:
-        checks = replace(checks, grid=replace(checks.grid, n_points=grid_points))
+        try:
+            grid = replace(checks.grid, n_points=grid_points)
+        except ValueError as exc:
+            raise ConfigError(f"--grid-points: {exc}") from exc
+        checks = replace(checks, grid=grid)
     tail = getattr(args, "tail_fraction", None)
     if tail is not None:
         if not 0 < tail <= 1:
@@ -217,23 +209,18 @@ def _checks_stage(cfg: ParsedConfig, closed, traj, run: _Run, say=print) -> int:
     reports = {}
     for kind in _requested_checks(cfg):
         if kind == "gs":
-            rep = check_gs(traj, cfg.digraph, closed, cfg.history, u=cfg.inputs)
+            rep = check_gs(traj, cfg.digraph, closed)
         elif kind == "ag":
             rep = check_ag(
                 traj,
                 closed,
-                u=cfg.inputs,
                 tail_fraction=cfg.checks.tail_fraction,
                 atol=cfg.checks.ag_atol,
             )
         else:
             sigma = global_gs_sigma(cfg.digraph, closed)
             rep = check_gas(
-                traj,
-                sigma,
-                cfg.history,
-                cfg.checks.eps,
-                tail_fraction=cfg.checks.tail_fraction,
+                traj, sigma, cfg.checks.eps, tail_fraction=cfg.checks.tail_fraction
             )
         reports[kind] = rep
         say(rep.summary())
@@ -246,7 +233,7 @@ def _checks_stage(cfg: ParsedConfig, closed, traj, run: _Run, say=print) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _apply_overrides(parse_system(_load_doc(args.config)), args)
+    cfg = _apply_overrides(parse_system(load_document(args.config)), args)
     run = _Run(args.out)
     code, _ = _analyze_stage(cfg, run)
     run.manifest(args, {"exit_code": code})
@@ -254,7 +241,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(parse_system(_load_doc(args.config)), args)
+    cfg = _apply_overrides(parse_system(load_document(args.config)), args)
     run = _Run(args.out)
     traj = _simulate_stage(cfg, run)
     code = EXIT_BLOWUP if traj.blow_up else EXIT_OK
@@ -324,7 +311,7 @@ def _sweep_doc(doc: dict, key: str, value: float) -> dict:
 
 
 def cmd_verify(args) -> int:
-    doc = _load_doc(args.config)
+    doc = load_document(args.config)
     if args.sweep is None:
         cfg = _apply_overrides(parse_system(doc), args)
         return _verify_one(cfg, args, args.out)

@@ -54,6 +54,7 @@ __all__ = [
     "CheckParams",
     "ParsedConfig",
     "parse_system",
+    "load_document",
     "load_config",
 ]
 
@@ -198,6 +199,12 @@ class _Parser:
         self.idx += 1
         return tok
 
+    def number(self, tok: _Token) -> float:
+        value = float(tok.text)
+        if math.isinf(value):
+            self.error(f"numeric literal {tok.text!r} is beyond the float range", tok.pos)
+        return value
+
     def expect_op(self, text: str) -> _Token:
         tok = self.tokens[self.idx]
         if tok.text != text:
@@ -248,7 +255,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return _Num(float(tok.text), tok.pos)
+            return _Num(self.number(tok), tok.pos)
         if tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
@@ -270,7 +277,7 @@ class _Parser:
                 if num.kind != "num":
                     self.error("expected a delay literal after '[-'")
                 self.idx += 1
-                delay = float(num.text)
+                delay = self.number(num)
                 self.expect_op("]")
             return _Name(tok.text, delay, tok.pos)
         shown = tok.text if tok.kind != "end" else "end of input"
@@ -768,8 +775,16 @@ def _schema() -> dict:
 
 @dataclass(frozen=True)
 class SimParams:
+    """Horizon T (finite, >= 0) and step h (finite, > 0) of a run."""
+
     T: float
     h: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.T) and self.T >= 0.0):
+            raise ConfigError(f"horizon T must be finite and >= 0, got {self.T!r}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ConfigError(f"step h must be finite and > 0, got {self.h!r}")
 
 
 @dataclass(frozen=True)
@@ -1000,7 +1015,10 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     sim = None
     sim_doc = doc.get("simulation")
     if sim_doc is not None:
-        sim = SimParams(T=float(sim_doc["T"]), h=float(sim_doc["h"]))
+        try:
+            sim = SimParams(T=float(sim_doc["T"]), h=float(sim_doc["h"]))
+        except ConfigError as exc:
+            _fail("$.simulation", str(exc))
         hist_doc = sim_doc["history"]
         if len(hist_doc) != k:
             _fail("$.simulation.history", f"expected {k} entries, got {len(hist_doc)}")
@@ -1051,11 +1069,19 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     )
 
 
+def load_document(path) -> dict:
+    """Read a JSON configuration file; every failure is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"configuration file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}")
+
+
 def load_config(path) -> ParsedConfig:
     """Read a JSON configuration file and parse it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_system(doc)
+    return parse_system(load_document(path))

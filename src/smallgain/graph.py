@@ -111,10 +111,6 @@ class GainDigraph:
         object.__setattr__(self, "input_gains", MappingProxyType(inputs))
         object.__setattr__(self, "gs_gains", MappingProxyType(overshoots))
 
-    def successors(self, i: int) -> list[int]:
-        """Nodes j whose output feeds node i, in increasing order."""
-        return sorted(j for (a, j) in self.edges if a == i)
-
     def __hash__(self) -> int:
         return hash((self.k, tuple(sorted(self.edges)), tuple(sorted(self.input_gains)), tuple(sorted(self.gs_gains))))
 

@@ -75,26 +75,19 @@ class ElimStep:
     """Record of one node elimination.
 
     out_gains is the eliminated node's row at elimination time (gains
-    toward the then-surviving nodes), which is exactly what
-    back-substitution needs later.  new_edges lists the surviving-pair
-    gains introduced or widened by the substitution, and dropped_self
+    toward the then-surviving nodes) and inputs its channel gains, which
+    is exactly what back-substitution needs later; dropped_self holds
     the contractive self-terms discarded under the 2-cycle condition.
     """
 
     node: int
     out_gains: Mapping[int, KFunction]
     inputs: Mapping[str, KFunction]
-    new_edges: Mapping[tuple[int, int], KFunction]
-    new_inputs: Mapping[str, Mapping[int, KFunction]]
     dropped_self: Mapping[int, KFunction]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_gains", MappingProxyType(dict(self.out_gains)))
         object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
-        object.__setattr__(self, "new_edges", MappingProxyType(dict(self.new_edges)))
-        object.__setattr__(
-            self, "new_inputs", MappingProxyType({ch: MappingProxyType(dict(v)) for ch, v in dict(self.new_inputs).items()})
-        )
         object.__setattr__(self, "dropped_self", MappingProxyType(dict(self.dropped_self)))
 
 
@@ -158,7 +151,6 @@ def _eliminate(
         if loop is not None:
             dropped[i] = loop
 
-    new_edges: dict[tuple[int, int], KFunction] = {}
     out_edges = {(i, j): g for (i, j), g in edges.items() if i in survivors and j in survivors}
     for i in survivors:
         if (i, m) not in edges:
@@ -168,33 +160,24 @@ def _eliminate(
             if j == i or (m, j) not in edges:
                 continue
             via = Compose(g_im, edges[(m, j)])
-            merged = max_of([edges[(i, j)], via] if (i, j) in edges else [via])
-            out_edges[(i, j)] = merged
-            new_edges[(i, j)] = merged
+            out_edges[(i, j)] = max_of([edges[(i, j)], via] if (i, j) in edges else [via])
 
     out_channels: dict[str, dict[int, KFunction]] = {}
-    new_inputs: dict[str, dict[int, KFunction]] = {}
     for ch, gains in channels.items():
         out_ch = {i: g for i, g in gains.items() if i in survivors}
-        new_ch: dict[int, KFunction] = {}
         if m in gains:
             g_mu = gains[m]
             for i in survivors:
                 if (i, m) not in edges:
                     continue
                 via = Compose(edges[(i, m)], g_mu)
-                merged = max_of([out_ch[i], via] if i in out_ch else [via])
-                out_ch[i] = merged
-                new_ch[i] = merged
+                out_ch[i] = max_of([out_ch[i], via] if i in out_ch else [via])
         out_channels[ch] = out_ch
-        new_inputs[ch] = new_ch
 
     step = ElimStep(
         node=m,
         out_gains={j: edges[(m, j)] for j in survivors if (m, j) in edges},
         inputs={ch: gains[m] for ch, gains in channels.items() if m in gains},
-        new_edges=new_edges,
-        new_inputs=new_inputs,
         dropped_self=dropped,
     )
     return survivors, out_edges, out_channels, step

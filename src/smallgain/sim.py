@@ -41,6 +41,9 @@ general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
 vectorised pass, which is the dense output on the whole time range, and
 the shortened final step uses it for its off-grid delayed values.
+Trajectory.norm_table holds the block norms at every stored node and
+step midpoint; the history norms and every supremum of smallgain.checks
+are maxima over its rows.
 
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
@@ -421,25 +424,6 @@ def _hermite(u, dt, xa, fa, xb, fb):
     return h00 * xa + h10 * dt * fa + h01 * xb + h11 * dt * fb
 
 
-def segment_norms(
-    times: np.ndarray, hist: Sequence[HistoryFunction], states: np.ndarray | None = None
-) -> dict[int, float]:
-    """Sup norm of each history function over ``times`` and their midpoints.
-
-    ``states``, when given, holds the flat values at ``times`` (blocks in
-    the order of ``hist``), which are then read instead of calling the
-    functions there.
-    """
-    mids = (times[:-1] + times[1:]) / 2.0
-    out, off = {}, 0
-    for i, fn in enumerate(hist, start=1):
-        nodes = [fn(float(t)) for t in times] if states is None else states[:, off : off + fn.dim]
-        off += fn.dim
-        vals = np.vstack([*nodes, *(fn(float(t)) for t in mids)])
-        out[i] = float(np.max(np.linalg.norm(vals, axis=1)))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense solution of a simulation run.
@@ -448,7 +432,8 @@ class Trajectory:
     exact right-hand side there, which together define a C^1 cubic
     Hermite interpolant on each step.  hist_times/hist_states cover the
     initial segment on the step grid; interpolation below zero falls
-    back to the continuous history functions.
+    back to the continuous history functions.  history and inputs drove
+    the run; inputs is None for a build_auxiliary_system closure.
     """
 
     dims: tuple[int, ...]
@@ -460,6 +445,7 @@ class Trajectory:
     hist_times: np.ndarray
     hist_states: np.ndarray
     history: tuple[HistoryFunction, ...]
+    inputs: tuple[InputSignal, ...] | None = None
     blow_up: bool = False
     escape_time: float | None = None
     requested_T: float = 0.0
@@ -501,14 +487,31 @@ class Trajectory:
         return self.states.copy()
 
     @cached_property
-    def history_norms(self) -> Mapping[int, float]:
-        """Sup norm of each subsystem's initial segment on the step grid
-        plus midpoints, computed once per trajectory.
+    def norm_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only sample times on [-theta, t_end] and the norm of
+        subsystem i's block there in column i - 1, computed once.
 
-        Node times read the stored samples ``hist_states``; only the
-        midpoints call the history functions.
+        Even rows are the stored nodes and read the stored states; odd
+        rows are the step midpoints, read through interpolate_many.
         """
-        return MappingProxyType(segment_norms(self.hist_times, self.history, self.hist_states))
+        nodes = self.grid_times()
+        times = np.empty(2 * nodes.size - 1)
+        times[0::2] = nodes
+        times[1::2] = (nodes[:-1] + nodes[1:]) / 2.0
+        vals = np.empty((times.size, self.total_dim))
+        vals[0::2] = self.grid_states()
+        vals[1::2] = self.interpolate_many(times[1::2])
+        norms = self.block_norms(vals)
+        times.flags.writeable = norms.flags.writeable = False
+        return times, norms
+
+    @cached_property
+    def history_norms(self) -> Mapping[int, float]:
+        """Sup norm of each subsystem's initial segment: the maximum
+        over the rows of norm_table at or before time zero."""
+        times, norms = self.norm_table
+        sup = norms[times <= 0.0].max(axis=0)
+        return MappingProxyType({i: float(v) for i, v in enumerate(sup, start=1)})
 
     def _hist_value(self, t: float) -> np.ndarray:
         return np.concatenate([fn(t) for fn in self.history])
@@ -523,6 +526,8 @@ class Trajectory:
         Times at or below zero read the history functions; later times
         use the cubic Hermite interpolant of the step they fall in, and a
         time equal to a node returns that node's stored state exactly.
+        History nodes read the functions where simulate sampled them,
+        also the first one when it lies just below -theta.
         """
         ts = np.asarray(times, dtype=float).reshape(-1)
         out = np.empty((ts.size, self.total_dim))
@@ -531,8 +536,9 @@ class Trajectory:
             t = float(ts[~inside][0])
             raise ValueError(f"time {t} outside trajectory range [{-self.theta}, {self.t_end}]")
         past = ts <= 0.0
+        lo = min(-self.theta, float(self.hist_times[0]))
         for r in np.flatnonzero(past):
-            out[r] = self._hist_value(max(float(ts[r]), -self.theta))
+            out[r] = self._hist_value(max(float(ts[r]), lo))
         t = np.minimum(ts[~past], self.t_end)
         if len(self.t_nodes) == 1:
             out[~past] = self.states[0]
@@ -551,19 +557,18 @@ class Trajectory:
     def node_norms(self, subsystem: int | None = None, include_history: bool = True) -> np.ndarray:
         """Per-node norms: subsystem block Euclidean norm, or the max
         over blocks when subsystem is None."""
-        stacked = self.grid_states(include_history)
-        return self._block_norms(stacked, subsystem)
-
-    def _block_norms(self, arr: np.ndarray, subsystem: int | None) -> np.ndarray:
-        arr = np.atleast_2d(arr)
-        off = self.offsets()
+        states = self.grid_states(include_history)
         if subsystem is not None:
-            blk = self.block(subsystem)
-            return np.linalg.norm(arr[:, blk], axis=1)
-        norms = np.zeros(arr.shape[0])
-        for i in range(len(self.dims)):
-            norms = np.maximum(norms, np.linalg.norm(arr[:, off[i] : off[i + 1]], axis=1))
-        return norms
+            return np.linalg.norm(states[:, self.block(subsystem)], axis=1)
+        return self.block_norms(states).max(axis=1)
+
+    def block_norms(self, states: np.ndarray) -> np.ndarray:
+        """Euclidean norm of every subsystem's block in each row of
+        states, one column per subsystem."""
+        off = self.offsets()
+        return np.column_stack(
+            [np.linalg.norm(states[:, off[i] : off[i + 1]], axis=1) for i in range(len(self.dims))]
+        )
 
     def metadata(self) -> dict:
         return {
@@ -866,6 +871,7 @@ def simulate(
         hist_times=hist_times,
         hist_states=xs[: M + 1],
         history=tuple(hist),
+        inputs=None if feedback is not None else tuple(inputs),
         blow_up=blow_up,
         escape_time=escape_time,
         requested_T=T,

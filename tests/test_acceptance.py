@@ -311,7 +311,7 @@ class TestTransientBoundFixture:
         u = [InputSignal.constant([0.3])]
         traj = simulate(sys, hist, u, T=10.0, h=0.01)
 
-        report = check_gs(traj, g, closed, hist, u)
+        report = check_gs(traj, g, closed)
         assert report.holds
         bound = max(7.0 * 1.0, 0.5 * 0.3)
         assert report.node_bounds[1] == pytest.approx(bound)

@@ -393,6 +393,46 @@ class TestErrors:
         code = main(["verify", cfg, "--out", str(tmp_path / "o"), "--tail-fraction", "1.5"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, value, fragment",
+        [
+            ("--horizon", "-1", "horizon T"),
+            ("--horizon", "inf", "horizon T"),
+            ("--horizon", "nan", "horizon T"),
+            ("--step", "0", "step h"),
+            ("--step", "inf", "step h"),
+            ("--grid-points", "1", "--grid-points"),
+        ],
+    )
+    def test_out_of_range_overrides(self, tmp_path, capsys, option, value, fragment):
+        cfg = ring_doc(tmp_path)
+        code = main(["verify", cfg, "--out", str(tmp_path / "o"), option, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
+    @pytest.mark.parametrize(
+        "old, new, fragment",
+        [
+            ('"T": 2.0', '"T": 1e999', "horizon T"),
+            ('"h": 0.01', '"h": 1e999', "step h"),
+            ('"3,1": "s^2"', '"3,1": "1e999*s"', "'1e999' is beyond"),
+            ('"-3*x_1 + ', '"-3*x_1 + 1e999*v_2[-1.0] + ', "'1e999' is beyond"),
+            ("v_3[-1.0]^3", "v_3[-1e999]^3", "'1e999' is beyond"),
+            ("[1.0], [1.0], [1.0]", '[1.0], [1.0], {"type": "expression", "exprs": ["1e999*t"]}',
+             "'1e999' is beyond"),
+        ],
+    )
+    def test_out_of_range_config_numbers(self, tmp_path, capsys, old, new, fragment):
+        text = json.dumps(ring_config(T=2.0))
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new, 1))
+        code = main(["verify", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and fragment in err[0]
+
 
 class TestDeterminism:
     def test_identical_runs_from_different_directories(self, tmp_path):

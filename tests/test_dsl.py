@@ -98,6 +98,7 @@ class TestGainGrammar:
             "x_1",
             "s[-1.0]",
             "exp(s)",
+            "1e999*s",
         ],
     )
     def test_rejects(self, text):
@@ -312,6 +313,8 @@ class TestRhsCompiler:
             ("exp(x_1_1, x_1_2)", "takes one argument"),
             ("t[-0.5]", "t cannot carry a delay"),
             ("s", "unknown identifier"),
+            ("-3*x_1 + 1e999*v_2[-1.0]", "beyond the float range"),
+            ("v_2[-1e999]", "beyond the float range"),
         ],
     )
     def test_rejects(self, expr, fragment):
@@ -350,6 +353,10 @@ def compile_dynamics(expr):
     return compile_rhs([expr, "-x_1_2", "-x_1_3"], 1, DIMS, INPUT_DIMS, DELAYS)
 
 
+def compile_time(expr):
+    return compile_time_expression([expr])
+
+
 @pytest.mark.parametrize(
     "compile_fn, text, error_cls, line, col, fragment",
     [
@@ -374,6 +381,11 @@ def compile_dynamics(expr):
         (compile_dynamics, "1 + exp", RhsParseError, 1, 5, "call it as exp(...)"),
         (compile_dynamics, "t(1)", RhsParseError, 1, 1, "variable, not a function"),
         (compile_dynamics, "x_1_1 +\n  cos(t) . t", RhsParseError, 2, 10, "composes gains"),
+        # A literal beyond float range would become inf.
+        (parse_gain, "1e999*s", GainParseError, 1, 1, "'1e999' is beyond the float range"),
+        (compile_dynamics, "-3*x_1 + 1e999*v_2[-1.0]", RhsParseError, 1, 10, "beyond the float range"),
+        (compile_dynamics, "v_2[-1e999]", RhsParseError, 1, 6, "beyond the float range"),
+        (compile_time, "1e999*t", RhsParseError, 1, 1, "beyond the float range"),
     ],
 )
 def test_cross_grammar_rejections(compile_fn, text, error_cls, line, col, fragment):
@@ -657,3 +669,5 @@ class TestParseSystem:
         cfg = load_config(path)
         assert cfg.k == 3
         assert cfg.digraph == hand_built_ring_gains()
+        with pytest.raises(ConfigError, match="configuration file not found"):
+            load_config(tmp_path / "absent.json")

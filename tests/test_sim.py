@@ -253,7 +253,8 @@ def reference_interpolate(traj: Trajectory, t: float) -> np.ndarray:
     if t < -traj.theta - 1e-12 or t > traj.t_end + 1e-12:
         raise ValueError(f"time {t} outside trajectory range [{-traj.theta}, {traj.t_end}]")
     if t <= 0.0:
-        return traj._hist_value(max(t, -traj.theta))
+        # The first stored history node may lie just below -theta.
+        return traj._hist_value(max(t, min(-traj.theta, float(traj.hist_times[0]))))
     if len(traj.t_nodes) == 1:
         return traj.states[0].copy()
     t = min(t, traj.t_end)
@@ -344,6 +345,16 @@ class TestVectorisedDenseOutput:
         traj = simulate(build_interconnection([sub], [1.0]), [hist], None, T=0.0, h=0.1)
         got = traj.interpolate_many([-1.0, -0.5, 0.0, 1e-13])
         np.testing.assert_array_equal(got[:, 0], [0.5, 0.75, 1.0, traj.states[0, 0]])
+
+    def test_stored_history_nodes_read_back_exactly(self):
+        # 3 * 0.1 rounds above the delay 0.3: the first stored history
+        # node lies just below -theta and still reads its own sample.
+        sub = Subsystem(dim=1, rhs=lambda t, x, z, u: -z[(1, 0.3)], references=((1, 0.3),))
+        hist = HistoryFunction.polynomial([[1.0, 1000.0]])
+        traj = simulate(build_interconnection([sub], [0.3]), [hist], None, T=0.5, h=0.1)
+        assert traj.hist_times[0] < -traj.theta
+        np.testing.assert_array_equal(traj.interpolate_many(traj.hist_times), traj.hist_states)
+        assert traj.interpolate(-traj.theta)[0] == hist(-0.3)[0]
 
     def test_out_of_range_and_empty(self):
         sys = scalar_system(lambda t, x, z, u: -x, dim=1)
