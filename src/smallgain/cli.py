@@ -37,7 +37,7 @@ from .reduction import (
     global_gs_sigma,
 )
 from .ring import ring_config
-from .sim import SimulationError, simulate
+from .sim import SimulationError, resolve_steps, simulate, simulate_batch
 
 __all__ = ["main"]
 
@@ -144,6 +144,16 @@ def _apply_overrides(cfg: ParsedConfig, args) -> ParsedConfig:
     return cfg
 
 
+def _check_steps(cfg: ParsedConfig) -> ParsedConfig:
+    """Reject a step that does not divide every delay before any stage runs."""
+    if cfg.sim is not None:
+        try:
+            resolve_steps(cfg.system.delays, cfg.sim.h)
+        except SimulationError as exc:
+            raise ConfigError(str(exc)) from exc
+    return cfg
+
+
 def _analyze_stage(cfg: ParsedConfig, run: _Run, say=print) -> tuple[int, object]:
     """Small-gain check plus closed-loop gains.  Returns (exit, closed)."""
     try:
@@ -177,12 +187,16 @@ def _analyze_stage(cfg: ParsedConfig, run: _Run, say=print) -> tuple[int, object
     return EXIT_INCONCLUSIVE, None
 
 
-def _simulate_stage(cfg: ParsedConfig, run: _Run, say=print):
+def _simulate_stage(cfg: ParsedConfig, run: _Run, say=print, trajectory=None):
+    """Write cfg's trajectory; trajectory(), when given, supplies it."""
     if cfg.sim is None or cfg.history is None:
         raise ConfigError(
             "this command needs a 'simulation' section (T, h, history)"
         )
-    traj = simulate(cfg.system, cfg.history, cfg.inputs, cfg.sim.T, cfg.sim.h)
+    if trajectory is None:
+        traj = simulate(cfg.system, cfg.history, cfg.inputs, cfg.sim.T, cfg.sim.h)
+    else:
+        traj = trajectory()
     run.write_csv("trajectory.csv", traj)
     run.write_json("trajectory_meta.json", traj.metadata())
     if traj.blow_up:
@@ -241,7 +255,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(parse_system(load_document(args.config)), args)
+    cfg = _check_steps(_apply_overrides(parse_system(load_document(args.config)), args))
     run = _Run(args.out)
     traj = _simulate_stage(cfg, run)
     code = EXIT_BLOWUP if traj.blow_up else EXIT_OK
@@ -249,7 +263,7 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _verify_one(cfg: ParsedConfig, args, out_dir, say=print) -> int:
+def _verify_one(cfg: ParsedConfig, args, out_dir, say=print, trajectory=None) -> int:
     run = _Run(out_dir)
     code, closed = _analyze_stage(cfg, run, say)
     if code != EXIT_OK:
@@ -259,11 +273,11 @@ def _verify_one(cfg: ParsedConfig, args, out_dir, say=print) -> int:
             run.manifest(args, {"exit_code": code})
             return code
         # Exploratory mode: integrate the system but make no bound claims.
-        traj = _simulate_stage(cfg, run, say)
+        traj = _simulate_stage(cfg, run, say, trajectory)
         code = EXIT_BLOWUP if traj.blow_up else EXIT_OK
         run.manifest(args, {"exit_code": code, "bounds_checked": False})
         return code
-    traj = _simulate_stage(cfg, run, say)
+    traj = _simulate_stage(cfg, run, say, trajectory)
     if traj.blow_up:
         run.manifest(args, {"exit_code": EXIT_BLOWUP})
         return EXIT_BLOWUP
@@ -287,6 +301,11 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"sweep values must be numbers, got {rest!r}")
     if any(not np.isfinite(v) or v <= 0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(
+                f"sweep value {value!r} is given twice; each run writes {key}_{value!r}"
+            )
     return key, values
 
 
@@ -310,10 +329,38 @@ def _sweep_doc(doc: dict, key: str, value: float) -> dict:
     return out
 
 
+def _sweep_trajectories(key: str, cfgs: list[ParsedConfig]):
+    """take(i) returns sweep child i's trajectory, or raises the error its
+    own simulate run would raise.
+
+    The first call integrates every child's: a delta sweep's children as
+    one union network (simulate_batch), a gain_scale sweep's once, since
+    only their gains differ.  Each result is handed out once and then
+    dropped.
+    """
+    results = []
+
+    def take(i: int):
+        if not results:
+            members = cfgs[:1] if key == "gain_scale" else cfgs
+            sim = cfgs[0].sim
+            results.extend(
+                simulate_batch([(c.system, c.history, c.inputs) for c in members], sim.T, sim.h)
+            )
+            if key == "gain_scale":
+                results.extend(results * (len(cfgs) - 1))
+        result, results[i] = results[i], None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return take
+
+
 def cmd_verify(args) -> int:
     doc = load_document(args.config)
     if args.sweep is None:
-        cfg = _apply_overrides(parse_system(doc), args)
+        cfg = _check_steps(_apply_overrides(parse_system(doc), args))
         return _verify_one(cfg, args, args.out)
 
     key, values = _parse_sweep(args.sweep)
@@ -324,13 +371,14 @@ def cmd_verify(args) -> int:
         child_args = argparse.Namespace(
             **{**vars(args), "sweep": None, "out": str(sub)}
         )
-        jobs.append((value, sub, cfg, child_args))
+        jobs.append((value, sub, _check_steps(cfg), child_args))
 
     parent = _Run(args.out)
+    take = _sweep_trajectories(key, [cfg for _, _, cfg, _ in jobs])
     runs = []
-    for value, sub, cfg, child_args in jobs:
+    for i, (value, sub, cfg, child_args) in enumerate(jobs):
         say = functools.partial(print, f"[{key}={value!r}]")
-        code = _verify_one(cfg, child_args, sub, say=say)
+        code = _verify_one(cfg, child_args, sub, say, functools.partial(take, i))
         runs.append({"value": value, "dir": sub.name, "exit_code": code})
     code = max(r["exit_code"] for r in runs)
     parent.manifest(args, {"sweep_key": key, "runs": runs, "exit_code": code})
@@ -415,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--sweep",
-        help="fan out runs over delta=... or gain_scale=... value lists, "
-        "run one after another in the order given",
+        help="fan out runs over delta=... or gain_scale=... value lists; "
+        "children are analysed, checked and written in the order given, "
+        "and their trajectories are integrated together",
     )
     _add_seed_arg(verify)
     verify.set_defaults(fn=cmd_verify)

@@ -50,6 +50,13 @@ early and is flagged as blown up together with the escape time.  NaN
 appearing in a right-hand side raises SimulationError instead; overflow
 to infinity counts as divergence.
 
+simulate_batch integrates several independent systems that share T and
+h (the children of a verify --sweep) as one disjoint-union network in a
+single simulate call, so they share the per-step cost of the loop.  The
+arithmetic is element-wise, so each member's trajectory is bit-identical
+to its own run; if the union blows up or raises, every member is
+integrated on its own instead.
+
 State-feedback disturbance closures (for robustness experiments) scale a
 bounded disturbance d(t) by a gain of the running history norm; see
 build_auxiliary_system.
@@ -79,11 +86,16 @@ __all__ = [
     "build_auxiliary_system",
     "reference_rows",
     "Trajectory",
+    "resolve_steps",
     "simulate",
+    "simulate_batch",
     "DEFAULT_DIVERGENCE_THRESHOLD",
 ]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
+
+# Times per block of Trajectory.interpolate_many.
+_DENSE_BLOCK = 512
 
 
 class _Diverged(Exception):
@@ -539,19 +551,22 @@ class Trajectory:
         lo = min(-self.theta, float(self.hist_times[0]))
         for r in np.flatnonzero(past):
             out[r] = self._hist_value(max(float(ts[r]), lo))
-        t = np.minimum(ts[~past], self.t_end)
         if len(self.t_nodes) == 1:
             out[~past] = self.states[0]
             return out
         nodes = self.t_nodes
-        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
-        ta, tb = nodes[j], nodes[j + 1]
-        dt = (tb - ta)[:, None]
-        u = (t - ta)[:, None] / dt
-        xa, xb = self.states[j], self.states[j + 1]
-        vals = _hermite(u, dt, xa, self.derivs[j], xb, self.derivs[j + 1])
-        vals = np.where((t == ta)[:, None], xa, np.where((t == tb)[:, None], xb, vals))
-        out[~past] = vals
+        later = np.flatnonzero(~past)
+        # Every operation is row-wise; blocks of rows bound the temporaries.
+        for b in range(0, later.size, _DENSE_BLOCK):
+            rows = later[b : b + _DENSE_BLOCK]
+            t = np.minimum(ts[rows], self.t_end)
+            j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+            ta, tb = nodes[j], nodes[j + 1]
+            dt = (tb - ta)[:, None]
+            u = (t - ta)[:, None] / dt
+            xa, xb = self.states[j], self.states[j + 1]
+            vals = _hermite(u, dt, xa, self.derivs[j], xb, self.derivs[j + 1])
+            out[rows] = np.where((t == ta)[:, None], xa, np.where((t == tb)[:, None], xb, vals))
         return out
 
     def node_norms(self, subsystem: int | None = None, include_history: bool = True) -> np.ndarray:
@@ -601,8 +616,8 @@ class Trajectory:
 # the integrator
 
 
-def _resolve_steps(delays: tuple[float, ...], h: float) -> dict[float, int]:
-    """Map each delay to its exact step multiple, or fail."""
+def resolve_steps(delays: Sequence[float], h: float) -> dict[float, int]:
+    """Map each delay to its exact step multiple, or raise SimulationError."""
     out = {}
     for th in delays:
         m_f = th / h
@@ -665,7 +680,7 @@ def simulate(
             if u.dim != sub.input_dim:
                 raise ValueError(f"input {i} has dim {u.dim}, subsystem expects {sub.input_dim}")
 
-    delay_steps = _resolve_steps(sys.delays, h)
+    delay_steps = resolve_steps(sys.delays, h)
     M = max(delay_steps.values(), default=0)
     n = sys.total_dim
     off = sys.offsets()
@@ -876,3 +891,107 @@ def simulate(
         escape_time=escape_time,
         requested_T=T,
     )
+
+
+def simulate_batch(
+    members: Sequence[tuple[DelaySystemSpec, Sequence[HistoryFunction], Sequence[InputSignal] | None]],
+    T: float,
+    h: float,
+) -> list[Trajectory | Exception]:
+    """simulate(sys, hist, inputs, T, h) of every member, as one run.
+
+    The members form a disjoint-union network: member b's subsystems and
+    references are numbered after member b-1's, the delay set is the
+    union of theirs, and the network function calls each member's own on
+    its slices of x, Z and u (reference_rows sorts references, so each
+    member's Z is contiguous).  The arithmetic is element-wise, so each
+    member's trajectory is bit-identical to its own run.  A history
+    function is never called before its member's own window: the union
+    rows there hold zeros, and no stage of that member gathers them.
+
+    Each result is the member's trajectory or the exception its own run
+    raises.  When the union blows up, raises, or ends without a finite
+    final derivative, every member is integrated on its own instead.
+    """
+    if len(members) > 1:
+        try:
+            union = _simulate_union(members, T, h)
+        except Exception:  # each member's own run below reproduces its error
+            union = None
+        if union is not None:
+            return union
+    results: list[Trajectory | Exception] = []
+    for sys, hist, inputs in members:
+        try:
+            results.append(simulate(sys, hist, inputs, T, h))
+        except Exception as exc:  # raised when the caller asks for this member
+            results.append(exc)
+    return results
+
+
+def _simulate_union(members, T: float, h: float) -> list[Trajectory] | None:
+    """The trajectories of simulate_batch from one union run, or None
+    when a member cannot join it, the run blew up, or its final
+    derivative was not stored."""
+    subsystems, delays, hist, inputs, plan, parts = [], set(), [], [], [], []
+    x0 = z0 = u0 = 0
+    for sys, mhist, minputs in members:
+        mhist = tuple(mhist)
+        if minputs is None:
+            minputs = [InputSignal.zero(s.input_dim) for s in sys.subsystems]
+        minputs = tuple(minputs)
+        if sys.feedback is not None or len(mhist) != sys.k or len(minputs) != sys.k:
+            return None
+        k = len(subsystems)
+        for s in sys.subsystems:
+            if any(not (1 <= j <= sys.k and th in sys.delays) for j, th in s.references):
+                return None  # the member's own run reports it
+            subsystems.append(replace(s, references=tuple((j + k, th) for j, th in s.references)))
+        delays.update(sys.delays)
+        M = max(resolve_steps(sys.delays, h).values(), default=0)
+        # The member's own run reads its history on [lo, 0]; the union
+        # rows before lo are never gathered for it and hold zeros.
+        lo = min(-M * h, -sys.theta)
+        hist += [
+            replace(fn, fn=lambda t, fn=fn.fn, lo=lo, zero=np.zeros(fn.dim): fn(t) if t >= lo else zero)
+            for fn in mhist
+        ]
+        inputs += minputs
+        x1, u1 = x0 + sys.total_dim, u0 + sys.total_input_dim
+        z1 = z0 + sum(sys.subsystems[j - 1].dim for j, _ in reference_rows(sys.subsystems))
+        rhs = sys.rhs if sys.rhs is not None else _subsystem_adapter(sys.subsystems)
+        plan.append((rhs, slice(x0, x1), slice(z0, z1), slice(u0, u1)))
+        parts.append((sys, mhist, minputs, M, slice(x0, x1)))
+        x0, z0, u0 = x1, z1, u1
+
+    n, calls, last = x0, 0, None
+
+    def f(t, x, Z, u):
+        nonlocal calls, last
+        last = np.empty(n)
+        for rhs, xs, zs, us in plan:
+            last[xs] = rhs(t, x[xs], Z[zs], u[us])
+        calls += 1
+        return last
+
+    traj = simulate(DelaySystemSpec(tuple(subsystems), tuple(sorted(delays)), rhs=f), hist, inputs, T, h)
+    # Four calls per step, then the final derivative, which simulate
+    # keeps only when it is finite.
+    if traj.blow_up or calls != 4 * (len(traj.t_nodes) - 1) + 1 or not np.isfinite(last).all():
+        return None
+    rows = len(traj.hist_times)
+    return [
+        replace(
+            traj,
+            dims=sys.dims,
+            delays=sys.delays,
+            t_nodes=traj.t_nodes.copy(),
+            states=traj.states[:, xs].copy(),
+            derivs=traj.derivs[:, xs].copy(),
+            hist_times=traj.hist_times[rows - M - 1 :].copy(),
+            hist_states=traj.hist_states[rows - M - 1 :, xs].copy(),
+            history=mhist,
+            inputs=minputs,
+        )
+        for sys, mhist, minputs, M, xs in parts
+    ]

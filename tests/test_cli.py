@@ -45,6 +45,50 @@ def read_json(out_dir, name):
     return json.loads((out_dir / name).read_text())
 
 
+def plain_sweep_doc(key, value):
+    """The ring a sweep child runs, written without the sweep."""
+    if key == "delta":
+        return ring_config(delta=value, T=4.0)
+    doc = ring_config(T=4.0)
+    doc["gains"]["edges"] = {e: f"{value!r}*({g})" for e, g in doc["gains"]["edges"].items()}
+    return doc
+
+
+def assert_sweep_matches_plain_runs(tmp_path, capsys, key, values, options):
+    """Each sweep child's stdout lines and artifacts are those of a plain
+    verify run of its config."""
+    out = tmp_path / "sweep"
+    spec = f"{key}=" + ",".join(repr(v) for v in values)
+    cmd = ["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec, *options]
+    sweep_code = main(cmd)
+    sweep_lines = capsys.readouterr().out.splitlines()
+    expected_lines, codes = [], []
+    for v in values:
+        plain = tmp_path / f"plain_{v!r}"
+        cfg = write_doc(tmp_path, plain_sweep_doc(key, v), name=f"ring_{v!r}.json")
+        codes.append(main(["verify", cfg, "--out", str(plain), *options]))
+        expected_lines += [f"[{key}={v!r}] {line}" for line in capsys.readouterr().out.splitlines()]
+        assert_same_artifacts(out / f"{key}_{v!r}", plain)
+    assert sweep_code == max(codes)
+    assert sweep_lines == expected_lines + [
+        f"sweep: {len(values)} runs, worst exit code {max(codes)}"
+    ]
+
+
+def assert_same_artifacts(child, plain):
+    """Same files with the same bytes; the manifests differ only in paths."""
+    names = sorted(p.name for p in child.iterdir())
+    assert names == sorted(p.name for p in plain.iterdir())
+    for name in names:
+        if name == "manifest.json":
+            a, b = read_json(child, name), read_json(plain, name)
+            for doc in (a, b):
+                del doc["out"], doc["config"]
+            assert a == b
+        else:
+            assert (child / name).read_bytes() == (plain / name).read_bytes(), name
+
+
 class TestExample:
     def test_stdout(self, capsys):
         assert main(["example"]) == 0
@@ -298,31 +342,63 @@ class TestSweep:
         assert meta["delays"] == [0.5]
 
     def test_sweep_children_match_plain_runs(self, tmp_path, capsys):
-        deltas = (1.0, 0.5, 2.0)  # not sorted: children run in the given order
+        # Not sorted: children run in the given order.
+        assert_sweep_matches_plain_runs(tmp_path, capsys, "delta", (1.0, 0.5, 2.0), [])
+
+    @pytest.mark.parametrize(
+        "values, options", [((1.0, 3.0, 0.5), []), ((3.0, 1.0), ["--force-simulate"])]
+    )
+    def test_gain_scale_children_match_plain_runs(self, tmp_path, capsys, values, options):
+        assert_sweep_matches_plain_runs(tmp_path, capsys, "gain_scale", values, options)
+
+    @pytest.mark.parametrize("spec", ["delta=0.5,1.0,2.0", "gain_scale=0.5,1.0,3.0"])
+    def test_sweep_simulates_once(self, tmp_path, monkeypatch, spec):
+        import smallgain.sim
+        from smallgain.sim import simulate
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(smallgain.sim, "simulate", counted)
+        out = tmp_path / "out"
+        main(["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec])
+        assert len(calls) == 1
+        runs = read_json(out, "manifest.json")["runs"]
+        assert sum((out / r["dir"] / "trajectory.csv").exists() for r in runs) == (
+            3 if spec.startswith("delta") else 2
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_simulation_error_in_second_child(self, tmp_path, capsys):
+        def ring(delta):
+            # The root of the history 1 + t at t - delta is NaN at t = 0
+            # for delta 2.0 only.
+            doc = ring_config(delta=delta, T=4.0, h=0.1)
+            doc["subsystems"][0]["rhs"] = [f"-3*x_1 + 0.1*v_1[-{delta!r}]^0.5"]
+            doc["simulation"]["history"][0] = {"type": "expression", "exprs": ["1 + t"]}
+            return doc
+
         out = tmp_path / "sweep"
-        spec = "delta=" + ",".join(repr(d) for d in deltas)
-        sweep_code = main(["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec])
-        sweep_lines = capsys.readouterr().out.splitlines()
-        expected_lines, codes = [], []
-        for d in deltas:
+        code = main(["verify", write_doc(tmp_path, ring(1.0)), "--out", str(out), "--sweep", "delta=0.5,2.0"])
+        captured = capsys.readouterr()
+        expected_out, expected_err, codes = [], [], []
+        for d in (0.5, 2.0):
             plain = tmp_path / f"plain_{d!r}"
-            cfg = write_doc(tmp_path, ring_config(delta=d, T=4.0), name=f"ring_{d!r}.json")
+            cfg = write_doc(tmp_path, ring(d), name=f"ring_{d!r}.json")
             codes.append(main(["verify", cfg, "--out", str(plain)]))
-            expected_lines += [f"[delta={d!r}] {line}" for line in capsys.readouterr().out.splitlines()]
-            child = out / f"delta_{d!r}"
-            names = sorted(p.name for p in child.iterdir())
-            assert names == sorted(p.name for p in plain.iterdir())
-            for name in names:
-                if name == "manifest.json":
-                    # Only the paths differ.
-                    a, b = read_json(child, name), read_json(plain, name)
-                    for doc in (a, b):
-                        del doc["out"], doc["config"]
-                    assert a == b
-                else:
-                    assert (child / name).read_bytes() == (plain / name).read_bytes(), name
-        assert sweep_code == max(codes)
-        assert sweep_lines == expected_lines + [f"sweep: 3 runs, worst exit code {max(codes)}"]
+            plain_run = capsys.readouterr()
+            expected_out += [f"[delta={d!r}] {line}" for line in plain_run.out.splitlines()]
+            expected_err += plain_run.err.splitlines()
+            assert_same_artifacts(out / f"delta_{d!r}", plain)
+        assert codes[1] == code == 1
+        assert len(expected_err) == 1 and expected_err[0].startswith("error: NaN in right-hand side")
+        assert captured.out.splitlines() == expected_out
+        assert captured.err.splitlines() == expected_err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "delta_2.0" / "trajectory.csv").exists()
 
     def test_gain_scale_sweep_reports_worst_code(self, tmp_path):
         out = tmp_path / "out"
@@ -343,8 +419,19 @@ class TestSweep:
 
     def test_bad_sweep_specs(self, tmp_path):
         cfg = ring_doc(tmp_path)
-        for spec in ("delta", "delta=", "radius=1,2", "delta=1,-2", "delta=a,b"):
+        specs = ("delta", "delta=", "radius=1,2", "delta=1,-2", "delta=a,b", "delta=0.5,0.5", "delta=0.5,0.50")
+        for spec in specs:
             assert main(["verify", cfg, "--out", str(tmp_path / "x"), "--sweep", spec]) == 1
+            assert not (tmp_path / "x").exists()
+
+    def test_step_must_divide_every_child_delay(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["verify", ring_doc(tmp_path), "--out", str(out), "--sweep", "delta=0.5,0.015"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step h=0.01 must divide every delay; delay 0.015 is 1.5 steps\n"
+        assert not out.exists()
 
     def test_delta_sweep_needs_single_delay(self, tmp_path):
         doc = ring_config(T=1.0)
@@ -387,6 +474,16 @@ class TestErrors:
         del doc["simulation"]
         cfg = write_doc(tmp_path, doc)
         assert main(["verify", cfg, "--out", str(tmp_path / "o"), "--horizon", "1.0"]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_step_must_divide_delay(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, write_doc(tmp_path, ring_config(delta=0.015)), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step h=0.01 must divide every delay; delay 0.015 is 1.5 steps\n"
+        assert not out.exists()
 
     def test_bad_tail_fraction(self, tmp_path):
         cfg = ring_doc(tmp_path)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smallgain.sim
 from smallgain.dsl import parse_system
 from smallgain.gains import Linear, SaturatingRational
 from smallgain.sim import (
@@ -18,10 +19,11 @@ from smallgain.sim import (
     SimulationError,
     Subsystem,
     Trajectory,
-    _resolve_steps,
+    resolve_steps,
     build_auxiliary_system,
     build_interconnection,
     simulate,
+    simulate_batch,
 )
 
 
@@ -330,6 +332,18 @@ class TestVectorisedDenseOutput:
         for t, row in zip(times[:5], got):
             np.testing.assert_array_equal(traj.interpolate(t), row)
 
+    def test_blocks_match_one_pass(self, monkeypatch):
+        sys = scalar_system(lambda t, x, z, u: -x + np.sin(t) * z[(1, 0.5)], references=((1, 0.5),), delays=(0.5,))
+        traj = simulate(sys, [HistoryFunction.polynomial([[1.0, 0.3]])], None, T=150.05, h=0.1)
+        nodes = traj.grid_times()
+        rng = np.random.default_rng(0)
+        free = rng.uniform(-traj.theta, traj.t_end, 500)
+        times = rng.permutation(np.concatenate([nodes, (nodes[:-1] + nodes[1:]) / 2.0, free]))
+        assert times.size > 4 * smallgain.sim._DENSE_BLOCK
+        blocked = traj.interpolate_many(times)
+        monkeypatch.setattr(smallgain.sim, "_DENSE_BLOCK", times.size)
+        assert blocked.tobytes() == traj.interpolate_many(times).tobytes()
+
     def test_shortened_final_step_and_t_end(self):
         sys = scalar_system(lambda t, x, z, u: -x + np.sin(t))
         traj = simulate(sys, [HistoryFunction.constant([1.0])], None, T=0.33, h=0.1)
@@ -385,7 +399,7 @@ def reference_simulate(sys, hist, inputs, T, h, divergence_threshold=DEFAULT_DIV
         if inputs is None:
             inputs = [InputSignal.zero(s.input_dim) for s in sys.subsystems]
         inputs = list(inputs)
-    delay_steps = _resolve_steps(sys.delays, h)
+    delay_steps = resolve_steps(sys.delays, h)
     M = max(delay_steps.values(), default=0)
     n = sys.total_dim
     off = sys.offsets()
@@ -599,9 +613,9 @@ def input_signals(draw, dim):
 
 
 @st.composite
-def dsl_cases(draw):
-    """Random DSL networks with histories, inputs or a feedback closure."""
-    h = draw(st.sampled_from([0.05, 0.1, 0.25]))
+def dsl_networks(draw, h, feedback=True):
+    """A random DSL network at step h with histories, and inputs or
+    (when feedback) a feedback closure: (sys, hist, inputs)."""
     k = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     input_dims = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
@@ -633,14 +647,29 @@ def dsl_cases(draw):
     hist = [draw(histories(d)) for d in dims]
     inputs = None
     m = sum(input_dims)
-    mode = draw(st.sampled_from(["default", "signals", "feedback"])) if m else "default"
+    modes = ["default", "signals", "feedback"] if feedback else ["default", "signals"]
+    mode = draw(st.sampled_from(modes)) if m else "default"
     if mode == "signals":
         inputs = [draw(input_signals(d)) for d in input_dims]
     elif mode == "feedback":
         rho = draw(st.sampled_from([Linear(0.5), Linear(2.0), SaturatingRational(1.5, 2.0)]))
         sys = build_auxiliary_system(sys, rho, draw(input_signals(m)))
-    T = draw(st.one_of(st.integers(0, 30).map(lambda n: n * h), st.floats(0.0, 4.0)))
-    return sys, hist, inputs, T, h
+    return sys, hist, inputs
+
+
+_steps = st.sampled_from([0.05, 0.1, 0.25])
+
+
+def _horizons(h):
+    return st.one_of(st.integers(0, 30).map(lambda n: n * h), st.floats(0.0, 4.0))
+
+
+@st.composite
+def dsl_cases(draw):
+    """Random DSL networks with histories, inputs or a feedback closure."""
+    h = draw(_steps)
+    sys, hist, inputs = draw(dsl_networks(h))
+    return sys, hist, inputs, draw(_horizons(h)), h
 
 
 class TestStageGatherAgainstReference:
@@ -703,6 +732,141 @@ class TestStageGatherAgainstReference:
         # The oracle reads it unchecked and reports a blow-up at t=0.
         traj = reference_simulate(sys, [spiky], None, 1.0, h)
         assert traj.blow_up and traj.escape_time == 0.0
+
+
+def _nan_member(h, m):
+    """Raises NaN at the first stage: the root of the history -1."""
+    return dsl_system([["x_1^0.5 + v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([-1.0])], None
+
+
+def _escaping_member(h, m):
+    """Escapes near t = 0.4 (x' = x^2 from 2)."""
+    return dsl_system([["x_1^2 + 0.5*v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([2.0])], None
+
+
+def _finite_only_in_own_window(sys, hist):
+    """hist made non-finite before the member's own window [-theta, 0]."""
+    edge = -sys.theta - 1e-9
+
+    def guarded(fn):
+        return replace(fn, fn=lambda t, g=fn.fn, dim=fn.dim: g(t) if t >= edge else np.full(dim, np.inf))
+
+    return [guarded(fn) for fn in hist]
+
+
+@st.composite
+def union_cases(draw):
+    """Two or three members sharing T and h: random DSL networks (some
+    through the subsystem adapter, some with histories that are not
+    finite outside their own window), a NaN and an escaping member."""
+    h = draw(_steps)
+    members = []
+    for _ in range(draw(st.integers(2, 3))):
+        kind = draw(st.sampled_from(["network", "network", "network", "outside", "nan", "escape"]))
+        if kind in ("nan", "escape"):
+            make = _nan_member if kind == "nan" else _escaping_member
+            members.append(make(h, draw(st.integers(1, 6))))
+            continue
+        sys, hist, inputs = draw(dsl_networks(h, feedback=False))
+        if draw(st.booleans()):
+            sys = replace(sys, rhs=None)
+        if kind == "outside":
+            hist = _finite_only_in_own_window(sys, hist)
+        members.append((sys, hist, inputs))
+    return members, draw(_horizons(h)), h
+
+
+def _result(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def batch_matches_own_runs(members, T, h):
+    """simulate_batch gives every member exactly its own simulate
+    outcome, reads each history only inside the member's window, and
+    integrates once when every member's own run completes."""
+    times = [[] for _ in members]
+
+    def recorded(b, fn):
+        def read(t):
+            times[b].append(t)
+            return fn.fn(t)
+
+        return replace(fn, fn=read)
+
+    members = [
+        (sys, [recorded(b, fn) for fn in hist], inputs) for b, (sys, hist, inputs) in enumerate(members)
+    ]
+    runs = []
+
+    def own_run(m):
+        runs.append(simulate(*m, T, h))
+        return runs[-1]
+
+    own = [outcome(lambda m=m: own_run(m)) for m in members]
+    for t in times:
+        t.clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    smallgain.sim.simulate = counted
+    try:
+        batch = simulate_batch(members, T, h)
+    finally:
+        smallgain.sim.simulate = simulate
+    assert len(batch) == len(members)
+    for (sys, hist, _), mine, result in zip(members, own, batch):
+        assert outcome(lambda: _result(result)) == mine
+        if not isinstance(result, Exception):
+            assert result.history == tuple(hist) and result.dims == sys.dims and result.delays == sys.delays
+    for (sys, _, _), read in zip(members, times):
+        assert all(-sys.theta - 1e-9 <= t <= 0.0 for t in read)
+    if len(runs) < len(members) or any(traj.blow_up for traj in runs):
+        assert len(calls) == 1 + len(members)
+    elif all(traj.derivs[-1].any() for traj in runs):
+        # An all-zero last derivative may be one simulate did not store.
+        assert len(calls) == 1
+    return own
+
+
+class TestSimulateBatchAgainstOwnRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(union_cases())
+    def test_members_match_their_own_runs(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch_matches_own_runs(*case)
+
+    def test_different_delays_and_dims(self):
+        a = dsl_system([["-x_1_1 + 0.5*v_2[-0.3]", "-2*x_1_2"], ["-x_2 + 0.2*v_1_2[-0.1]"]], [0.1, 0.3])
+        b = dsl_system([["-x_1 + 0.4*sin(v_1[-0.7])"]], [0.7])
+        hist_a = [HistoryFunction.polynomial([[1.0, 0.5], [0.2]]), HistoryFunction.constant([0.3])]
+        hist_b = [HistoryFunction.table([-0.7, 0.0], [[1.0], [-1.0]])]
+        for T in (2.0, 1.23, 0.05):
+            members = [(a, hist_a, None), (b, _finite_only_in_own_window(b, hist_b), None)]
+            own = batch_matches_own_runs(members, T, 0.1)
+            assert all(len(o) == 3 and not o[0] for o in own)
+
+    def test_escape_and_nan_fall_back(self):
+        ring = dsl_system([["-x_1 + 0.5*v_1[-0.2]"]], [0.2])
+        hist = [HistoryFunction.constant([1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            members = [(ring, hist, None), _escaping_member(0.01, 5), _nan_member(0.01, 3)]
+            own = batch_matches_own_runs(members, 1.0, 0.01)
+        assert not own[0][0] and own[1][0] and own[2][0] is SimulationError
+
+    def test_feedback_members_run_on_their_own(self):
+        sys = build_auxiliary_system(
+            dsl_system([["-2*x_1 + u_1"]], [], input_dims=[1]), Linear(0.5), InputSignal.constant([0.5])
+        )
+        hist = [HistoryFunction.constant([1.0])]
+        batch = simulate_batch([(sys, hist, None), (sys, hist, None)], 1.0, 0.1)
+        assert [outcome(lambda r=r: _result(r)) for r in batch] == [outcome(lambda: simulate(sys, hist, None, 1.0, 0.1))] * 2
 
 
 class TestFailureModes:
