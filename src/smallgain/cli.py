@@ -6,6 +6,10 @@ integrates the delay equations and writes a CSV trajectory, ``verify``
 chains both and checks the stability bounds against the trajectory, and
 ``example`` emits the bundled three-node ring configuration.
 
+The children of ``verify --sweep delta=...`` differ only in delays and
+right-hand sides: they share one analysis, and one simulate call
+integrates the union of their documents as one parsed network.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 small-gain
 violation, 3 inconclusive small-gain check, 4 finite-time blow-up,
 5 bound-check violation.  Every run writes a ``manifest.json`` listing
@@ -22,6 +26,7 @@ import logging
 import os
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +42,14 @@ from .reduction import (
     global_gs_sigma,
 )
 from .ring import ring_config
-from .sim import SimulationError, resolve_steps, simulate, simulate_batch
+from .sim import (
+    HistoryFunction,
+    InputSignal,
+    SimulationError,
+    history_start,
+    resolve_steps,
+    simulate,
+)
 
 __all__ = ["main"]
 
@@ -154,13 +166,32 @@ def _check_steps(cfg: ParsedConfig) -> ParsedConfig:
     return cfg
 
 
-def _analyze_stage(cfg: ParsedConfig, run: _Run, say=print) -> tuple[int, object]:
+class _Analysis:
+    """A config's small-gain check and closed-loop gains, each with its
+    JSON document, computed when first read.  The children of a delta
+    sweep share one: they differ only in delays and right-hand sides."""
+
+    def __init__(self, cfg: ParsedConfig):
+        self.digraph, self.grid = cfg.digraph, cfg.checks.grid
+
+    @functools.cached_property
+    def check(self):
+        try:
+            result = check_cyclic_small_gain(self.digraph, self.grid)
+        except CycleCountExceeded as exc:
+            raise ConfigError(str(exc))
+        return result, result.to_dict()
+
+    @functools.cached_property
+    def closed(self):
+        closed = closed_loop_input_gains(self.digraph, self.grid, check=self.check[0])
+        return closed, closed.to_dict(_GAIN_TABLE_SAMPLES)
+
+
+def _analyze_stage(analysis: _Analysis, run: _Run, say=print) -> tuple[int, object]:
     """Small-gain check plus closed-loop gains.  Returns (exit, closed)."""
-    try:
-        result = check_cyclic_small_gain(cfg.digraph, cfg.checks.grid)
-    except CycleCountExceeded as exc:
-        raise ConfigError(str(exc))
-    run.write_json("cycle_reports.json", result.to_dict())
+    result, doc = analysis.check
+    run.write_json("cycle_reports.json", doc)
     say(f"cycles: {len(result.reports)}")
     if result.status is VerdictStatus.VERIFIED_ON_GRID:
         worst = result.worst()
@@ -168,10 +199,8 @@ def _analyze_stage(cfg: ParsedConfig, run: _Run, say=print) -> tuple[int, object
             say("small-gain: verified (no cycles)")
         else:
             say(f"small-gain: verified, min margin {worst.margin:.6g}")
-        closed = closed_loop_input_gains(cfg.digraph, cfg.checks.grid, check=result)
-        run.write_json(
-            "closed_loop_gains.json", closed.to_dict(_GAIN_TABLE_SAMPLES)
-        )
+        closed, doc = analysis.closed
+        run.write_json("closed_loop_gains.json", doc)
         return EXIT_OK, closed
     worst = result.worst()
     if result.status is VerdictStatus.VIOLATED:
@@ -193,10 +222,7 @@ def _simulate_stage(cfg: ParsedConfig, run: _Run, say=print, trajectory=None):
         raise ConfigError(
             "this command needs a 'simulation' section (T, h, history)"
         )
-    if trajectory is None:
-        traj = simulate(cfg.system, cfg.history, cfg.inputs, cfg.sim.T, cfg.sim.h)
-    else:
-        traj = trajectory()
+    traj = _own_run(cfg) if trajectory is None else trajectory()
     run.write_csv("trajectory.csv", traj)
     run.write_json("trajectory_meta.json", traj.metadata())
     if traj.blow_up:
@@ -204,6 +230,10 @@ def _simulate_stage(cfg: ParsedConfig, run: _Run, say=print, trajectory=None):
     else:
         say(f"simulation: completed to t = {traj.t_end!r}")
     return traj
+
+
+def _own_run(cfg: ParsedConfig):
+    return simulate(cfg.system, cfg.history, cfg.inputs, cfg.sim.T, cfg.sim.h)
 
 
 def _requested_checks(cfg: ParsedConfig) -> tuple[str, ...]:
@@ -249,7 +279,7 @@ def _checks_stage(cfg: ParsedConfig, closed, traj, run: _Run, say=print) -> int:
 def cmd_analyze(args) -> int:
     cfg = _apply_overrides(parse_system(load_document(args.config)), args)
     run = _Run(args.out)
-    code, _ = _analyze_stage(cfg, run)
+    code, _ = _analyze_stage(_Analysis(cfg), run)
     run.manifest(args, {"exit_code": code})
     return code
 
@@ -263,9 +293,11 @@ def cmd_simulate(args) -> int:
     return code
 
 
-def _verify_one(cfg: ParsedConfig, args, out_dir, say=print, trajectory=None) -> int:
+def _verify_one(
+    cfg: ParsedConfig, args, out_dir, say=print, trajectory=None, analysis=None
+) -> int:
     run = _Run(out_dir)
-    code, closed = _analyze_stage(cfg, run, say)
+    code, closed = _analyze_stage(analysis or _Analysis(cfg), run, say)
     if code != EXIT_OK:
         if not args.force_simulate:
             say("verify: refusing to check bounds without the small-gain "
@@ -329,30 +361,88 @@ def _sweep_doc(doc: dict, key: str, value: float) -> dict:
     return out
 
 
-def _sweep_trajectories(key: str, cfgs: list[ParsedConfig]):
-    """take(i) returns sweep child i's trajectory, or raises the error its
-    own simulate run would raise.
+_SUBSYSTEM_NAME_RE = re.compile(r"\b([xvu])_(\d+)")
 
-    The first call integrates every child's: a delta sweep's children as
-    one union network (simulate_batch), a gain_scale sweep's once, since
-    only their gains differ.  Each result is handed out once and then
-    dropped.
-    """
+
+def _renumber(expr: str, shift: int) -> str:
+    """expr with every x_i, v_j and u_i moved up by shift subsystems.
+    parse_system has accepted expr, so each name in it is t, a function
+    or [xvu]_<i>[_<c>]: the word boundary leaves functions, components
+    and delays alone."""
+    return _SUBSYSTEM_NAME_RE.sub(lambda m: f"{m[1]}_{int(m[2]) + shift}", expr)
+
+
+def _union_doc(docs: list[dict]) -> dict:
+    """The disjoint union of the networks of docs: document b's x_i, v_j
+    and u_i are renumbered after document b-1's subsystems."""
+    subsystems, delays = [], set()
+    for doc in docs:
+        shift = len(subsystems)
+        for sub in doc["subsystems"]:
+            rhs = [_renumber(expr, shift) for expr in sub["rhs"]]
+            subsystems.append({**sub, "rhs": rhs})
+        delays.update(doc["delays"])
+    return {
+        "k": len(subsystems),
+        "delays": sorted(delays),
+        "subsystems": subsystems,
+        "gains": {},
+    }
+
+
+def _guarded(fn: HistoryFunction, lo: float) -> HistoryFunction:
+    """fn on [lo, 0], zeros before lo."""
+    zero = np.zeros(fn.dim)
+    return replace(fn, fn=lambda t, g=fn.fn: g(t) if t >= lo else zero)
+
+
+def _union_trajectories(docs: list[dict], cfgs: list[ParsedConfig]):
+    """Each sweep child's trajectory, cut from one simulate call on the
+    union of their networks; None for each when the union raised, warned,
+    blew up or ended with an all-zero final derivative.  simulate keeps
+    only a finite one, so a nonzero entry proves that every child's own
+    run keeps its block.  No history is read before its child's own
+    window (sim.history_start): the union rows there hold zeros."""
+    T, h = cfgs[0].sim.T, cfgs[0].sim.h
+    hist, inputs = [], []
+    for cfg in cfgs:
+        lo = history_start(cfg.system, h)
+        hist += [_guarded(fn, lo) for fn in cfg.history]
+        subs = cfg.system.subsystems
+        inputs.append(cfg.inputs or [InputSignal.zero(s.input_dim) for s in subs])
+    try:
+        # Warnings are left to each child's own run.
+        with warnings.catch_warnings(record=True) as caught:
+            union = parse_system(_union_doc(docs)).system
+            flat = [u for own in inputs for u in own]
+            traj = simulate(union, hist, flat, T, h)
+    except Exception:  # the child's own run raises it at its own stage
+        return [None] * len(cfgs)
+    if caught or traj.blow_up or not traj.derivs[-1].any():
+        return [None] * len(cfgs)
+    start, out = 0, []
+    for cfg, own in zip(cfgs, inputs):
+        out.append(traj.member(start, cfg.system, cfg.history, own))
+        start += cfg.system.total_dim
+    return out
+
+
+def _sweep_trajectories(key: str, docs: list[dict], cfgs: list[ParsedConfig]):
+    """take(i) returns sweep child i's trajectory, or raises the error its
+    own simulate run would raise.  The first call integrates a delta
+    sweep's children as one union network and a gain_scale sweep's once,
+    since only their gains differ; a child the union cannot serve runs on
+    its own.  Each result is handed out once and then dropped."""
     results = []
 
     def take(i: int):
         if not results:
-            members = cfgs[:1] if key == "gain_scale" else cfgs
-            sim = cfgs[0].sim
-            results.extend(
-                simulate_batch([(c.system, c.history, c.inputs) for c in members], sim.T, sim.h)
-            )
-            if key == "gain_scale":
-                results.extend(results * (len(cfgs) - 1))
+            if key == "delta":
+                results.extend(_union_trajectories(docs, cfgs))
+            else:
+                results.extend([_own_run(cfgs[0])] * len(cfgs))
         result, results[i] = results[i], None
-        if isinstance(result, Exception):
-            raise result
-        return result
+        return _own_run(cfgs[i]) if result is None else result
 
     return take
 
@@ -364,9 +454,10 @@ def cmd_verify(args) -> int:
         return _verify_one(cfg, args, args.out)
 
     key, values = _parse_sweep(args.sweep)
-    jobs = []
+    docs, jobs = [], []
     for value in values:
-        cfg = _apply_overrides(parse_system(_sweep_doc(doc, key, value)), args)
+        docs.append(_sweep_doc(doc, key, value))
+        cfg = _apply_overrides(parse_system(docs[-1]), args)
         sub = Path(args.out) / f"{key}_{value!r}"
         child_args = argparse.Namespace(
             **{**vars(args), "sweep": None, "out": str(sub)}
@@ -374,11 +465,13 @@ def cmd_verify(args) -> int:
         jobs.append((value, sub, _check_steps(cfg), child_args))
 
     parent = _Run(args.out)
-    take = _sweep_trajectories(key, [cfg for _, _, cfg, _ in jobs])
+    take = _sweep_trajectories(key, docs, [cfg for _, _, cfg, _ in jobs])
+    shared = _Analysis(jobs[0][2]) if key == "delta" else None
     runs = []
     for i, (value, sub, cfg, child_args) in enumerate(jobs):
         say = functools.partial(print, f"[{key}={value!r}]")
-        code = _verify_one(cfg, child_args, sub, say, functools.partial(take, i))
+        trajectory = functools.partial(take, i)
+        code = _verify_one(cfg, child_args, sub, say, trajectory, shared)
         runs.append({"value": value, "dir": sub.name, "exit_code": code})
     code = max(r["exit_code"] for r in runs)
     parent.manifest(args, {"sweep_key": key, "runs": runs, "exit_code": code})

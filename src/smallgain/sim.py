@@ -47,15 +47,8 @@ are maxima over its rows.
 
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
-appearing in a right-hand side raises SimulationError instead; overflow
-to infinity counts as divergence.
-
-simulate_batch integrates several independent systems that share T and
-h (the children of a verify --sweep) as one disjoint-union network in a
-single simulate call, so they share the per-step cost of the loop.  The
-arithmetic is element-wise, so each member's trajectory is bit-identical
-to its own run; if the union blows up or raises, every member is
-integrated on its own instead.
+appearing in a right-hand side raises SimulationError instead, with no
+numpy warning; overflow to infinity counts as divergence.
 
 State-feedback disturbance closures (for robustness experiments) scale a
 bounded disturbance d(t) by a gain of the running history norm; see
@@ -87,14 +80,14 @@ __all__ = [
     "reference_rows",
     "Trajectory",
     "resolve_steps",
+    "history_start",
     "simulate",
-    "simulate_batch",
     "DEFAULT_DIVERGENCE_THRESHOLD",
 ]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 
-# Times per block of Trajectory.interpolate_many.
+# Rows per block of Trajectory.interpolate_many and Trajectory.to_csv.
 _DENSE_BLOCK = 512
 
 
@@ -585,6 +578,24 @@ class Trajectory:
             [np.linalg.norm(states[:, off[i] : off[i + 1]], axis=1) for i in range(len(self.dims))]
         )
 
+    def member(self, start: int, sys: DelaySystemSpec, history, inputs) -> "Trajectory":
+        """sys's own run, cut from this union run in which sys's state
+        starts at column start."""
+        cols = slice(start, start + sys.total_dim)
+        rows = slice(len(self.hist_times) - _history_steps(sys, self.h) - 1, None)
+        return replace(
+            self,
+            dims=sys.dims,
+            delays=sys.delays,
+            t_nodes=self.t_nodes.copy(),
+            states=self.states[:, cols].copy(),
+            derivs=self.derivs[:, cols].copy(),
+            hist_times=self.hist_times[rows].copy(),
+            hist_states=self.hist_states[rows, cols].copy(),
+            history=tuple(history),
+            inputs=tuple(inputs),
+        )
+
     def metadata(self) -> dict:
         return {
             "h": self.h,
@@ -603,13 +614,11 @@ class Trajectory:
         Values use repr formatting, so the file round-trips exactly and
         identical runs produce identical bytes.
         """
-        n = self.total_dim
-        header = "t," + ",".join(f"x_{c}" for c in range(1, n + 1))
-        fileobj.write(header + "\n")
-        times = self.grid_times()
-        rows = self.grid_states()
-        for t, row in zip(times, rows):
-            fileobj.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        fileobj.write("t," + ",".join(f"x_{c}" for c in range(1, self.total_dim + 1)) + "\n")
+        table = np.column_stack((self.grid_times(), self.grid_states()))
+        for b in range(0, len(table), _DENSE_BLOCK):  # blocks bound the floats held as objects
+            rows = table[b : b + _DENSE_BLOCK].tolist()
+            fileobj.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +637,18 @@ def resolve_steps(delays: Sequence[float], h: float) -> dict[float, int]:
             )
         out[th] = m
     return out
+
+
+def _history_steps(sys: DelaySystemSpec, h: float) -> int:
+    """M: simulate samples sys's history at the M + 1 nodes -M h, ..., 0."""
+    return max(resolve_steps(sys.delays, h).values(), default=0)
+
+
+def history_start(sys: DelaySystemSpec, h: float) -> float:
+    """Start of the window [start, 0] on which simulate reads sys's
+    history functions at step h: its nodes from -M h, and the stages of
+    a shortened final step from -theta."""
+    return min(-_history_steps(sys, h) * h, -sys.theta)
 
 
 def simulate(
@@ -681,7 +702,7 @@ def simulate(
                 raise ValueError(f"input {i} has dim {u.dim}, subsystem expects {sub.input_dim}")
 
     delay_steps = resolve_steps(sys.delays, h)
-    M = max(delay_steps.values(), default=0)
+    M = _history_steps(sys, h)
     n = sys.total_dim
     off = sys.offsets()
     m_total = sys.total_input_dim
@@ -818,63 +839,64 @@ def simulate(
     step_sizes = [h] * N_full + ([remainder] if remainder > 0.0 else [])
     final = N
     Z_node = xs[base, cols]  # delayed state of the stage at the current node
-    for nstep, hs in enumerate(step_sizes):
-        t_n = nstep * h
-        x_n = states[nstep]
-        mid = hs / 2.0
-        full = hs == h
-        if full:
-            fr_mid, fr_end = 0.5, 1.0
-        else:
-            # Shortened final step: stage offsets as fractions of the
-            # nominal grid spacing.
-            fr_mid, fr_end = mid / h, hs / h
-        a = base + nstep
-        t_next = t_n + hs if full else T
-        try:
-            Z = Z_node if full else gather_at(t_n, completed)
-            k1 = checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
-            derivs[nstep] = k1
+    with np.errstate(invalid="ignore"):  # checked reports a NaN
+        for nstep, hs in enumerate(step_sizes):
+            t_n = nstep * h
+            x_n = states[nstep]
+            mid = hs / 2.0
+            full = hs == h
             if full:
-                if nstep:
-                    mids[M + nstep - 1] = 0.5 * (states[nstep - 1] + x_n) + h8 * (derivs[nstep - 1] - k1)
-                Z = mids[a, cols]
+                fr_mid, fr_end = 0.5, 1.0
             else:
-                Z = gather_at(t_n + mid, completed)
-            x_s = x_n + mid * k1
-            k2 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-            x_s = x_n + mid * k2
-            k3 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-            Z_node = xs[a + 1, cols] if full else gather_at(t_n + hs, completed)
-            x_s = x_n + hs * k3
-            k4 = checked(f(t_n + hs, x_s, Z_node, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
-            x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            checked(x_next, t_next, x_n, "state update")
-        except _Diverged:
-            final = nstep
-            blow_up, escape_time = True, t_n
-            break
-        states[nstep + 1] = x_next
-        t_nodes[nstep + 1] = t_next
-        norms_all[M + nstep + 1] = block_max_norm(x_next)
-        completed = nstep + 1
-        if norms_all[M + nstep + 1] > divergence_threshold:
-            final = nstep + 1
-            blow_up, escape_time = True, float(t_next)
-            break
+                # Shortened final step: stage offsets as fractions of the
+                # nominal grid spacing.
+                fr_mid, fr_end = mid / h, hs / h
+            a = base + nstep
+            t_next = t_n + hs if full else T
+            try:
+                Z = Z_node if full else gather_at(t_n, completed)
+                k1 = checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
+                derivs[nstep] = k1
+                if full:
+                    if nstep:
+                        mids[M + nstep - 1] = 0.5 * (states[nstep - 1] + x_n) + h8 * (derivs[nstep - 1] - k1)
+                    Z = mids[a, cols]
+                else:
+                    Z = gather_at(t_n + mid, completed)
+                x_s = x_n + mid * k1
+                k2 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+                x_s = x_n + mid * k2
+                k3 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+                Z_node = xs[a + 1, cols] if full else gather_at(t_n + hs, completed)
+                x_s = x_n + hs * k3
+                k4 = checked(f(t_n + hs, x_s, Z_node, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
+                x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                checked(x_next, t_next, x_n, "state update")
+            except _Diverged:
+                final = nstep
+                blow_up, escape_time = True, t_n
+                break
+            states[nstep + 1] = x_next
+            t_nodes[nstep + 1] = t_next
+            norms_all[M + nstep + 1] = block_max_norm(x_next)
+            completed = nstep + 1
+            if norms_all[M + nstep + 1] > divergence_threshold:
+                final = nstep + 1
+                blow_up, escape_time = True, float(t_next)
+                break
 
-    # Derivative at the last stored node, for dense output on the final
-    # interval.  Best effort when the run blew up.
-    t_fin = float(t_nodes[final])
-    x_fin = states[final]
-    try:
-        on_grid = remainder == 0.0 or final < N
-        Z = xs[base + final, cols] if on_grid else gather_at(t_fin, completed)
-        dfin = f(t_fin, x_fin, Z, input_vector(t_fin, final, 0.0, x_fin, completed))
-        if np.isfinite(dfin).all():
-            derivs[final] = dfin
-    except (SimulationError, FloatingPointError, OverflowError):
-        pass
+        # Derivative at the last stored node, for dense output on the final
+        # interval.  Best effort when the run blew up.
+        t_fin = float(t_nodes[final])
+        x_fin = states[final]
+        try:
+            on_grid = remainder == 0.0 or final < N
+            Z = xs[base + final, cols] if on_grid else gather_at(t_fin, completed)
+            dfin = f(t_fin, x_fin, Z, input_vector(t_fin, final, 0.0, x_fin, completed))
+            if np.isfinite(dfin).all():
+                derivs[final] = dfin
+        except (SimulationError, FloatingPointError, OverflowError):
+            pass
 
     return Trajectory(
         dims=sys.dims,
@@ -891,107 +913,3 @@ def simulate(
         escape_time=escape_time,
         requested_T=T,
     )
-
-
-def simulate_batch(
-    members: Sequence[tuple[DelaySystemSpec, Sequence[HistoryFunction], Sequence[InputSignal] | None]],
-    T: float,
-    h: float,
-) -> list[Trajectory | Exception]:
-    """simulate(sys, hist, inputs, T, h) of every member, as one run.
-
-    The members form a disjoint-union network: member b's subsystems and
-    references are numbered after member b-1's, the delay set is the
-    union of theirs, and the network function calls each member's own on
-    its slices of x, Z and u (reference_rows sorts references, so each
-    member's Z is contiguous).  The arithmetic is element-wise, so each
-    member's trajectory is bit-identical to its own run.  A history
-    function is never called before its member's own window: the union
-    rows there hold zeros, and no stage of that member gathers them.
-
-    Each result is the member's trajectory or the exception its own run
-    raises.  When the union blows up, raises, or ends without a finite
-    final derivative, every member is integrated on its own instead.
-    """
-    if len(members) > 1:
-        try:
-            union = _simulate_union(members, T, h)
-        except Exception:  # each member's own run below reproduces its error
-            union = None
-        if union is not None:
-            return union
-    results: list[Trajectory | Exception] = []
-    for sys, hist, inputs in members:
-        try:
-            results.append(simulate(sys, hist, inputs, T, h))
-        except Exception as exc:  # raised when the caller asks for this member
-            results.append(exc)
-    return results
-
-
-def _simulate_union(members, T: float, h: float) -> list[Trajectory] | None:
-    """The trajectories of simulate_batch from one union run, or None
-    when a member cannot join it, the run blew up, or its final
-    derivative was not stored."""
-    subsystems, delays, hist, inputs, plan, parts = [], set(), [], [], [], []
-    x0 = z0 = u0 = 0
-    for sys, mhist, minputs in members:
-        mhist = tuple(mhist)
-        if minputs is None:
-            minputs = [InputSignal.zero(s.input_dim) for s in sys.subsystems]
-        minputs = tuple(minputs)
-        if sys.feedback is not None or len(mhist) != sys.k or len(minputs) != sys.k:
-            return None
-        k = len(subsystems)
-        for s in sys.subsystems:
-            if any(not (1 <= j <= sys.k and th in sys.delays) for j, th in s.references):
-                return None  # the member's own run reports it
-            subsystems.append(replace(s, references=tuple((j + k, th) for j, th in s.references)))
-        delays.update(sys.delays)
-        M = max(resolve_steps(sys.delays, h).values(), default=0)
-        # The member's own run reads its history on [lo, 0]; the union
-        # rows before lo are never gathered for it and hold zeros.
-        lo = min(-M * h, -sys.theta)
-        hist += [
-            replace(fn, fn=lambda t, fn=fn.fn, lo=lo, zero=np.zeros(fn.dim): fn(t) if t >= lo else zero)
-            for fn in mhist
-        ]
-        inputs += minputs
-        x1, u1 = x0 + sys.total_dim, u0 + sys.total_input_dim
-        z1 = z0 + sum(sys.subsystems[j - 1].dim for j, _ in reference_rows(sys.subsystems))
-        rhs = sys.rhs if sys.rhs is not None else _subsystem_adapter(sys.subsystems)
-        plan.append((rhs, slice(x0, x1), slice(z0, z1), slice(u0, u1)))
-        parts.append((sys, mhist, minputs, M, slice(x0, x1)))
-        x0, z0, u0 = x1, z1, u1
-
-    n, calls, last = x0, 0, None
-
-    def f(t, x, Z, u):
-        nonlocal calls, last
-        last = np.empty(n)
-        for rhs, xs, zs, us in plan:
-            last[xs] = rhs(t, x[xs], Z[zs], u[us])
-        calls += 1
-        return last
-
-    traj = simulate(DelaySystemSpec(tuple(subsystems), tuple(sorted(delays)), rhs=f), hist, inputs, T, h)
-    # Four calls per step, then the final derivative, which simulate
-    # keeps only when it is finite.
-    if traj.blow_up or calls != 4 * (len(traj.t_nodes) - 1) + 1 or not np.isfinite(last).all():
-        return None
-    rows = len(traj.hist_times)
-    return [
-        replace(
-            traj,
-            dims=sys.dims,
-            delays=sys.delays,
-            t_nodes=traj.t_nodes.copy(),
-            states=traj.states[:, xs].copy(),
-            derivs=traj.derivs[:, xs].copy(),
-            hist_times=traj.hist_times[rows - M - 1 :].copy(),
-            hist_states=traj.hist_states[rows - M - 1 :, xs].copy(),
-            history=mhist,
-            inputs=minputs,
-        )
-        for sys, mhist, minputs, M, xs in parts
-    ]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from smallgain.cli import main
+from smallgain.cli import _sweep_doc, _union_doc, main
 from smallgain.dsl import parse_system
 from smallgain.ring import ring_config
 
@@ -39,6 +39,29 @@ def violating_doc(tmp_path, **extra):
     }
     doc.update(extra)
     return write_doc(tmp_path, doc)
+
+
+def nan_ring(delta):
+    """The ring whose first rhs reads the root of the history 1 + t at
+    t - delta: NaN at t = 0 for delta 2.0, not for delta up to 1.0."""
+    doc = ring_config(delta=delta, T=4.0, h=0.1)
+    doc["subsystems"][0]["rhs"] = [f"-3*x_1 + 0.1*v_1[-{delta!r}]^0.5"]
+    doc["simulation"]["history"][0] = {"type": "expression", "exprs": ["1 + t"]}
+    return doc
+
+
+def count_calls(monkeypatch, modules, name):
+    """Count the calls of function name through every given module binding."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def read_json(out_dir, name):
@@ -237,16 +260,8 @@ class TestVerify:
     def test_cycles_checked_once(self, tmp_path, monkeypatch):
         import smallgain.cli
         import smallgain.reduction
-        from smallgain.graph import check_cyclic_small_gain
 
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check_cyclic_small_gain(*args, **kwargs)
-
-        for mod in (smallgain.cli, smallgain.reduction):
-            monkeypatch.setattr(mod, "check_cyclic_small_gain", counted)
+        calls = count_calls(monkeypatch, (smallgain.cli, smallgain.reduction), "check_cyclic_small_gain")
         out = tmp_path / "out"
         assert main(["verify", ring_doc(tmp_path, T=10.0), "--out", str(out)]) == 0
         assert len(calls) == 1
@@ -353,16 +368,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec", ["delta=0.5,1.0,2.0", "gain_scale=0.5,1.0,3.0"])
     def test_sweep_simulates_once(self, tmp_path, monkeypatch, spec):
+        import smallgain
+        import smallgain.cli
         import smallgain.sim
-        from smallgain.sim import simulate
 
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(smallgain.sim, "simulate", counted)
+        calls = count_calls(monkeypatch, (smallgain.sim, smallgain, smallgain.cli), "simulate")
         out = tmp_path / "out"
         main(["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec])
         assert len(calls) == 1
@@ -371,23 +381,48 @@ class TestSweep:
             3 if spec.startswith("delta") else 2
         )
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_simulation_error_in_second_child(self, tmp_path, capsys):
-        def ring(delta):
-            # The root of the history 1 + t at t - delta is NaN at t = 0
-            # for delta 2.0 only.
-            doc = ring_config(delta=delta, T=4.0, h=0.1)
-            doc["subsystems"][0]["rhs"] = [f"-3*x_1 + 0.1*v_1[-{delta!r}]^0.5"]
-            doc["simulation"]["history"][0] = {"type": "expression", "exprs": ["1 + t"]}
-            return doc
+    @pytest.mark.parametrize(
+        "spec, cycle_checks", [("delta=0.5,1.0,2.0", 1), ("gain_scale=0.5,1.0,3.0", 3)]
+    )
+    def test_delta_sweep_checks_cycles_once(self, tmp_path, monkeypatch, spec, cycle_checks):
+        import smallgain.cli
+        import smallgain.reduction
 
+        calls = count_calls(monkeypatch, (smallgain.cli, smallgain.reduction), "check_cyclic_small_gain")
+        main(["verify", ring_doc(tmp_path, T=4.0), "--out", str(tmp_path / "out"), "--sweep", spec])
+        assert len(calls) == cycle_checks
+
+    def test_delta_union_is_one_generated_network(self):
+        docs = [_sweep_doc(ring_config(), "delta", d) for d in (0.5, 1.0, 2.0)]
+        union = _union_doc(docs)
+        assert union["subsystems"][3]["rhs"] == ["-3*x_4 + v_5[-1.0]^2/(1+v_5[-1.0]^2)"]
+        system = parse_system(union).system
+        assert system.k == 9 and system.delays == (0.5, 1.0, 2.0)
+        assert system.rhs.__code__.co_filename == "<network rhs>"
+        pair = {"k": 1, "delays": [0.2], "subsystems": [{"rhs": ["-x_1_1 + u_1", "exp(-v_1_2[-0.2])"], "input_dim": 1}]}
+        assert _union_doc([pair, pair])["subsystems"][1]["rhs"] == ["-x_2_1 + u_2", "exp(-v_2_2[-0.2])"]
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "delta=2.0,1.0"]])
+    def test_nan_is_one_error_line(self, tmp_path, sweep):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallgain", "verify", write_doc(tmp_path, nan_ring(2.0)),
+             "--out", str(tmp_path / "out"), *sweep],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: NaN in right-hand side evaluation"), proc.stderr
+
+    def test_simulation_error_in_second_child(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        code = main(["verify", write_doc(tmp_path, ring(1.0)), "--out", str(out), "--sweep", "delta=0.5,2.0"])
+        code = main(["verify", write_doc(tmp_path, nan_ring(1.0)), "--out", str(out), "--sweep", "delta=0.5,2.0"])
         captured = capsys.readouterr()
         expected_out, expected_err, codes = [], [], []
         for d in (0.5, 2.0):
             plain = tmp_path / f"plain_{d!r}"
-            cfg = write_doc(tmp_path, ring(d), name=f"ring_{d!r}.json")
+            cfg = write_doc(tmp_path, nan_ring(d), name=f"ring_{d!r}.json")
             codes.append(main(["verify", cfg, "--out", str(plain)]))
             plain_run = capsys.readouterr()
             expected_out += [f"[delta={d!r}] {line}" for line in plain_run.out.splitlines()]

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smallgain.cli
 import smallgain.sim
-from smallgain.dsl import parse_system
+from smallgain.cli import _sweep_trajectories
+from smallgain.dsl import SimParams, parse_system
 from smallgain.gains import Linear, SaturatingRational
 from smallgain.sim import (
     DEFAULT_DIVERGENCE_THRESHOLD,
@@ -23,7 +25,6 @@ from smallgain.sim import (
     build_auxiliary_system,
     build_interconnection,
     simulate,
-    simulate_batch,
 )
 
 
@@ -549,16 +550,20 @@ def reference_simulate(sys, hist, inputs, T, h, divergence_threshold=DEFAULT_DIV
     )
 
 
-def dsl_system(exprs, delays, input_dims=None):
-    """Parse a network given as one list of expressions per subsystem."""
+def dsl_doc(exprs, delays, input_dims=None):
+    """The document of a network given as one list of expressions per subsystem."""
     input_dims = input_dims or [0] * len(exprs)
-    doc = {
+    return {
         "k": len(exprs),
         "delays": list(delays),
         "subsystems": [{"rhs": e, "input_dim": m} for e, m in zip(exprs, input_dims)],
         "gains": {},
     }
-    return parse_system(doc).system
+
+
+def dsl_system(exprs, delays, input_dims=None):
+    """Parse a network given as one list of expressions per subsystem."""
+    return parse_system(dsl_doc(exprs, delays, input_dims)).system
 
 
 def outcome(run):
@@ -613,9 +618,9 @@ def input_signals(draw, dim):
 
 
 @st.composite
-def dsl_networks(draw, h, feedback=True):
-    """A random DSL network at step h with histories, and inputs or
-    (when feedback) a feedback closure: (sys, hist, inputs)."""
+def dsl_documents(draw, h):
+    """A random DSL network document at step h with histories, and input
+    signals when it declares inputs and draws them: (doc, hist, inputs)."""
     k = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     input_dims = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
@@ -643,15 +648,21 @@ def dsl_networks(draw, h, feedback=True):
                 terms.append(f"{draw(st.floats(0.5, 3.0).map(lambda v: round(v, 3)))!r}*x_{i}_{c}^2")
             rows.append(" + ".join(terms))
         exprs.append(rows)
-    sys = dsl_system(exprs, delays, input_dims)
     hist = [draw(histories(d)) for d in dims]
     inputs = None
-    m = sum(input_dims)
-    modes = ["default", "signals", "feedback"] if feedback else ["default", "signals"]
-    mode = draw(st.sampled_from(modes)) if m else "default"
-    if mode == "signals":
+    if sum(input_dims) and draw(st.booleans()):
         inputs = [draw(input_signals(d)) for d in input_dims]
-    elif mode == "feedback":
+    return dsl_doc(exprs, delays, input_dims), hist, inputs
+
+
+@st.composite
+def dsl_networks(draw, h):
+    """A random DSL network at step h with histories, and inputs or a
+    feedback closure: (sys, hist, inputs)."""
+    doc, hist, inputs = draw(dsl_documents(h))
+    sys = parse_system(doc).system
+    m = sys.total_input_dim
+    if m and inputs is None and draw(st.booleans()):
         rho = draw(st.sampled_from([Linear(0.5), Linear(2.0), SaturatingRational(1.5, 2.0)]))
         sys = build_auxiliary_system(sys, rho, draw(input_signals(m)))
     return sys, hist, inputs
@@ -734,139 +745,153 @@ class TestStageGatherAgainstReference:
         assert traj.blow_up and traj.escape_time == 0.0
 
 
-def _nan_member(h, m):
+def _nan_child(h, m):
     """Raises NaN at the first stage: the root of the history -1."""
-    return dsl_system([["x_1^0.5 + v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([-1.0])], None
+    return dsl_doc([["x_1^0.5 + v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([-1.0])], None
 
 
-def _escaping_member(h, m):
+def _escaping_child(h, m):
     """Escapes near t = 0.4 (x' = x^2 from 2)."""
-    return dsl_system([["x_1^2 + 0.5*v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([2.0])], None
+    return dsl_doc([["x_1^2 + 0.5*v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([2.0])], None
+
+
+def _resting_child(h, m):
+    """Stays at zero, so its final derivative is zero."""
+    return dsl_doc([["-x_1 + 0.5*v_1[-%r]" % (m * h)]], [m * h]), [HistoryFunction.constant([0.0])], None
 
 
 def _finite_only_in_own_window(sys, hist):
-    """hist made non-finite before the member's own window [-theta, 0]."""
+    """hist made non-finite before the child's own window [-theta, 0]."""
     edge = -sys.theta - 1e-9
 
     def guarded(fn):
         return replace(fn, fn=lambda t, g=fn.fn, dim=fn.dim: g(t) if t >= edge else np.full(dim, np.inf))
 
-    return [guarded(fn) for fn in hist]
+    return tuple(guarded(fn) for fn in hist)
+
+
+def sweep_child(doc, hist, inputs, T, h, outside=False):
+    """The parsed config of a delta-sweep child that runs doc from hist
+    with inputs; outside makes hist non-finite before its own window."""
+    cfg = parse_system(doc)
+    hist = _finite_only_in_own_window(cfg.system, hist) if outside else tuple(hist)
+    return replace(cfg, history=hist, inputs=inputs and tuple(inputs), sim=SimParams(T, h))
+
+
+_SPECIAL_CHILDREN = {"nan": _nan_child, "escape": _escaping_child, "rest": _resting_child}
 
 
 @st.composite
-def union_cases(draw):
-    """Two or three members sharing T and h: random DSL networks (some
-    through the subsystem adapter, some with histories that are not
-    finite outside their own window), a NaN and an escaping member."""
+def sweep_cases(draw):
+    """Two or three delta-sweep children sharing T and h: random DSL
+    documents (some with histories that are not finite outside their own
+    window) and NaN, escaping and resting children: (docs, cfgs)."""
     h = draw(_steps)
-    members = []
+    T = draw(_horizons(h))
+    docs, cfgs = [], []
     for _ in range(draw(st.integers(2, 3))):
-        kind = draw(st.sampled_from(["network", "network", "network", "outside", "nan", "escape"]))
-        if kind in ("nan", "escape"):
-            make = _nan_member if kind == "nan" else _escaping_member
-            members.append(make(h, draw(st.integers(1, 6))))
-            continue
-        sys, hist, inputs = draw(dsl_networks(h, feedback=False))
-        if draw(st.booleans()):
-            sys = replace(sys, rhs=None)
-        if kind == "outside":
-            hist = _finite_only_in_own_window(sys, hist)
-        members.append((sys, hist, inputs))
-    return members, draw(_horizons(h)), h
+        kind = draw(st.sampled_from(["network", "network", "network", "outside", *_SPECIAL_CHILDREN]))
+        if kind in _SPECIAL_CHILDREN:
+            doc, hist, inputs = _SPECIAL_CHILDREN[kind](h, draw(st.integers(1, 6)))
+        else:
+            doc, hist, inputs = draw(dsl_documents(h))
+        docs.append(doc)
+        cfgs.append(sweep_child(doc, hist, inputs, T, h, outside=kind == "outside"))
+    return docs, cfgs
 
 
-def _result(value):
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
-def batch_matches_own_runs(members, T, h):
-    """simulate_batch gives every member exactly its own simulate
-    outcome, reads each history only inside the member's window, and
-    integrates once when every member's own run completes."""
-    times = [[] for _ in members]
+def sweep_matches_own_runs(docs, cfgs):
+    """Every child of a delta sweep gets exactly its own simulate outcome,
+    each history is read only inside its child's window, and the sweep
+    integrates once when every child's own run completes with a nonzero
+    final derivative, and once more per child when one does not."""
+    reads = [[] for _ in cfgs]
 
     def recorded(b, fn):
         def read(t):
-            times[b].append(t)
+            reads[b].append(t)
             return fn.fn(t)
 
         return replace(fn, fn=read)
 
-    members = [
-        (sys, [recorded(b, fn) for fn in hist], inputs) for b, (sys, hist, inputs) in enumerate(members)
-    ]
+    cfgs = [replace(cfg, history=tuple(recorded(b, fn) for fn in cfg.history)) for b, cfg in enumerate(cfgs)]
     runs = []
 
-    def own_run(m):
-        runs.append(simulate(*m, T, h))
+    def own_run(cfg):
+        runs.append(simulate(cfg.system, cfg.history, cfg.inputs, cfg.sim.T, cfg.sim.h))
         return runs[-1]
 
-    own = [outcome(lambda m=m: own_run(m)) for m in members]
-    for t in times:
-        t.clear()
+    own = [outcome(lambda c=c: own_run(c)) for c in cfgs]
+    for read in reads:
+        read.clear()
     calls = []
 
     def counted(*args):
         calls.append(args)
         return simulate(*args)
 
-    smallgain.sim.simulate = counted
+    smallgain.cli.simulate = counted
     try:
-        batch = simulate_batch(members, T, h)
+        take = _sweep_trajectories("delta", docs, cfgs)
+        for i, (cfg, mine) in enumerate(zip(cfgs, own)):
+            taken = []
+            assert outcome(lambda: taken.append(take(i)) or taken[0]) == mine
+            if taken:
+                traj = taken[0]
+                assert traj.history == cfg.history and traj.dims == cfg.system.dims
+                assert traj.delays == cfg.system.delays and len(traj.inputs) == cfg.system.k
     finally:
-        smallgain.sim.simulate = simulate
-    assert len(batch) == len(members)
-    for (sys, hist, _), mine, result in zip(members, own, batch):
-        assert outcome(lambda: _result(result)) == mine
-        if not isinstance(result, Exception):
-            assert result.history == tuple(hist) and result.dims == sys.dims and result.delays == sys.delays
-    for (sys, _, _), read in zip(members, times):
-        assert all(-sys.theta - 1e-9 <= t <= 0.0 for t in read)
-    if len(runs) < len(members) or any(traj.blow_up for traj in runs):
-        assert len(calls) == 1 + len(members)
-    elif all(traj.derivs[-1].any() for traj in runs):
-        # An all-zero last derivative may be one simulate did not store.
+        smallgain.cli.simulate = simulate
+    for cfg, read in zip(cfgs, reads):
+        assert all(-cfg.system.theta - 1e-9 <= t <= 0.0 for t in read)
+    resting = [not traj.derivs[-1].any() for traj in runs]
+    if len(runs) < len(cfgs) or any(traj.blow_up for traj in runs) or all(resting):
+        assert len(calls) == 1 + len(cfgs)
+    elif not any(resting):
         assert len(calls) == 1
     return own
 
 
-class TestSimulateBatchAgainstOwnRuns:
+class TestDeltaSweepAgainstOwnRuns:
     @settings(max_examples=80, deadline=None)
-    @given(union_cases())
-    def test_members_match_their_own_runs(self, case):
+    @given(sweep_cases())
+    def test_children_match_their_own_runs(self, case):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            batch_matches_own_runs(*case)
+            sweep_matches_own_runs(*case)
 
     def test_different_delays_and_dims(self):
-        a = dsl_system([["-x_1_1 + 0.5*v_2[-0.3]", "-2*x_1_2"], ["-x_2 + 0.2*v_1_2[-0.1]"]], [0.1, 0.3])
-        b = dsl_system([["-x_1 + 0.4*sin(v_1[-0.7])"]], [0.7])
+        a = dsl_doc([["-x_1_1 + 0.5*v_2[-0.3]", "-2*x_1_2"], ["-x_2 + 0.2*v_1_2[-0.1]"]], [0.1, 0.3])
+        b = dsl_doc([["-x_1 + 0.4*sin(v_1[-0.7])"]], [0.7])
         hist_a = [HistoryFunction.polynomial([[1.0, 0.5], [0.2]]), HistoryFunction.constant([0.3])]
         hist_b = [HistoryFunction.table([-0.7, 0.0], [[1.0], [-1.0]])]
         for T in (2.0, 1.23, 0.05):
-            members = [(a, hist_a, None), (b, _finite_only_in_own_window(b, hist_b), None)]
-            own = batch_matches_own_runs(members, T, 0.1)
+            cfgs = [sweep_child(a, hist_a, None, T, 0.1), sweep_child(b, hist_b, None, T, 0.1, outside=True)]
+            own = sweep_matches_own_runs([a, b], cfgs)
             assert all(len(o) == 3 and not o[0] for o in own)
 
-    def test_escape_and_nan_fall_back(self):
-        ring = dsl_system([["-x_1 + 0.5*v_1[-0.2]"]], [0.2])
+    def test_inputs(self):
+        doc = dsl_doc([["-x_1 + u_1_2 + 0.3*v_1[-0.2]"]], [0.2], input_dims=[2])
         hist = [HistoryFunction.constant([1.0])]
+        signals = [InputSignal.piecewise_constant([0.0, 0.45], [[0.0, 1.0], [0.0, -2.0]])]
+        cfgs = [sweep_child(doc, hist, signals, 1.0, 0.1), sweep_child(doc, hist, None, 1.0, 0.1)]
+        own = sweep_matches_own_runs([doc, doc], cfgs)
+        assert own[0] != own[1]
+
+    def test_escape_and_nan_fall_back(self):
+        ring = dsl_doc([["-x_1 + 0.5*v_1[-0.2]"]], [0.2])
+        children = [(ring, [HistoryFunction.constant([1.0])], None), _escaping_child(0.01, 5), _nan_child(0.01, 3)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            members = [(ring, hist, None), _escaping_member(0.01, 5), _nan_member(0.01, 3)]
-            own = batch_matches_own_runs(members, 1.0, 0.01)
+            cfgs = [sweep_child(*child, 1.0, 0.01) for child in children]
+            own = sweep_matches_own_runs([doc for doc, _, _ in children], cfgs)
         assert not own[0][0] and own[1][0] and own[2][0] is SimulationError
 
-    def test_feedback_members_run_on_their_own(self):
-        sys = build_auxiliary_system(
-            dsl_system([["-2*x_1 + u_1"]], [], input_dims=[1]), Linear(0.5), InputSignal.constant([0.5])
-        )
-        hist = [HistoryFunction.constant([1.0])]
-        batch = simulate_batch([(sys, hist, None), (sys, hist, None)], 1.0, 0.1)
-        assert [outcome(lambda r=r: _result(r)) for r in batch] == [outcome(lambda: simulate(sys, hist, None, 1.0, 0.1))] * 2
+    def test_resting_children_fall_back(self):
+        children = [_resting_child(0.1, 2), _resting_child(0.1, 3)]
+        cfgs = [sweep_child(*child, 1.05, 0.1) for child in children]
+        own = sweep_matches_own_runs([doc for doc, _, _ in children], cfgs)
+        assert all(len(o) == 3 and not o[0] for o in own)
 
 
 class TestFailureModes:
@@ -935,6 +960,49 @@ class TestFeedbackSystems:
             build_auxiliary_system(base, Linear(0.5), InputSignal.constant([1.0]))
 
 
+def reference_to_csv(traj, fileobj):
+    """Trajectory.to_csv one value at a time: the oracle of its one-pass writer."""
+    fileobj.write("t," + ",".join(f"x_{c}" for c in range(1, traj.total_dim + 1)) + "\n")
+    for t, row in zip(traj.grid_times(), traj.grid_states()):
+        fileobj.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+
+
+def stored_trajectory(dims, t_nodes, states, hist_times, hist_states):
+    """A trajectory holding the given values as they are."""
+    states = np.asarray(states, dtype=float)
+    return Trajectory(
+        dims=tuple(dims),
+        delays=(),
+        h=0.1,
+        t_nodes=np.asarray(t_nodes, dtype=float),
+        states=states,
+        derivs=np.zeros_like(states),
+        hist_times=np.asarray(hist_times, dtype=float),
+        hist_states=np.asarray(hist_states, dtype=float),
+        history=(),
+    )
+
+
+_csv_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+)
+
+
+@st.composite
+def csv_trajectories(draw):
+    """Trajectories of arbitrary finite values, history segment included."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    nodes, hist = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def values(count, width=None):
+        row = st.lists(_csv_values, min_size=width, max_size=width) if width else _csv_values
+        return draw(st.lists(row, min_size=count, max_size=count))
+
+    n = sum(dims)
+    return stored_trajectory(dims, values(nodes), values(nodes, n), values(hist), values(hist, n))
+
+
 class TestTrajectoryExport:
     def make_traj(self, T=0.2) -> Trajectory:
         sub = Subsystem(
@@ -967,6 +1035,36 @@ class TestTrajectoryExport:
         parsed = np.array([[float(v) for v in row] for row in rows])
         np.testing.assert_array_equal(parsed[:, 0], traj.grid_times())
         np.testing.assert_array_equal(parsed[:, 1:], traj.grid_states())
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_trajectories())
+    def test_csv_bytes_match_per_value_writer(self, traj):
+        import io
+
+        per_value = io.StringIO()
+        reference_to_csv(traj, per_value)
+        block = smallgain.sim._DENSE_BLOCK
+        for rows_per_block in (block, 2):  # one block, and several
+            smallgain.sim._DENSE_BLOCK = rows_per_block
+            try:
+                blocked = io.StringIO()
+                traj.to_csv(blocked)
+            finally:
+                smallgain.sim._DENSE_BLOCK = block
+            assert blocked.getvalue() == per_value.getvalue()
+
+    def test_csv_special_values(self):
+        import io
+
+        traj = stored_trajectory(
+            [1, 2], [0.0, 0.1], [[-0.0, 5e-324, 1e308], [-2.5e-310, -1e308, 0.1]], [-0.2, -0.1, 0.0], [[1.0, -0.0, 2.0]] * 3
+        )
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert buf.getvalue() == (
+            "t,x_1,x_2,x_3\n-0.2,1.0,-0.0,2.0\n-0.1,1.0,-0.0,2.0\n"
+            "0.0,-0.0,5e-324,1e+308\n0.1,-2.5e-310,-1e+308,0.1\n"
+        )
 
     def test_zero_horizon(self):
         traj = self.make_traj(T=0.0)
