@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
@@ -38,6 +39,7 @@ from .sim import (
     DelaySystemSpec,
     HistoryFunction,
     InputSignal,
+    SimulationError,
     Subsystem,
     build_interconnection,
     reference_rows,
@@ -606,8 +608,9 @@ class _RhsCompiler:
             left = self.emit(node.left)
             if node.op == ".":
                 self.error("'.' composes gains; dynamics have no composition", node.pos)
-            op = "**" if node.op == "^" else node.op
-            return f"({left} {op} {self.emit(node.right)})"
+            if node.op == "^":
+                return f"_pow({left}, {self.emit(node.right)})"
+            return f"({left} {node.op} {self.emit(node.right)})"
         if node.name not in _CODEGEN_FUNCS:
             self._misused(node)
         if len(node.args) != 1:
@@ -686,19 +689,69 @@ class _RhsCompiler:
 
 
 def _vector_function(name: str, params: str, pieces: Sequence[str], filename: str) -> Callable:
-    """exec one function returning the float array of the given expressions."""
+    """exec one function returning the float array of the given expressions.
+
+    Its arguments are arrays, so the expressions evaluate on numpy
+    scalars: overflow and division by zero give inf or NaN with numpy's
+    warning, and ``^`` is the ``**`` operator.
+    """
     src = f"def {name}({params}):\n    return _np.array([{', '.join(pieces)}], dtype=float)\n"
-    env: dict[str, Any] = {"_np": np, **_CODEGEN_FUNCS}
+    env: dict[str, Any] = {"_np": np, "_pow": operator.pow, **_CODEGEN_FUNCS}
     exec(compile(src, filename, "exec"), env)
     return env[name]
+
+
+# What float arithmetic raises where numpy scalars give inf or NaN.
+_FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def _network_function(pieces: Sequence[str]) -> Callable:
+    """The network right-hand side f(t, x, Z, u) of the given expressions.
+
+    x, Z and u are lists of floats, and f returns the list of the
+    expressions evaluated on Python floats, with ``^`` as ``math.pow``
+    (the bits of numpy's scalar power).  Where that raises or gives a
+    value that is not finite, f evaluates the stage again on numpy
+    scalars, as :func:`_vector_function` does (compiled on the first such
+    stage): that gives the inf or NaN and the warnings of numpy arithmetic.  An error that this evaluation
+    raises too (a math function outside its domain or range, or a
+    division of two constants by zero) is a :class:`SimulationError`.
+    """
+    on_arrays = _compiled_on_first_call("_f", "t, x, Z, u", pieces, "<network rhs>")
+
+    def on_scalars(t, x, Z, u):
+        try:
+            return on_arrays(t, np.array(x, dtype=float), np.array(Z, dtype=float), np.array(u, dtype=float)).tolist()
+        except _FLOAT_ERRORS as exc:
+            raise SimulationError(f"{exc} in right-hand side evaluation", t, x) from None
+
+    src = (
+        "def _f(t, x, Z, u):\n"
+        "    try:\n"
+        f"        dx = [{', '.join(pieces)}]\n"
+        "    except _FLOAT_ERRORS:\n"
+        "        return _on_scalars(t, x, Z, u)\n"
+        "    return dx if _isfinite(_sum(dx)) else _on_scalars(t, x, Z, u)\n"
+    )
+    env: dict[str, Any] = {
+        "_pow": math.pow,
+        "_isfinite": math.isfinite,
+        "_sum": sum,
+        "_FLOAT_ERRORS": _FLOAT_ERRORS,
+        "_on_scalars": on_scalars,
+        **_CODEGEN_FUNCS,
+    }
+    exec(compile(src, "<network rhs>", "exec"), env)
+    return env["_f"]
 
 
 def _compiled_on_first_call(*source) -> Callable:
     """The function of :func:`_vector_function`, compiled when first called.
 
-    A parsed system integrates through its network function, so most
-    per-subsystem callables are never called; the source is already
-    emitted, so every error in it has been raised.
+    A parsed system integrates through its network function on floats,
+    so most per-subsystem callables and the network function's
+    numpy-scalar twin are never called; the source is already emitted,
+    so every error in it has been raised.
     """
     compiled = None
 
@@ -973,7 +1026,7 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     pieces = []
     for i, sub in enumerate(subs_doc):
         pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows)[0]
-    network = _vector_function("_f", "t, x, Z, u", pieces, "<network rhs>")
+    network = _network_function(pieces)
 
     # Declared-but-unreferenced delays are legal; the builder checks the
     # converse (every referenced delay must be declared).

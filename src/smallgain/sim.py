@@ -13,30 +13,38 @@ delayed state blocks of other subsystems.
 
 The integrator calls one network right-hand side over the flat state
 
-    f(t, x, Z, u) -> dx/dt            (ndarray of the total dim)
+    f(t, x, Z, u) -> dx/dt            (list of the total dim)
 
 where x and u are the flat state and input vectors and Z is the gathered
-delayed state: every distinct declared reference (j, theta), in sorted
-order, contributes the components of subsystem j's state at t - theta
-(reference_rows gives where each one starts).  By default f is an
-adapter that slices Z into each subsystem's z mapping and calls the
-subsystem right-hand sides; the JSON configuration parser instead
-generates a single function from all expressions that reads x, Z and u
-directly.
+delayed state, all three lists of floats: every distinct declared
+reference (j, theta), in sorted order, contributes the components of
+subsystem j's state at t - theta (reference_rows gives where each one
+starts).  By default f is an adapter that turns the lists into arrays,
+slices Z into each subsystem's z mapping and calls the subsystem
+right-hand sides; the JSON configuration parser instead generates a
+single function from all expressions that reads x, Z and u directly and
+evaluates on Python floats, again on numpy scalars where that raises or
+gives a value that is not finite (smallgain.dsl).
 
 Integration uses the classical fourth-order Runge-Kutta scheme with a
-fixed step h that must divide every delay.  Because every delay is at
-least one step, all delayed stage values lie in already-computed
-territory: stage times fall on grid nodes or midpoints, where a cubic
-Hermite interpolant built from stored states and derivatives is exact to
-the method's order.  Each reference component is numbered once, as a
-source column and a delay in steps, so a stage gathers its whole Z with
-one fancy index.  Node-aligned stages index a buffer holding the history
-samples followed by the computed states.  Midpoint stages index a buffer
-with one row per step interval: rows inside the history window are the
-history functions sampled once at the half-step times, and rows of
-computed intervals hold the u = 1/2 form of the Hermite interpolant,
-(x_a + x_b)/2 + (h/8)(f_a - f_b), filled as soon as f_b is known.  The
+fixed step h that must divide every delay.  The stages run on lists of
+Python floats, in the operation order of the array form
+x_n + (h/6)(k1 + 2 k2 + 2 k3 + k4), so they give its bits; numpy arrays
+only store the run.  Because every delay is at least one step, all
+delayed stage values lie in already-computed territory: stage times fall
+on grid nodes or midpoints, where a cubic Hermite interpolant built from
+stored states and derivatives is exact to the method's order.  Each
+reference component is numbered once, as a source column and a delay in
+steps.  Node-aligned stages read a buffer holding the history samples
+followed by the computed states.  Midpoint stages read a buffer with one
+row per step interval: rows inside the history window are the history
+functions sampled once at the half-step times, and rows of computed
+intervals hold the u = 1/2 form of the Hermite interpolant,
+(x_a + x_b)/2 + (h/8)(f_a - f_b).  The loop works in blocks of at most
+the shortest delay in steps (and at most _DENSE_BLOCK): once the first
+stage of a block has given its node's derivative, one vectorised pass
+fills the midpoint rows of the intervals completed so far, and one
+fancy index per buffer gathers the Z of every stage of the block.  The
 general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
 vectorised pass, which is the dense output on the whole time range, and
@@ -48,7 +56,9 @@ are maxima over its rows.
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
 appearing in a right-hand side raises SimulationError instead, with no
-numpy warning; overflow to infinity counts as divergence.
+numpy warning; overflow to infinity counts as divergence.  A generated
+right-hand side raises SimulationError too where a math function fails
+(sqrt of a negative number, exp beyond the float range).
 
 State-feedback disturbance closures (for robustness experiments) scale a
 bounded disturbance d(t) by a gain of the running history norm; see
@@ -87,7 +97,8 @@ __all__ = [
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 
-# Rows per block of Trajectory.interpolate_many and Trajectory.to_csv.
+# Rows per block of Trajectory.interpolate_many and Trajectory.to_csv,
+# and the most steps per block of delayed states gathered by simulate.
 _DENSE_BLOCK = 512
 
 
@@ -267,10 +278,15 @@ class DelaySystemSpec:
     optional disturbance closure, optional network right-hand side.
 
     rhs, when given, is the network right-hand side f(t, x, Z, u) of
-    the module docstring; Z follows reference_rows(subsystems).
-    simulate calls it once per Runge-Kutta stage instead of the
-    subsystems' own rhs callables.  When rhs is None, simulate uses an
-    adapter that calls every subsystem's rhs once per stage.
+    the module docstring: x, Z and u are lists of floats, Z follows
+    reference_rows(subsystems), and f returns the list of the total
+    dim.  simulate calls it once per Runge-Kutta stage instead of the
+    subsystems' own rhs callables.  parse_system generates it to
+    evaluate on Python floats and to evaluate the stage again on numpy
+    scalars where that raises or gives inf or NaN, so that the values and
+    warnings are those of numpy arithmetic.  When rhs is None, simulate
+    uses an adapter that converts the lists to arrays and calls every
+    subsystem's rhs once per stage.
     """
 
     subsystems: tuple[Subsystem, ...]
@@ -334,7 +350,8 @@ def _subsystem_adapter(subsystems: Sequence[Subsystem]) -> Callable:
         u_off += s.input_dim
     n = x_off
 
-    def f(t: float, x: np.ndarray, Z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def f(t: float, x: list, Z: list, u: list) -> list:
+        x, Z, u = np.array(x, dtype=float), np.array(Z, dtype=float), np.array(u, dtype=float)
         dx = np.empty(n)
         for i, rhs, dim, xs, us, refs in plan:
             z = {key: Z[rs] for key, rs in refs}
@@ -344,7 +361,7 @@ def _subsystem_adapter(subsystems: Sequence[Subsystem]) -> Callable:
                     f"subsystem {i} right-hand side returned shape {out.shape}, expected ({dim},)", t
                 )
             dx[xs] = out
-        return dx
+        return dx.tolist()
 
     return f
 
@@ -720,6 +737,9 @@ def simulate(
     # Row of each component's delayed interval start at step 0, in the
     # state buffer and in the midpoint buffer alike.
     base = M - lag
+    # Steps per block of gathered Z rows: no more than the shortest
+    # delay, so every row a block reads is known when the block starts.
+    block_len = int(lag.min(initial=_DENSE_BLOCK))
 
     N_full = int(math.floor(T / h + 1e-12))
     remainder = T - N_full * h
@@ -736,22 +756,24 @@ def simulate(
     # History samples on the step grid, then the computed states: row
     # M + j holds node j, so node 0 is the last history sample.
     xs = np.empty((M + N + 1, n))
-    hist_times = np.array([(j - M) * h for j in range(M + 1)])
+    hist_times = np.arange(-M, 1) * h
     for row, t in enumerate(hist_times):
         xs[row] = sample_history(float(t))
     states = xs[M:]
     derivs = np.zeros((N + 1, n))
 
     # Delayed midpoints, row M + j for the interval [t_j, t_j+1].  The
-    # history rows that midpoint stages read are sampled here; the loop
-    # fills the row of each computed interval once its end derivative is
-    # known.
+    # history rows that midpoint stages read are sampled here; the rows
+    # of computed intervals are filled at the start of each block.
     mids = np.empty((M + N, n))
-    for idx in sorted({i for m in set(lag.tolist()) for i in range(-m, min(0, N_full - m))}):
-        mids[idx + M] = sample_history((idx + 0.5) * h)
+    sampled = -M
+    for lo, hi in sorted((-m, min(0, N_full - m)) for m in set(lag.tolist())):
+        for idx in range(max(lo, sampled), hi):
+            mids[idx + M] = sample_history((idx + 0.5) * h)
+        sampled = max(sampled, hi)
     h8 = h / 8.0
 
-    def gather_at(t_stage: float, completed: int) -> np.ndarray:
+    def gather_at(t_stage: float, completed: int) -> list:
         """Z at an off-grid stage time (the shortened final step)."""
         Z = np.empty(cols.size)
         for th in sorted(set(thetas.tolist())):
@@ -769,7 +791,7 @@ def simulate(
                 Z[sel] = states[j + 1, c]
             else:
                 Z[sel] = _hermite(u, h, states[j, c], derivs[j, c], states[j + 1, c], derivs[j + 1, c])
-        return Z
+        return Z.tolist()
 
     # Max over blocks of the Euclidean block norm, bit-equal to
     # np.linalg.norm per block: that is sqrt(b.dot(b)), and sqrt is
@@ -777,17 +799,18 @@ def simulate(
     blocks = [slice(off[i], off[i + 1]) for i in range(k)]
     if n == k:
 
-        def block_max_norm(x: np.ndarray) -> float:
-            return math.sqrt((x * x).max())
+        def block_max_norm(x: list) -> float:
+            return math.sqrt(max([v * v for v in x]))
 
     else:
 
-        def block_max_norm(x: np.ndarray) -> float:
+        def block_max_norm(x: list) -> float:
+            x = np.array(x, dtype=float)
             return math.sqrt(max(x[b].dot(x[b]) for b in blocks))
 
     norms_all = np.empty(M + N + 1)
     for row in range(M + 1):
-        norms_all[row] = block_max_norm(xs[row])
+        norms_all[row] = block_max_norm(xs[row].tolist())
 
     clamp_warned = False
 
@@ -802,13 +825,11 @@ def simulate(
             clamp_warned = True
         return clipped
 
-    no_input = np.empty(0)
-
-    def input_vector(t: float, step: int, frac: float, x_stage: np.ndarray, completed: int) -> np.ndarray:
+    def input_vector(t: float, step: int, frac: float, x_stage: list, completed: int) -> list:
         if m_total == 0:
-            return no_input
+            return []
         if feedback is None:
-            return np.concatenate([u(t) for u in inputs if u.dim])
+            return np.concatenate([u(t) for u in inputs if u.dim]).tolist()
         # History-window norm on the step grid, stage state included.
         pos = step + frac
         lo = max(int(math.ceil(pos - M - 1e-9)), -M)
@@ -816,17 +837,15 @@ def simulate(
         wnorm = float(window.max(initial=0.0))
         wnorm = max(wnorm, block_max_norm(x_stage))
         scale = feedback.rho(wnorm)
-        return scale * disturbance(t)
+        return (scale * disturbance(t)).tolist()
 
-    def checked(
-        vec: np.ndarray, t: float, x_ref: np.ndarray, what: str = "right-hand side evaluation"
-    ) -> np.ndarray:
+    def checked(vec: list, t: float, x_ref: list, what: str = "right-hand side evaluation") -> list:
         """vec itself when finite; NaN raises, overflow raises _Diverged."""
         # A finite sum means every entry is finite; only a sum that is
         # not (or that overflowed) needs the entrywise test.
-        if math.isfinite(np.add.reduce(vec)) or np.isfinite(vec).all():
+        if math.isfinite(sum(vec)) or all(map(math.isfinite, vec)):
             return vec
-        if np.isnan(vec).any():
+        if any(map(math.isnan, vec)):
             raise SimulationError(f"NaN in {what}", t, x_ref)
         raise _Diverged
 
@@ -836,13 +855,16 @@ def simulate(
     escape_time: float | None = None
     completed = 0
 
-    step_sizes = [h] * N_full + ([remainder] if remainder > 0.0 else [])
     final = N
-    Z_node = xs[base, cols]  # delayed state of the stage at the current node
+    x_n = xs[M].tolist()
+    # The Z rows of the current block, a list per step: at its nodes
+    # (one more than its steps) and at its midpoints.
+    first = end = filled = 0
+    node_Z = mid_Z = []
     with np.errstate(invalid="ignore"):  # checked reports a NaN
-        for nstep, hs in enumerate(step_sizes):
+        for nstep in range(N):
+            hs = h if nstep < N_full else remainder
             t_n = nstep * h
-            x_n = states[nstep]
             mid = hs / 2.0
             full = hs == h
             if full:
@@ -851,36 +873,45 @@ def simulate(
                 # Shortened final step: stage offsets as fractions of the
                 # nominal grid spacing.
                 fr_mid, fr_end = mid / h, hs / h
-            a = base + nstep
             t_next = t_n + hs if full else T
             try:
-                Z = Z_node if full else gather_at(t_n, completed)
+                if full and nstep == end:
+                    first, end = nstep, min(nstep + block_len, N)
+                    rows = base + np.arange(first, end + 1)[:, None]
+                    node_Z = xs[rows, cols].tolist()
+                Z = node_Z[nstep - first] if full else gather_at(t_n, completed)
                 k1 = checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
                 derivs[nstep] = k1
                 if full:
-                    if nstep:
-                        mids[M + nstep - 1] = 0.5 * (states[nstep - 1] + x_n) + h8 * (derivs[nstep - 1] - k1)
-                    Z = mids[a, cols]
+                    if nstep == first:
+                        # The midpoint rows of the intervals completed
+                        # since the last block, which this block may read.
+                        a, b = slice(filled, first), slice(filled + 1, first + 1)
+                        mids[M + filled : M + first] = 0.5 * (states[a] + states[b]) + h8 * (derivs[a] - derivs[b])
+                        filled = first
+                        mid_Z = mids[rows[:-1], cols].tolist()
+                    Z = mid_Z[nstep - first]
                 else:
                     Z = gather_at(t_n + mid, completed)
-                x_s = x_n + mid * k1
+                x_s = [x + mid * d for x, d in zip(x_n, k1)]
                 k2 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-                x_s = x_n + mid * k2
+                x_s = [x + mid * d for x, d in zip(x_n, k2)]
                 k3 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-                Z_node = xs[a + 1, cols] if full else gather_at(t_n + hs, completed)
-                x_s = x_n + hs * k3
-                k4 = checked(f(t_n + hs, x_s, Z_node, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
-                x_next = x_n + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                Z = node_Z[nstep - first + 1] if full else gather_at(t_n + hs, completed)
+                x_s = [x + hs * d for x, d in zip(x_n, k3)]
+                k4 = checked(f(t_n + hs, x_s, Z, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
+                w = hs / 6.0
+                x_next = [x + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(x_n, k1, k2, k3, k4)]
                 checked(x_next, t_next, x_n, "state update")
             except _Diverged:
                 final = nstep
                 blow_up, escape_time = True, t_n
                 break
-            states[nstep + 1] = x_next
+            states[nstep + 1] = x_n = x_next
             t_nodes[nstep + 1] = t_next
-            norms_all[M + nstep + 1] = block_max_norm(x_next)
+            norm = norms_all[M + nstep + 1] = block_max_norm(x_next)
             completed = nstep + 1
-            if norms_all[M + nstep + 1] > divergence_threshold:
+            if norm > divergence_threshold:
                 final = nstep + 1
                 blow_up, escape_time = True, float(t_next)
                 break
@@ -888,12 +919,12 @@ def simulate(
         # Derivative at the last stored node, for dense output on the final
         # interval.  Best effort when the run blew up.
         t_fin = float(t_nodes[final])
-        x_fin = states[final]
+        x_fin = states[final].tolist()
         try:
             on_grid = remainder == 0.0 or final < N
-            Z = xs[base + final, cols] if on_grid else gather_at(t_fin, completed)
+            Z = xs[base + final, cols].tolist() if on_grid else gather_at(t_fin, completed)
             dfin = f(t_fin, x_fin, Z, input_vector(t_fin, final, 0.0, x_fin, completed))
-            if np.isfinite(dfin).all():
+            if all(map(math.isfinite, dfin)):
                 derivs[final] = dfin
         except (SimulationError, FloatingPointError, OverflowError):
             pass

@@ -50,6 +50,16 @@ def nan_ring(delta):
     return doc
 
 
+def math_error_ring(rhs, history=None):
+    """The ring whose first rhs is rhs, with delay 1.0 and, when given, the
+    expression history of subsystem 1."""
+    doc = ring_config(delta=1.0, T=4.0, h=0.1)
+    doc["subsystems"][0]["rhs"] = [rhs]
+    if history is not None:
+        doc["simulation"]["history"][0] = {"type": "expression", "exprs": [history]}
+    return doc
+
+
 def count_calls(monkeypatch, modules, name):
     """Count the calls of function name through every given module binding."""
     calls = []
@@ -414,6 +424,22 @@ class TestSweep:
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: NaN in right-hand side evaluation"), proc.stderr
+
+    @pytest.mark.parametrize(
+        "rhs, history, message",
+        [("sqrt(v_1[-1.0])", "t", "math domain error"), ("exp(1000*v_1[-1.0])", None, "math range error")],
+    )
+    def test_math_function_error_is_one_error_line(self, tmp_path, rhs, history, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallgain", "verify", write_doc(tmp_path, math_error_ring(rhs, history)),
+             "--out", str(tmp_path / "out")],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message} in right-hand side evaluation"), proc.stderr
 
     def test_simulation_error_in_second_child(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -478,25 +478,20 @@ class TestParseSystem:
         import smallgain.dsl as dsl
 
         emitted = []
-        vector_function = dsl._vector_function
+        network_function = dsl._network_function
 
-        def recorded(*args):
-            emitted.append(args)
-            return vector_function(*args)
+        def recorded(pieces):
+            emitted.append(pieces)
+            return network_function(pieces)
 
-        monkeypatch.setattr(dsl, "_vector_function", recorded)
+        monkeypatch.setattr(dsl, "_network_function", recorded)
         parse_system(ring_config())
         assert emitted == [
-            (
-                "_f",
-                "t, x, Z, u",
-                [
-                    "(((-3.0) * x[0]) + ((Z[1] ** 2.0) / (1.0 + (Z[1] ** 2.0))))",
-                    "(((-1.5) * x[1]) + (Z[2] ** 3.0))",
-                    "(((-2.0) * x[2]) + (Z[0] ** 2.0))",
-                ],
-                "<network rhs>",
-            )
+            [
+                "(((-3.0) * x[0]) + (_pow(Z[1], 2.0) / (1.0 + _pow(Z[1], 2.0))))",
+                "(((-1.5) * x[1]) + _pow(Z[2], 3.0))",
+                "(((-2.0) * x[2]) + _pow(Z[0], 2.0))",
+            ]
         ]
 
     def test_subsystem_rhs_is_compiled_on_first_call(self, monkeypatch):
@@ -511,12 +506,16 @@ class TestParseSystem:
 
         monkeypatch.setattr(dsl, "_vector_function", counted)
         cfg = parse_system(base_doc())
-        assert compiled == ["_f"]
+        # The network function evaluates on floats; its numpy-scalar
+        # twin is compiled only for a stage that gives inf or NaN.
+        assert compiled == []
         rhs = cfg.system.subsystems[0].rhs
         for x1 in (1.0, 3.0):
             out = rhs(0.0, np.array([x1]), {(2, 0.5): np.array([2.0])}, np.zeros(0))
             assert out.tolist() == [-x1 + 0.5]
-        assert compiled == ["_f", "_rhs"]
+        assert compiled == ["_rhs"]
+        assert cfg.system.rhs(0.0, [-np.inf, 0.0], [2.0, 2.0], [0.0]) == [np.inf, 0.5]
+        assert compiled == ["_rhs", "_f"]
 
     def test_json_text_accepted(self):
         cfg = parse_system(json.dumps(ring_config()))

@@ -1,6 +1,7 @@
 """Delay-system integrator: accuracy, dense output, and failure modes."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -576,13 +577,24 @@ def outcome(run):
     return traj.blow_up, traj.escape_time, [(a.shape, a.tobytes()) for a in arrays]
 
 
+def recorded(run):
+    """outcome(run), and the messages of the warnings that arithmetic on
+    numpy scalars (the right-hand sides) raised during it, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = outcome(run)
+    return result, [str(w.message) for w in caught if " encountered in scalar " in str(w.message)]
+
+
 def same_as_reference(sys, hist, inputs, T, h, **kw):
-    """simulate on sys and on its subsystem adapter both match the oracle."""
-    ref = outcome(lambda: reference_simulate(sys, hist, inputs, T, h, **kw))
-    assert outcome(lambda: simulate(sys, hist, inputs, T, h, **kw)) == ref
+    """simulate on sys and on its subsystem adapter both match the oracle,
+    also in the warnings of right-hand side arithmetic."""
+    with np.errstate(invalid="ignore"):  # simulate reports a NaN itself
+        ref = recorded(lambda: reference_simulate(sys, hist, inputs, T, h, **kw))
+    assert recorded(lambda: simulate(sys, hist, inputs, T, h, **kw)) == ref
     adapted = replace(sys, rhs=None)
-    assert outcome(lambda: simulate(adapted, hist, inputs, T, h, **kw)) == ref
-    return ref
+    assert recorded(lambda: simulate(adapted, hist, inputs, T, h, **kw)) == ref
+    return ref[0]
 
 
 _coef = st.floats(-1.5, 1.5).map(lambda v: round(v, 3))
@@ -617,19 +629,33 @@ def input_signals(draw, dim):
     return InputSignal.from_callable(lambda t: np.sin(w * t + np.arange(dim)), dim)
 
 
+# Terms whose float evaluation raises or overflows: a ^ that overflows
+# always or for |v| > 3.1, a negative base with a fractional exponent, a
+# division by zero and 0^-1.  v is a delayed reference.
+_HAZARDS = ("(1 + {v}^2)^1100", "(1 + {v}^2)^300", "({v} - 0.5)^1.5", "{v}/({x} - {x})", "(0*{v})^-1")
+
+
 @st.composite
-def dsl_documents(draw, h):
+def dsl_documents(draw, h, hazards=False):
     """A random DSL network document at step h with histories, and input
-    signals when it declares inputs and draws them: (doc, hist, inputs)."""
+    signals when it declares inputs and draws them: (doc, hist, inputs).
+
+    With hazards, a network may also read a delay of one step (so the
+    integrator gathers Z in blocks of one step) and carry one term of
+    _HAZARDS half of the time."""
     k = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
     input_dims = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     delays = [m * h for m in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))]
+    one_step = hazards and draw(st.booleans())
+    if one_step and h not in delays:
+        delays.append(h)
 
-    def delayed(i):
+    def delayed(i, delay=None):
         j = draw(st.integers(1, k))
         name = draw(st.sampled_from(["x", "v"])) if j == i else "v"
-        return f"{name}_{j}_{draw(st.integers(1, dims[j - 1]))}[-{draw(st.sampled_from(delays))!r}]"
+        delay = draw(st.sampled_from(delays)) if delay is None else delay
+        return f"{name}_{j}_{draw(st.integers(1, dims[j - 1]))}[-{delay!r}]"
 
     exprs = []
     for i in range(1, k + 1):
@@ -648,6 +674,12 @@ def dsl_documents(draw, h):
                 terms.append(f"{draw(st.floats(0.5, 3.0).map(lambda v: round(v, 3)))!r}*x_{i}_{c}^2")
             rows.append(" + ".join(terms))
         exprs.append(rows)
+    if hazards:
+        i = draw(st.integers(1, k))
+        c = draw(st.integers(1, dims[i - 1]))
+        ref = delayed(i, h if one_step else None)
+        term = draw(st.sampled_from(_HAZARDS)) if draw(st.booleans()) else "{v}"
+        exprs[i - 1][c - 1] += f" + {draw(_coef)!r}*{term.format(v=ref, x=f'x_{i}_{c}')}"
     hist = [draw(histories(d)) for d in dims]
     inputs = None
     if sum(input_dims) and draw(st.booleans()):
@@ -656,10 +688,10 @@ def dsl_documents(draw, h):
 
 
 @st.composite
-def dsl_networks(draw, h):
+def dsl_networks(draw, h, hazards=False):
     """A random DSL network at step h with histories, and inputs or a
     feedback closure: (sys, hist, inputs)."""
-    doc, hist, inputs = draw(dsl_documents(h))
+    doc, hist, inputs = draw(dsl_documents(h, hazards))
     sys = parse_system(doc).system
     m = sys.total_input_dim
     if m and inputs is None and draw(st.booleans()):
@@ -677,21 +709,21 @@ def _horizons(h):
 
 @st.composite
 def dsl_cases(draw):
-    """Random DSL networks with histories, inputs or a feedback closure."""
+    """Random DSL networks with histories, inputs or a feedback closure,
+    some reading a one-step delay or carrying a term that overflows,
+    divides by zero or takes a root of a negative number."""
     h = draw(_steps)
-    sys, hist, inputs = draw(dsl_networks(h))
+    sys, hist, inputs = draw(dsl_networks(h, hazards=True))
     return sys, hist, inputs, draw(_horizons(h)), h
 
 
 class TestStageGatherAgainstReference:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(dsl_cases())
     def test_bit_identical_to_reference_loop(self, case):
         sys, hist, inputs, T, h = case
         assert sys.rhs is not None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            same_as_reference(sys, hist, inputs, T, h)
+        same_as_reference(sys, hist, inputs, T, h)
 
     def test_blow_up_matches_reference(self):
         sys = dsl_system([["x_1^2 + 0.5*v_1[-0.1]"]], [0.1])
@@ -700,6 +732,41 @@ class TestStageGatherAgainstReference:
         assert blow_up and 0.3 < escape_time < 0.6
         blow_up, _, _ = same_as_reference(sys, hist, None, 1.0, 0.01, divergence_threshold=1e3)
         assert blow_up
+
+    @pytest.mark.parametrize(
+        "term, warning",
+        [
+            ("(1 + v_1[-0.01]^2)^1100", "overflow encountered in scalar power"),
+            ("x_1^4", "overflow encountered in scalar power"),
+            ("1e300*x_1*v_1[-0.01]*1e300", "overflow encountered in scalar multiply"),
+            ("v_1[-0.01]/(x_1 - x_1)", "divide by zero encountered in scalar divide"),
+            ("(0*v_1[-0.01])^-1", "divide by zero encountered in scalar power"),
+            ("(v_1[-0.01] - 2.5)^1.5", None),
+        ],
+    )
+    def test_float_errors_match_reference_and_its_warnings(self, term, warning):
+        # A delay of one step: Z is gathered in blocks of one step.
+        sys = dsl_system([[f"-x_1 + {term}"]], [0.01])
+        hist = [HistoryFunction.constant([2.0])]
+        result = same_as_reference(sys, hist, None, 1.0, 0.01)
+        with np.errstate(invalid="ignore"):
+            _, messages = recorded(lambda: simulate(sys, hist, None, 1.0, 0.01))
+        if warning is None:
+            assert result[0] is SimulationError and messages == []
+        else:
+            assert result[0] is True and messages and set(messages) == {warning}
+
+    def test_overflow_inside_a_finite_value_gives_no_warning(self):
+        # 1e300*x_1*1e300 overflows to inf and 1/inf is 0.0: the stage
+        # value is finite, so the float evaluation stands and raises no
+        # numpy warning, where the oracle's numpy scalars warn.
+        sys = dsl_system([["-x_1 + 1/(1e300*x_1*1e300)"]], [0.01])
+        hist = [HistoryFunction.constant([2.0])]
+        with np.errstate(invalid="ignore"):
+            ref, ref_messages = recorded(lambda: reference_simulate(sys, hist, None, 1.0, 0.01))
+            result, messages = recorded(lambda: simulate(sys, hist, None, 1.0, 0.01))
+        assert result == ref and ref[0] is False
+        assert messages == [] and set(ref_messages) == {"overflow encountered in scalar multiply"}
 
     def test_nan_matches_reference(self):
         sys = dsl_system([["x_1^0.5 + v_1[-0.1]"]], [0.1])
@@ -731,6 +798,27 @@ class TestStageGatherAgainstReference:
         # midpoint lies in the history window: 50 steps for each of the
         # three 0.5 references, 100 for each of the three 1.0 ones.
         assert calls == {i: M + 1 + 2 * (3 * 50 + 3 * 100) for i in (1, 2, 3)}
+
+    def test_block_length_is_capped(self):
+        # The same 2,000 steps and the same 20,000-step history window,
+        # reading four delays of 20,000 or more steps or four of 50 or
+        # more: Z is gathered in blocks of at most _DENSE_BLOCK steps, so
+        # the first run holds 512 rows of it at a time, not 2,000.
+        h = 0.001
+        long = [(20000 + i) * h for i in range(4)]
+        short = [(50 + i) * h for i in range(4)]
+
+        def peak(read):
+            rhs = "-x_1 + " + " + ".join(f"0.1*v_1[-{d!r}]" for d in read)
+            sys = dsl_system([[rhs]], long + short)
+            tracemalloc.start()
+            try:
+                simulate(sys, [HistoryFunction.constant([1.0])], None, 2000 * h, h)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(long) < 1.75 * peak(short)
 
     def test_nonfinite_history_at_half_steps_is_bad_input(self):
         h = 0.1
