@@ -16,10 +16,11 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -688,15 +689,23 @@ class _RhsCompiler:
         return f"Z[{self.rows[key] + comp - 1}]"
 
 
+def _numpy_pow(a, b):
+    """``a ** b``: numpy's power on numpy scalars, and on Python floats
+    (constants, t, a math function's value) numpy's NaN where ``**``
+    would give a complex number."""
+    p = a ** b
+    return math.nan if type(p) is complex else p
+
+
 def _vector_function(name: str, params: str, pieces: Sequence[str], filename: str) -> Callable:
     """exec one function returning the float array of the given expressions.
 
     Its arguments are arrays, so the expressions evaluate on numpy
     scalars: overflow and division by zero give inf or NaN with numpy's
-    warning, and ``^`` is the ``**`` operator.
+    warning, and ``^`` is :func:`_numpy_pow`.
     """
     src = f"def {name}({params}):\n    return _np.array([{', '.join(pieces)}], dtype=float)\n"
-    env: dict[str, Any] = {"_np": np, "_pow": operator.pow, **_CODEGEN_FUNCS}
+    env: dict[str, Any] = {"_np": np, "_pow": _numpy_pow, **_CODEGEN_FUNCS}
     exec(compile(src, filename, "exec"), env)
     return env[name]
 
@@ -826,6 +835,102 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# config_schema.json is checked here, not by a JSON Schema library:
+# _schema_errors interprets the keywords the schema uses, with the
+# types, semantics and messages of jsonschema's Draft 2020-12 validator.
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    # 3.0 is an integer to JSON Schema; parse_system reads such fields as int.
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+}
+
+
+# The keywords that _schema_errors interprets; "$schema" and "title" only
+# annotate.
+_KEYWORDS = frozenset(
+    {"$schema", "title", "type", "enum", "oneOf", "required", "properties", "patternProperties",
+     "additionalProperties", "items", "minItems", *_BOUNDS}
+)
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """Every ``(path, message)`` by which value, at path, breaks schema, in
+    the order jsonschema yields them: the schema's keywords in its key
+    order.  A keyword outside _KEYWORDS, or an ``additionalProperties``
+    other than false, raises ValueError."""
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        if keyword not in _KEYWORDS or (keyword == "additionalProperties" and arg is not False):
+            raise ValueError(f"config_schema.json: unsupported {keyword!r}: {arg!r}")
+        if keyword == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        # The schema's enums list strings, for which `in` is JSON equality.
+        elif keyword == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "oneOf":
+            valid = [sub for sub in arg if next(_schema_errors(value, sub), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{value!r} is valid under each of {reprs}"
+        elif keyword == "required" and is_object:
+            yield from ((path, f"{name!r} is a required property") for name in arg if name not in value)
+        elif keyword == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif keyword == "patternProperties" and is_object:
+            for pattern, sub in arg.items():
+                for key, item in value.items():
+                    if re.search(pattern, key):
+                        yield from _schema_errors(item, sub, path + (key,))
+        elif keyword == "additionalProperties" and is_object:
+            patterns = "|".join(schema.get("patternProperties", {}))
+            extras = sorted(
+                key for key in value
+                if key not in schema.get("properties", {}) and not (patterns and re.search(patterns, key))
+            )
+            joined = ", ".join(map(repr, extras))
+            if extras and "patternProperties" in schema:
+                verb = "does" if len(extras) == 1 else "do"
+                regexes = ", ".join(map(repr, sorted(schema["patternProperties"])))
+                yield path, f"{joined} {verb} not match any of the regexes: {regexes}"
+            elif extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({joined} {verb} unexpected)"
+        elif keyword == "items" and is_array:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, arg, path + (i,))
+        elif keyword == "minItems" and is_array and len(value) < arg:
+            yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword in _BOUNDS and _is_number(value) and _BOUNDS[keyword][0](value, arg):
+            yield path, f"{value!r} {_BOUNDS[keyword][1]} {arg!r}"
+
+
+def _where(path: Sequence) -> str:
+    """A document path as ``$.gains.edges['1,2']``: indices and keys that
+    are not identifiers in brackets."""
+    return "$" + "".join(
+        f"[{p}]" if isinstance(p, int) else f".{p}" if p.isidentifier() else f"[{p!r}]" for p in path
+    )
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Horizon T (finite, >= 0) and step h (finite, > 0) of a run."""
@@ -863,18 +968,18 @@ class ParsedConfig:
     checks: CheckParams
 
 
-def _fail(path: str, message: str):
-    raise ConfigError(f"{path}: {message}")
+def _fail(path: tuple, message):
+    raise ConfigError(f"{_where(path)}: {message}")
 
 
-def _parse_gain_at(path: str, text: str) -> KFunction:
+def _parse_gain_at(path: tuple, text: str) -> KFunction:
     try:
         return parse_gain(text)
     except GainParseError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        _fail(path, exc)
 
 
-def _parse_shared_entry(path: str, entry, dim: int, cls, what: str):
+def _parse_shared_entry(path: tuple, entry, dim: int, cls, what: str):
     """The ``constant`` and ``expression`` entries, which histories and
     inputs share; ``cls`` is :class:`HistoryFunction` or :class:`InputSignal`."""
     if entry["type"] == "constant":
@@ -897,7 +1002,7 @@ def _parse_shared_entry(path: str, entry, dim: int, cls, what: str):
 
 
 def _parse_history_entry(
-    path: str, entry, dim: int
+    path: tuple, entry, dim: int
 ) -> HistoryFunction:
     if isinstance(entry, list):
         if len(entry) != dim:
@@ -927,7 +1032,7 @@ def _parse_history_entry(
     _fail(path, f"unsupported history type {kind!r}")
 
 
-def _parse_input_entry(path: str, entry, input_dim: int) -> InputSignal:
+def _parse_input_entry(path: tuple, entry, input_dim: int) -> InputSignal:
     if entry is None:
         return InputSignal.zero(input_dim)
     if input_dim == 0:
@@ -967,37 +1072,32 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     if not isinstance(doc, Mapping):
         raise ConfigError("configuration root must be a JSON object")
 
-    import jsonschema
+    # The first error with the smallest path, as jsonschema's errors sorted
+    # by path give it.
+    first = min(_schema_errors(doc, _schema()), key=lambda error: error[0], default=None)
+    if first is not None:
+        _fail(*first)
 
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in first.absolute_path
-        )
-        raise ConfigError(f"{where}: {first.message}")
-
-    k = doc["k"]
+    k = int(doc["k"])
     subs_doc = doc["subsystems"]
     if len(subs_doc) != k:
-        _fail("$.subsystems", f"k is {k} but {len(subs_doc)} subsystems given")
+        _fail(("subsystems",), f"k is {k} but {len(subs_doc)} subsystems given")
 
     delays = [float(d) for d in doc["delays"]]
     if len(set(delays)) != len(delays):
-        _fail("$.delays", "delay values must be distinct")
+        _fail(("delays",), "delay values must be distinct")
 
     dims = []
     input_dims = []
     for i, sub in enumerate(subs_doc):
-        dim = sub.get("dim", len(sub["rhs"]))
+        dim = int(sub.get("dim", len(sub["rhs"])))
         if dim != len(sub["rhs"]):
             _fail(
-                f"$.subsystems[{i}]",
+                ("subsystems", i),
                 f"dim is {dim} but {len(sub['rhs'])} rhs expressions given",
             )
         dims.append(dim)
-        input_dims.append(sub.get("input_dim", 0))
+        input_dims.append(int(sub.get("input_dim", 0)))
 
     subsystems = []
     trees = []
@@ -1008,7 +1108,7 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
                 sub["rhs"], index, dims, input_dims, delays
             )
         except (RhsParseError, ValueError) as exc:
-            raise ConfigError(f"$.subsystems[{i}].rhs: {exc}") from exc
+            _fail(("subsystems", i, "rhs"), exc)
         trees.append(sub_trees)
         subsystems.append(
             Subsystem(
@@ -1033,25 +1133,24 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     try:
         system = build_interconnection(subsystems, delays, rhs=network)
     except ValueError as exc:
-        raise ConfigError(f"$.subsystems: {exc}") from exc
+        _fail(("subsystems",), exc)
 
     gains_doc = doc["gains"]
     edges = {}
     for key in sorted(gains_doc.get("edges", {})):
         parts = key.split(",")
         i, j = int(parts[0]), int(parts[1])
+        path = ("gains", "edges", key)
         if not (1 <= i <= k and 1 <= j <= k):
-            _fail(f"$.gains.edges[{key!r}]", f"indices must lie in 1..{k}")
+            _fail(path, f"indices must lie in 1..{k}")
         if i == j:
-            _fail(f"$.gains.edges[{key!r}]", "self gains are not allowed")
-        edges[(i, j)] = _parse_gain_at(
-            f"$.gains.edges[{key!r}]", gains_doc["edges"][key]
-        )
+            _fail(path, "self gains are not allowed")
+        edges[(i, j)] = _parse_gain_at(path, gains_doc["edges"][key])
     node_gains = {}
     for section in ("input", "sigma"):
         node_gains[section] = {}
         for key in sorted(gains_doc.get(section, {})):
-            path = f"$.gains.{section}[{key!r}]"
+            path = ("gains", section, key)
             i = int(key)
             if not 1 <= i <= k:
                 _fail(path, f"index must lie in 1..{k}")
@@ -1071,24 +1170,24 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
         try:
             sim = SimParams(T=float(sim_doc["T"]), h=float(sim_doc["h"]))
         except ConfigError as exc:
-            _fail("$.simulation", str(exc))
+            _fail(("simulation",), exc)
         hist_doc = sim_doc["history"]
         if len(hist_doc) != k:
-            _fail("$.simulation.history", f"expected {k} entries, got {len(hist_doc)}")
+            _fail(("simulation", "history"), f"expected {k} entries, got {len(hist_doc)}")
         history = tuple(
-            _parse_history_entry(f"$.simulation.history[{i}]", entry, dims[i])
+            _parse_history_entry(("simulation", "history", i), entry, dims[i])
             for i, entry in enumerate(hist_doc)
         )
         inputs_doc = sim_doc.get("inputs")
         if inputs_doc is not None:
             if len(inputs_doc) != k:
                 _fail(
-                    "$.simulation.inputs",
+                    ("simulation", "inputs"),
                     f"expected {k} entries, got {len(inputs_doc)}",
                 )
             inputs = tuple(
                 _parse_input_entry(
-                    f"$.simulation.inputs[{i}]", entry, input_dims[i]
+                    ("simulation", "inputs", i), entry, input_dims[i]
                 )
                 for i, entry in enumerate(inputs_doc)
             )
@@ -1097,10 +1196,14 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     grid = DEFAULT_GRID
     grid_doc = checks_doc.get("grid")
     if grid_doc is not None:
+        fields = {
+            name: int(value) if name in ("n_points", "refinement_depth") else value
+            for name, value in grid_doc.items()
+        }
         try:
-            grid = dataclasses.replace(DEFAULT_GRID, **grid_doc)
+            grid = dataclasses.replace(DEFAULT_GRID, **fields)
         except ValueError as exc:
-            raise ConfigError(f"$.checks.grid: {exc}") from exc
+            _fail(("checks", "grid"), exc)
     run = checks_doc.get("run")
     checks = CheckParams(
         grid=grid,

@@ -427,7 +427,12 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "rhs, history, message",
-        [("sqrt(v_1[-1.0])", "t", "math domain error"), ("exp(1000*v_1[-1.0])", None, "math range error")],
+        [
+            ("sqrt(v_1[-1.0])", "t", "math domain error"),
+            ("exp(1000*v_1[-1.0])", None, "math range error"),
+            # A negative constant to a fractional power is NaN, not complex.
+            ("-3*x_1 + (-8)^(1/3)", None, "NaN"),
+        ],
     )
     def test_math_function_error_is_one_error_line(self, tmp_path, rhs, history, message):
         proc = subprocess.run(
@@ -440,6 +445,21 @@ class TestSweep:
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {message} in right-hand side evaluation"), proc.stderr
+
+    def test_history_without_real_value_is_one_error_line(self, tmp_path):
+        # (1 + t)^0.5 on Python floats would be a complex number at t < -1.
+        doc = ring_config(delta=2.0, T=4.0, h=0.1)
+        doc["simulation"]["history"][0] = {"type": "expression", "exprs": ["(1 + t)^0.5"]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "smallgain", "verify", write_doc(tmp_path, doc),
+             "--out", str(tmp_path / "out")],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: history function produced non-finite values"), proc.stderr
 
     def test_simulation_error_in_second_child(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -9,6 +9,7 @@ is the oracle, so the compiler is never checked against itself.
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from smallgain.dsl import (
     ParsedConfig,
     RhsParseError,
     SimParams,
+    _numpy_pow,
     compile_rhs,
     compile_time_expression,
     load_config,
@@ -338,6 +340,20 @@ class TestRhsCompiler:
         assert out[0] == pytest.approx(7.0)
         assert out[1] == pytest.approx(math.sin(2.0))
 
+    def test_power_of_python_floats_is_numpy_nan(self):
+        # No complex number, and no warning: numpy's NaN, as on numpy scalars.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(compile_time_expression(["(1 + t)^0.5"])(-2.0)[0])
+            rhs, _ = compile_rhs(["-3*x_1 + (-8)^(1/3)"], 1, [1], [0], [])
+            assert math.isnan(rhs(0.0, np.array([1.0]), {}, np.zeros(0))[0])
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_numpy_pow(np.float64(-8.0), 1 / 3))
+        # Numpy scalar operands keep numpy's bits and type.
+        for a, b in [(np.float64(2.0), 0.5), (1.7, np.float64(2.3)), (np.float64(3.1), np.float64(-1.2))]:
+            assert type(_numpy_pow(a, b)) is np.float64 and _numpy_pow(a, b) == a ** b
+        assert _numpy_pow(2.0, 0.5) == 2.0 ** 0.5
+
     def test_time_expression_rejects_state(self):
         for expr in ("x_1", "v_1[-0.5]", "u_1"):
             with pytest.raises(RhsParseError, match="only t and numeric"):
@@ -554,6 +570,38 @@ class TestParseSystem:
         doc["gains"]["edges"]["1-2"] = "s"
         with pytest.raises(ConfigError, match=r"\$\.gains\.edges"):
             parse_system(doc)
+
+        # Schema errors and semantic errors render one path style.
+        doc = base_doc()
+        doc["gains"]["edges"]["1,2"] = 5
+        with pytest.raises(ConfigError, match=r"^\$\.gains\.edges\['1,2'\]: 5 is not of type 'string'$"):
+            parse_system(doc)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("k",), 2),
+            (("subsystems", 0, "dim"), 1),
+            (("subsystems", 1, "input_dim"), 1),
+            (("checks", "grid", "n_points"), 64),
+            (("checks", "grid", "refinement_depth"), 2),
+        ],
+    )
+    def test_integral_floats_read_as_integers(self, path, value):
+        # JSON Schema counts 3.0 as an integer, so the schema accepts it.
+        def parsed(v):
+            doc = base_doc()
+            doc["checks"] = {"grid": {}}
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = v
+            cfg = parse_system(doc)
+            subs = [(s.dim, s.input_dim, s.references, s.name) for s in cfg.system.subsystems]
+            # repr tells 2 from 2.0.
+            return repr((cfg.k, subs, cfg.system.delays, cfg.digraph, cfg.checks))
+
+        assert parsed(float(value)) == parsed(value)
 
     def test_semantic_validation(self):
         doc = base_doc()
