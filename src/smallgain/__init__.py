@@ -41,7 +41,6 @@ from .graph import (
     check_cyclic_small_gain,
     cycle_gain,
     enumerate_simple_cycles,
-    linear_cycle_products,
 )
 from .reduction import (
     ClosedLoopGains,
@@ -145,7 +144,6 @@ __all__ = [
     "less_than_identity",
     "less_than_identity_chains",
     "limsup_estimate",
-    "linear_cycle_products",
     "load_config",
     "max_of",
     "parse_gain",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .gains import (
     DEFAULT_GRID,
@@ -287,24 +287,3 @@ def check_cyclic_small_gain(
         status = VerdictStatus.VERIFIED_ON_GRID
     return SmallGainCheck(status, tuple(reports), g, grid)
 
-
-def linear_cycle_products(
-    g: GainDigraph, cycles: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], float]:
-    """Coefficient products around cycles of an all-Linear digraph.
-
-    Convenience for analyses of linear gain networks, where the cycle
-    condition reduces to the product of coefficients staying below one.
-    """
-    from .gains import Linear
-
-    out = {}
-    for cycle in cycles:
-        prod = 1.0
-        for idx in range(len(cycle)):
-            gain = g.edges[(cycle[idx], cycle[(idx + 1) % len(cycle)])]
-            if not isinstance(gain, Linear):
-                raise TypeError(f"gain {cycle[idx], cycle[(idx + 1) % len(cycle)]} is not Linear")
-            prod *= gain.a
-        out[cycle] = prod
-    return out

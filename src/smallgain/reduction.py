@@ -14,9 +14,13 @@ the (max, compose) algebra:
   replacing gamma_ij by max{gamma_ij, gamma_im o gamma_mj} and the input
   gain by max{gamma_iu, gamma_im o gamma_mu};
 * the self-referential term gamma_im o gamma_mi(b_i) produced by the
-  substitution is dropped, which is sound exactly because the 2-cycle
-  through m satisfies the small-gain condition (a finite b_i cannot
-  exceed a bound strictly contractive in b_i);
+  substitution is dropped (a finite b_i cannot exceed a bound strictly
+  contractive in b_i).  That term is a maximum over closed walks of the
+  original digraph through i.  A closed walk splits into simple cycles
+  and class-K gains are increasing, so the walk stays below the identity
+  once every simple cycle does (Dashkovskiy, Ruffer & Wirth, MCSS 2007):
+  the verified cyclic small-gain check certifies every dropped term, and
+  elimination does no grid work of its own;
 * once two nodes remain the pair is solved directly, and previously
   eliminated nodes are recovered by back-substitution in reverse order.
 
@@ -42,10 +46,15 @@ from .gains import (
     GridSpec,
     Identity,
     KFunction,
-    less_than_identity,
     max_of,
 )
-from .graph import CycleReport, GainDigraph, SmallGainCheck, check_cyclic_small_gain
+from .graph import (
+    CycleReport,
+    GainDigraph,
+    SmallGainCheck,
+    build_gain_digraph,
+    check_cyclic_small_gain,
+)
 
 __all__ = [
     "SmallGainViolation",
@@ -77,7 +86,8 @@ class ElimStep:
     out_gains is the eliminated node's row at elimination time (gains
     toward the then-surviving nodes) and inputs its channel gains, which
     is exactly what back-substitution needs later; dropped_self holds
-    the contractive self-terms discarded under the 2-cycle condition.
+    the contractive self-terms discarded under the cyclic small-gain
+    condition.
     """
 
     node: int
@@ -105,33 +115,25 @@ class ReducedSystem:
         object.__setattr__(self, "input_gains", MappingProxyType(dict(self.input_gains)))
 
 
-def _check_two_cycle(
-    edges: Mapping[tuple[int, int], KFunction], i: int, m: int, grid: GridSpec
-) -> KFunction | None:
-    """Verify the 2-cycle i<->m if both edges exist; return the dropped term.
+def _require_verified(g: GainDigraph, grid: GridSpec, check: SmallGainCheck | None) -> None:
+    """Raise unless the cyclic small-gain condition of g verifies on grid.
 
-    Returns the composition gamma_im o gamma_mi when both edges are
-    present (after verifying it sits below the identity), None when the
-    pair cannot loop.  Raises SmallGainViolation if the grid check does
-    not come back verified; an inconclusive margin is treated as a
-    refusal because dropping the self-term is only justified by a
-    strict, trusted inequality.
+    Runs the check when ``check`` is None; a given check must have been
+    computed for this very digraph object and an equal grid (ValueError
+    otherwise).  An unverified check raises SmallGainViolation carrying
+    its worst cycle report.
     """
-    if (i, m) not in edges or (m, i) not in edges:
-        return None
-    loop = Compose(edges[(i, m)], edges[(m, i)])
-    verdict = less_than_identity(loop, grid)
-    if not verdict.verified:
-        cyc = (i, m) if i < m else (m, i)
-        gain = Compose(edges[cyc], edges[(cyc[1], cyc[0])])
-        report = CycleReport(cyc, gain, less_than_identity(gain, grid))
+    if check is None:
+        check = check_cyclic_small_gain(g, grid)
+    elif check.digraph is not g or check.grid != grid:
+        raise ValueError("the small-gain check was computed for another digraph or grid")
+    if not check.verified:
+        worst = check.worst()
         raise SmallGainViolation(
-            f"2-cycle through nodes {cyc} is not verified below the identity "
-            f"(status {report.verdict.status.value}, margin {report.verdict.margin:.3e} "
-            f"at s={report.verdict.witness:.6g}); refusing to eliminate node {m}",
-            report,
+            "cyclic small-gain condition is not verified for this digraph "
+            f"(status {check.status.value}, worst cycle {worst.cycle if worst else None})",
+            worst,
         )
-    return loop
 
 
 def _eliminate(
@@ -139,17 +141,16 @@ def _eliminate(
     edges: dict[tuple[int, int], KFunction],
     channels: dict[str, dict[int, KFunction]],
     m: int,
-    grid: GridSpec,
 ) -> tuple[list[int], dict[tuple[int, int], KFunction], dict[str, dict[int, KFunction]], ElimStep]:
     if m not in nodes:
         raise ValueError(f"node {m} is not present (remaining nodes: {nodes})")
     survivors = [i for i in nodes if i != m]
 
-    dropped: dict[int, KFunction] = {}
-    for i in survivors:
-        loop = _check_two_cycle(edges, i, m, grid)
-        if loop is not None:
-            dropped[i] = loop
+    dropped = {
+        i: Compose(edges[(i, m)], edges[(m, i)])
+        for i in survivors
+        if (i, m) in edges and (m, i) in edges
+    }
 
     out_edges = {(i, j): g for (i, j), g in edges.items() if i in survivors and j in survivors}
     for i in survivors:
@@ -198,14 +199,19 @@ def eliminate_node(
         gamma_ij' = max{gamma_ij, gamma_im o gamma_mj}
         gamma_iu' = max{gamma_iu, gamma_im o gamma_mu}
 
-    where absent terms are simply left out.  Requires every 2-cycle
-    through m to verify below the identity on ``grid``; otherwise raises
-    SmallGainViolation carrying the offending cycle report.
+    where absent terms are simply left out.  The nodes are indices
+    1..k, k the largest node given.  Requires the cyclic small-gain
+    check of that digraph to verify on ``grid``, as
+    :func:`closed_loop_input_gains` does; otherwise raises
+    SmallGainViolation carrying the worst cycle report.  Each dropped
+    self-term gamma_im o gamma_mi is a closed walk, below the identity
+    once every simple cycle is.
     """
     nodes = sorted({i for pair in gains for i in pair} | set(input_gains))
     edges = dict(gains)
+    _require_verified(build_gain_digraph(max(nodes, default=0), edges, input_gains), grid, None)
     channels = {_AG_CHANNEL: dict(input_gains)}
-    survivors, out_edges, out_channels, step = _eliminate(nodes, edges, channels, m, grid)
+    survivors, out_edges, out_channels, step = _eliminate(nodes, edges, channels, m)
     return ReducedSystem(tuple(survivors), out_edges, out_channels[_AG_CHANNEL], step)
 
 
@@ -213,7 +219,6 @@ def _solve_terminal(
     nodes: list[int],
     edges: dict[tuple[int, int], KFunction],
     channels: dict[str, dict[int, KFunction]],
-    grid: GridSpec,
 ) -> dict[str, dict[int, KFunction]]:
     """Solve the final 1- or 2-node system of max-inequalities."""
     solved: dict[str, dict[int, KFunction]] = {ch: {} for ch in channels}
@@ -225,8 +230,6 @@ def _solve_terminal(
         return solved
 
     a, b = nodes
-    if (a, b) in edges and (b, a) in edges:
-        _check_two_cycle(edges, a, b, grid)
     for ch, gains in channels.items():
         for i, j in ((a, b), (b, a)):
             terms: list[KFunction] = []
@@ -338,24 +341,15 @@ def closed_loop_input_gains(
     eliminated nodes are recovered by back-substitution.  A custom
     ``order`` may eliminate any distinct nodes as long as at least one
     node survives; different orders yield different but equally valid
-    bound functions.
+    bound functions.  That check is the only one: every self-term the
+    elimination drops is a closed walk of ``g``, which splits into
+    simple cycles, so it is below the identity once they all are.
 
     The transient side rides along as a synthetic input channel with
     identity gain into every node, so the returned sigmas are reduced
     exactly like the input gains.
     """
-    if check is None:
-        check = check_cyclic_small_gain(g, grid)
-    elif check.digraph is not g or check.grid != grid:
-        raise ValueError("the small-gain check was computed for another digraph or grid")
-    if not check.verified:
-        worst = check.worst()
-        raise SmallGainViolation(
-            "cyclic small-gain condition is not verified for this digraph "
-            f"(status {check.status.value}, worst cycle {worst.cycle if worst else None})",
-            worst,
-        )
-
+    _require_verified(g, grid, check)
     if order is None:
         order = tuple(range(g.k, 2, -1))
     else:
@@ -376,7 +370,7 @@ def closed_loop_input_gains(
     }
     trace: list[ElimStep] = []
     for m in order:
-        nodes, edges, channels, step = _eliminate(nodes, edges, channels, m, grid)
+        nodes, edges, channels, step = _eliminate(nodes, edges, channels, m)
         trace.append(step)
 
     if len(nodes) > 2:
@@ -384,7 +378,7 @@ def closed_loop_input_gains(
             f"elimination order {order} leaves {len(nodes)} coupled nodes; "
             "eliminate down to at most two before the terminal solve"
         )
-    solved = _solve_terminal(nodes, edges, channels, grid)
+    solved = _solve_terminal(nodes, edges, channels)
     solved = _back_substitute(solved, trace)
 
     input_gains = {i: solved[_AG_CHANNEL].get(i) for i in range(1, g.k + 1)}

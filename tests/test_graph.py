@@ -20,7 +20,6 @@ from smallgain.graph import (
     check_cyclic_small_gain,
     cycle_gain,
     enumerate_simple_cycles,
-    linear_cycle_products,
 )
 from smallgain.ring import ring_gains
 
@@ -219,25 +218,3 @@ class TestCyclicSmallGain:
         assert "compose" in cycle_doc["gain"]
         assert cycle_doc["verdict"]["status"] == "verified_on_grid"
 
-
-class TestLinearCycleProducts:
-    def test_products(self):
-        edges = {
-            (1, 2): Linear(2.0),
-            (2, 1): Linear(0.25),
-            (2, 3): Linear(3.0),
-            (3, 1): Linear(0.1),
-            (1, 3): Linear(4.0),
-            (3, 2): Linear(0.5),
-        }
-        g = build_gain_digraph(3, edges)
-        cycles = enumerate_simple_cycles(g)
-        products = linear_cycle_products(g, cycles)
-        assert products[(1, 2)] == pytest.approx(0.5)
-        assert products[(1, 2, 3)] == pytest.approx(2.0 * 3.0 * 0.1)
-        assert products[(1, 3, 2)] == pytest.approx(4.0 * 0.5 * 0.25)
-
-    def test_rejects_nonlinear(self):
-        g = ring_gains()
-        with pytest.raises(TypeError):
-            linear_cycle_products(g, [(1, 2, 3)])

@@ -1,6 +1,8 @@
 """Node elimination and closed-loop gain construction."""
 
+import math
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -87,23 +89,25 @@ def generic_three_node():
 
 
 # ---------------------------------------------------------------------------
-# Oracle 2: iterated max-linear fixed point.
+# Oracle 2: iterated max fixed point.
 #
-# For linear gains a_ij and input terms b_i = c_i * s, the smallest
-# solution of x_i = max{b_i, max_j a_ij x_j} is the limit of the
-# monotone iteration from zero; cycle products below one make the
-# iteration contract on each cycle, so it converges.
+# For class-K gains gamma_ij and input terms gamma_iu(s), the smallest
+# solution of b_i = max{gamma_iu(s), max_j gamma_ij(b_j)} is the limit of
+# the monotone iteration from zero.  Every iterate is a lower bound on
+# any solution of the gain inequalities, so the closed-loop gains must
+# dominate it; when every cycle is below the identity the increasing
+# iterates stay bounded and converge.
 
 
-def max_linear_fixed_point(k, coeffs, input_coeffs, s, sweeps=500):
+def max_fixed_point(k, gains, inputs, s, sweeps=500):
     x = {i: 0.0 for i in range(1, k + 1)}
     for _ in range(sweeps):
         changed = False
         for i in range(1, k + 1):
-            best = input_coeffs.get(i, 0.0) * s
+            best = inputs[i](s) if i in inputs else 0.0
             for j in range(1, k + 1):
-                if (i, j) in coeffs:
-                    best = max(best, coeffs[(i, j)] * x[j])
+                if (i, j) in gains:
+                    best = max(best, gains[(i, j)](x[j]))
             if best > x[i] * (1.0 + 1e-15) + 0.0:
                 x[i] = best
                 changed = True
@@ -112,9 +116,19 @@ def max_linear_fixed_point(k, coeffs, input_coeffs, s, sweeps=500):
     return x
 
 
+def plain_linear(coeffs):
+    return {key: (lambda r, a=a: a * r) for key, a in coeffs.items()}
+
+
+def admissible_orders(k):
+    """Every elimination order closed_loop_input_gains accepts."""
+    nodes = range(1, k + 1)
+    return [order for r in range(max(k - 2, 0), k) for order in permutations(nodes, r)]
+
+
 def random_linear_digraph(rng):
     """Random linear-gain digraph rescaled so cycle products stay small."""
-    from smallgain.graph import enumerate_simple_cycles, linear_cycle_products
+    from smallgain.graph import enumerate_simple_cycles
 
     k = int(rng.integers(2, 6))
     coeffs = {}
@@ -126,7 +140,10 @@ def random_linear_digraph(rng):
     g = build_gain_digraph(k, gains)
     cycles = enumerate_simple_cycles(g)
     if cycles:
-        worst = max(linear_cycle_products(g, cycles).values())
+        worst = max(
+            math.prod(coeffs[(c[n], c[(n + 1) % len(c)])] for n in range(len(c)))
+            for c in cycles
+        )
         if worst >= 0.85:
             # Scaling every edge by f < 1 scales an r-cycle product by
             # f^r <= f^2, so sqrt(0.8 / worst) caps all products at 0.8.
@@ -138,6 +155,35 @@ def random_linear_digraph(rng):
         k, gains, input_gains={i: Linear(a) for i, a in input_coeffs.items()}
     )
     return g, k, coeffs, input_coeffs
+
+
+def random_gain(rng, scale):
+    """A random Linear, Power or SaturatingRational gain, and the same
+    function on plain floats."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        a = float(rng.uniform(0.1, 0.9)) * scale
+        return Linear(a), lambda r: a * r
+    if kind == 1:
+        p = float(rng.uniform(1.0, 2.0))
+        return Power(p), lambda r: r**p
+    c, q = float(rng.uniform(0.1, 0.9)) * scale, float(rng.uniform(1.0, 3.0))
+    return SaturatingRational(c, q), lambda r: c * r**q / (1.0 + r**q)
+
+
+def random_nonlinear_digraph(rng):
+    """Random digraph of Linear, Power and SaturatingRational couplings,
+    with an input gain into every node; many of them violate a cycle."""
+    k = int(rng.integers(2, 5))
+    gains, plain = {}, {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i != j and rng.random() < 0.6:
+                gains[(i, j)], plain[(i, j)] = random_gain(rng, 1.0)
+    inputs, plain_inputs = {}, {}
+    for i in range(1, k + 1):
+        inputs[i], plain_inputs[i] = random_gain(rng, 2.0)
+    return build_gain_digraph(k, gains, input_gains=inputs), plain, plain_inputs
 
 
 class TestEliminateNode:
@@ -228,6 +274,8 @@ class TestClosedLoopGains:
         assert err.value.report.cycle == (1, 2)
 
     def test_accepts_its_own_check_without_checking_again(self, monkeypatch):
+        import smallgain.gains
+        import smallgain.graph
         import smallgain.reduction
 
         g, _ = generic_three_node()
@@ -237,9 +285,12 @@ class TestClosedLoopGains:
         fresh = closed_loop_input_gains(g, grid)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("cycles checked a second time")
+            raise AssertionError("grid work after the check was handed in")
 
         monkeypatch.setattr(smallgain.reduction, "check_cyclic_small_gain", refuse)
+        monkeypatch.setattr(smallgain.gains, "less_than_identity", refuse)
+        for module in (smallgain.gains, smallgain.graph):
+            monkeypatch.setattr(module, "less_than_identity_chains", refuse)
         closed = closed_loop_input_gains(g, GridSpec(n_points=512), check=check)
         assert closed == fresh
         assert closed.to_dict((0.5, 2.0)) == fresh.to_dict((0.5, 2.0))
@@ -291,7 +342,7 @@ class TestClosedLoopGains:
         for order in ((3,), (2,), (1,), (3, 2), (2, 1), (1, 3)):
             closed = closed_loop_input_gains(g, order=order)
             for s in (0.1, 1.0, 10.0):
-                fp = max_linear_fixed_point(3, a, b, s)
+                fp = max_fixed_point(3, plain_linear(a), plain_linear(b), s)
                 for i in (1, 2, 3):
                     assert closed.input_gains[i](s) >= fp[i] - 1e-9
 
@@ -301,9 +352,52 @@ class TestClosedLoopGains:
             g, k, coeffs, input_coeffs = random_linear_digraph(rng)
             closed = closed_loop_input_gains(g)
             for s in (0.1, 1.0, 10.0):
-                fp = max_linear_fixed_point(k, coeffs, input_coeffs, s)
+                fp = max_fixed_point(k, plain_linear(coeffs), plain_linear(input_coeffs), s)
                 for i in range(1, k + 1):
                     assert closed.input_gains[i](s) >= fp[i] - 1e-9
+
+    def test_every_order_accepts_a_verified_check(self):
+        # Near zero the rotation g21 o g12 (about 1e-3 * s^0.5) exceeds s
+        # on the grid, but the check's rotation g12 o g21 (about
+        # 1e-4 * s^0.5) only below it.  The check verifies the digraph,
+        # and no elimination order may refuse what it verified.
+        g = build_gain_digraph(
+            3,
+            {
+                (1, 2): Linear(0.01),
+                (2, 1): SaturatingRational(0.01, 0.5),
+                (2, 3): Linear(0.5),
+                (3, 2): Linear(0.5),
+            },
+        )
+        check = check_cyclic_small_gain(g)
+        assert check.verified
+        for order in admissible_orders(3):
+            assert closed_loop_input_gains(g, check=check, order=order).order == order
+
+    def test_random_nonlinear_networks_dominate_fixed_point(self):
+        """Every order's input gains and sigmas dominate the least fixed
+        point of the gain inequalities, with the input channel and with
+        an identity channel into every node."""
+        rng = np.random.default_rng(20261019)
+        grid = GridSpec(n_points=512, refinement_depth=2)
+        cyclic = 0
+        for _ in range(80):
+            g, plain, plain_inputs = random_nonlinear_digraph(rng)
+            check = check_cyclic_small_gain(g, grid)
+            if not check.verified:
+                continue
+            cyclic += bool(check.reports)
+            identity = {i: (lambda r: r) for i in range(1, g.k + 1)}
+            for order in admissible_orders(g.k):
+                closed = closed_loop_input_gains(g, grid, order, check=check)
+                for s in (0.1, 1.0, 10.0):
+                    fp = max_fixed_point(g.k, plain, plain_inputs, s)
+                    fp_sigma = max_fixed_point(g.k, plain, identity, s)
+                    for i in range(1, g.k + 1):
+                        assert closed.input_gains[i](s) >= fp[i] * (1.0 - 1e-9)
+                        assert closed.sigmas[i](s) >= fp_sigma[i] * (1.0 - 1e-9)
+        assert cyclic >= 20
 
     def test_trace_records_the_eliminated_row(self):
         g, _ = generic_three_node()
@@ -314,8 +408,8 @@ class TestClosedLoopGains:
             1: g.edges[(3, 1)],
             2: g.edges[(3, 2)],
         }
-        # Both 2-cycles through node 3 exist and verify, so both
-        # contractive self-terms were dropped.
+        # Both 2-cycles through node 3 exist, so both contractive
+        # self-terms were dropped.
         assert set(step.dropped_self) == {1, 2}
 
     def test_serialization_shape(self):
