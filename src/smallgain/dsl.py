@@ -548,6 +548,7 @@ class _RhsCompiler:
         source: str,
         time_only: bool = False,
         rows: Mapping[tuple[int, float], int] | None = None,
+        powers: dict[str, str] | None = None,
     ):
         self.index = index
         self.dims = list(dims)
@@ -561,6 +562,10 @@ class _RhsCompiler:
         # form f(t, x, Z, u) over the flat vectors instead of the
         # subsystem form rhs(t, x, z, u).
         self.rows = rows
+        # With powers (shared by every expression of a network), each
+        # distinct ``^`` is emitted as a local name, bound once per call
+        # (see _network_function): powers maps its source to that name.
+        self.powers = powers
         self.x_base = sum(self.dims[: index - 1]) if rows is not None else 0
         self.u_base = sum(self.input_dims[: index - 1]) if rows is not None else 0
 
@@ -610,7 +615,10 @@ class _RhsCompiler:
             if node.op == ".":
                 self.error("'.' composes gains; dynamics have no composition", node.pos)
             if node.op == "^":
-                return f"_pow({left}, {self.emit(node.right)})"
+                call = f"_pow({left}, {self.emit(node.right)})"
+                if self.powers is None:
+                    return call
+                return self.powers.setdefault(call, f"_p{len(self.powers)}")
             return f"({left} {node.op} {self.emit(node.right)})"
         if node.name not in _CODEGEN_FUNCS:
             self._misused(node)
@@ -710,23 +718,35 @@ def _vector_function(name: str, params: str, pieces: Sequence[str], filename: st
     return env[name]
 
 
+# The local names that _RhsCompiler gives powers in the network form.
+_POWER_NAME = re.compile(r"\b_p\d+\b")
+
 # What float arithmetic raises where numpy scalars give inf or NaN.
 _FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
-def _network_function(pieces: Sequence[str]) -> Callable:
+def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Callable:
     """The network right-hand side f(t, x, Z, u) of the given expressions.
 
     x, Z and u are lists of floats, and f returns the list of the
     expressions evaluated on Python floats, with ``^`` as ``math.pow``
-    (the bits of numpy's scalar power).  Where that raises or gives a
+    (the bits of numpy's scalar power).  Each distinct power is taken
+    once per call, as the local name that ``powers`` maps its source to;
+    ``math.pow`` is a function of its operands alone, so the bits are
+    those of taking it at every occurrence.  Where that raises or gives a
     value that is not finite, f evaluates the stage again on numpy
     scalars, as :func:`_vector_function` does (compiled on the first such
     stage): that gives the inf or NaN and the warnings of numpy arithmetic.  An error that this evaluation
     raises too (a math function outside its domain or range, or a
     division of two constants by zero) is a :class:`SimulationError`.
     """
-    on_arrays = _compiled_on_first_call("_f", "t, x, Z, u", pieces, "<network rhs>")
+    # The numpy-scalar twin takes every power where it occurs, so that it
+    # warns once per occurrence, as the subsystem functions do.
+    source: dict[str, str] = {}
+    for call, name in powers.items():
+        source[name] = _POWER_NAME.sub(lambda m: source[m.group()], call)
+    expanded = [_POWER_NAME.sub(lambda m: source[m.group()], piece) for piece in pieces]
+    on_arrays = _compiled_on_first_call("_f", "t, x, Z, u", expanded, "<network rhs>")
 
     def on_scalars(t, x, Z, u):
         try:
@@ -737,7 +757,8 @@ def _network_function(pieces: Sequence[str]) -> Callable:
     src = (
         "def _f(t, x, Z, u):\n"
         "    try:\n"
-        f"        dx = [{', '.join(pieces)}]\n"
+        + "".join(f"        {name} = {call}\n" for call, name in powers.items())
+        + f"        dx = [{', '.join(pieces)}]\n"
         "    except _FLOAT_ERRORS:\n"
         "        return _on_scalars(t, x, Z, u)\n"
         "    return dx if _isfinite(_sum(dx)) else _on_scalars(t, x, Z, u)\n"
@@ -1123,10 +1144,10 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     # One network right-hand side over the flat state, from the trees
     # already validated above.
     rows = reference_rows(subsystems)
-    pieces = []
+    pieces, powers = [], {}
     for i, sub in enumerate(subs_doc):
-        pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows)[0]
-    network = _network_function(pieces)
+        pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows, powers=powers)[0]
+    network = _network_function(pieces, powers)
 
     # Declared-but-unreferenced delays are legal; the builder checks the
     # converse (every referenced delay must be declared).

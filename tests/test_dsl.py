@@ -496,19 +496,43 @@ class TestParseSystem:
         emitted = []
         network_function = dsl._network_function
 
-        def recorded(pieces):
-            emitted.append(pieces)
-            return network_function(pieces)
+        def recorded(pieces, powers):
+            emitted.append((pieces, powers))
+            return network_function(pieces, powers)
 
         monkeypatch.setattr(dsl, "_network_function", recorded)
         parse_system(ring_config())
         assert emitted == [
-            [
-                "(((-3.0) * x[0]) + (_pow(Z[1], 2.0) / (1.0 + _pow(Z[1], 2.0))))",
-                "(((-1.5) * x[1]) + _pow(Z[2], 3.0))",
-                "(((-2.0) * x[2]) + _pow(Z[0], 2.0))",
-            ]
+            (
+                [
+                    "(((-3.0) * x[0]) + (_p0 / (1.0 + _p0)))",
+                    "(((-1.5) * x[1]) + _p1)",
+                    "(((-2.0) * x[2]) + _p2)",
+                ],
+                {"_pow(Z[1], 2.0)": "_p0", "_pow(Z[2], 3.0)": "_p1", "_pow(Z[0], 2.0)": "_p2"},
+            )
         ]
+
+    def test_network_takes_each_distinct_power_once(self, monkeypatch):
+        import smallgain.dsl as dsl
+
+        emitted = []
+        network_function = dsl._network_function
+
+        def recorded(pieces, powers):
+            emitted.append((pieces, powers))
+            return network_function(pieces, powers)
+
+        monkeypatch.setattr(dsl, "_network_function", recorded)
+        doc = base_doc()
+        doc["subsystems"][0]["rhs"] = ["-x_1 + v_2[-0.5]^2/(1 + v_2[-0.5]^2) + (1 + v_2[-0.5]^2)^1.5"]
+        doc["subsystems"][1]["rhs"] = ["-x_2 + v_2[-0.5]^2"]
+        f = parse_system(doc).system.rhs
+        [(pieces, powers)] = emitted
+        assert powers == {"_pow(Z[0], 2.0)": "_p0", "_pow((1.0 + _p0), 1.5)": "_p1"}
+        assert pieces == ["(((-x[0]) + (_p0 / (1.0 + _p0))) + _p1)", "((-x[1]) + _p0)"]
+        z = 0.8
+        assert f(0.0, [1.0, 2.0], [z], []) == [-1.0 + z**2 / (1.0 + z**2) + (1.0 + z**2) ** 1.5, -2.0 + z**2]
 
     def test_subsystem_rhs_is_compiled_on_first_call(self, monkeypatch):
         import smallgain.dsl as dsl

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import smallgain.gains as gains
 from conftest import gain_leaves, gain_trees
 from smallgain.gains import (
     Compose,
@@ -51,12 +52,28 @@ def eval_oracle(f, s: float) -> float:
 
 
 def reference_eval(f, s):
-    """The plain tree recursion: every occurrence of a node is evaluated."""
+    """The plain tree recursion: every occurrence of a node is evaluated,
+    and every power is ``**`` on every entry."""
     if isinstance(f, Compose):
         return reference_eval(f.outer, reference_eval(f.inner, s))
     if isinstance(f, Max):
         return np.maximum(reference_eval(f.left, s), reference_eval(f.right, s))
-    return f._eval(s)
+    if isinstance(f, Identity):
+        return s
+    if isinstance(f, Linear):
+        return f.a * s
+    if isinstance(f, Power):
+        return s**f.p
+    u = s**f.q
+
+    def saturate():
+        return f.c * (u / (1.0 + u)) if f.c > 1.0 else f.c * u / (1.0 + u)
+
+    try:
+        return saturate()
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(u), f.c, saturate())
 
 
 def reference_call(f, s):
@@ -161,9 +178,9 @@ class TestSharedSubexpressions:
         calls = []
 
         class Counted(Linear):
-            def _eval(self, s):
+            def _eval(self, s, powers=None):
                 calls.append(s)
-                return super()._eval(s)
+                return super()._eval(s, powers)
 
         leaf = Counted(0.5)
         g = leaf
@@ -454,10 +471,20 @@ class TestLessThanIdentity:
 
     @given(gain_trees(max_leaves=3), gain_trees(max_leaves=3))
     @example(r1=Compose(Power(2.0), Power(2.0)), r2=Compose(Power(2.0), Power(2.0)))
+    # Rotated witnesses below and above the first grid: 1e-10, 1.6e-10,
+    # 1e10 and 1e12.
+    @example(r1=SaturatingRational(0.01, 0.5), r2=Linear(0.01))
+    @example(r1=SaturatingRational(0.0625, 0.625), r2=Linear(0.015625))
+    @example(r1=Linear(0.015625), r2=Power(1.25))
+    @example(r1=Compose(Linear(0.125), Linear(0.015625)), r2=Power(1.5))
     @settings(max_examples=60, deadline=None)
     def test_violation_transports_through_cyclic_rotation(self, r1, r2):
         # If r1(r2(s*)) >= s*, then applying r2 to both sides moves the
-        # witness to t* = r2(s*) for the rotated composition.
+        # witness to t* = r2(s*) for the rotated composition.  t* can lie
+        # outside the first grid (r2 = Linear(0.01) moves s* = 1e-8 to
+        # 1e-10), where a grid verdict says nothing, so the rotation is
+        # checked on a grid with t* as an endpoint: np.geomspace makes
+        # the endpoints exact.
         grid = GridSpec(n_points=512, refinement_depth=4)
         v1 = less_than_identity(Compose(r1, r2), grid)
         if not v1.violated:
@@ -466,6 +493,11 @@ class TestLessThanIdentity:
         if t_star <= 0.0 or not math.isfinite(t_star):
             return
         assert Compose(r2, r1)(t_star) >= t_star * (1.0 - 1e-9)
+        if t_star < grid.s_max:
+            grid = replace(grid, s_min=t_star)
+        else:
+            grid = replace(grid, s_max=t_star)
+        assert t_star in (grid.points()[0], grid.points()[-1])
         v2 = less_than_identity(Compose(r2, r1), grid)
         assert not (v2.verified and v2.margin > 1e-6)
 
@@ -476,7 +508,7 @@ def reference_less_than_identity(g, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     ``less_than_identity_chains`` batches."""
 
     def relative_margins(pts):
-        vals = np.asarray(g(pts), dtype=float)
+        vals = np.asarray(reference_call(g, pts), dtype=float)
         if vals.shape != pts.shape:
             vals = np.broadcast_to(vals, pts.shape).astype(float)
         return vals, 1.0 - vals / pts
@@ -652,6 +684,111 @@ class TestStackedEvaluation:
         assert bits(f(rows.ravel()[picked])) == b"".join(alone[r] for r in (2, 11, 4))
         view = rows.ravel()[2:30]
         assert bits(f(view)) == b"".join(alone[1:15])
+
+
+def zero_below(p: float) -> float:
+    """Inputs whose p-th power must round to +0: s^p <= 2^-1100."""
+    return 2.0 ** (-1100.0 / p) if p >= 1.0 else 0.0
+
+
+POWER_EXPONENTS = sorted({getattr(f, "p", getattr(f, "q", None)) for f in STACKED_PRIMITIVES} - {None} | {4.0})
+
+
+class PowerRecorder(np.ndarray):
+    """An array that records the entries handed to numpy's power."""
+
+    entries: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, PowerRecorder) else x for x in inputs]
+        if ufunc is np.power:
+            PowerRecorder.entries.append((plain[0].copy(), plain[1]))
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestPowersOffTheSlowPath:
+    """Array powers skip the entries whose power must round to +0, and the
+    grid sweep shares each power among the gains that extend one array,
+    with the bits of taking ``s**p`` on every entry."""
+
+    @pytest.mark.parametrize("p", POWER_EXPONENTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bits_are_those_of_plain_power(self, p, n):
+        t = zero_below(p)
+        special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-80]
+        special += [np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 1e-8, 0.37, 1.0, 2.5, 1e8, 1e200, 1.7e308]
+        special += [math.inf, math.nan, -1e-300, -2.0]
+        if n < gains._MASK_MIN:
+            arrays = [np.array(special[k : k + n]) for k in range(len(special) - n + 1)]
+        else:
+            rng = np.random.default_rng(int(p * 1000))
+            x = np.concatenate([special, np.zeros(500), 10.0 ** rng.uniform(-330.0, 10.0, n - 500 - len(special))])
+            rng.shuffle(x)
+            arrays = [x, np.sort(x[np.isfinite(x)])]
+        for s in arrays:
+            with np.errstate(all="ignore"):
+                assert bits(gains._pow(s, p)) == bits(s**p)
+
+    @given(gain_dags(), st.integers(256, 600), st.floats(-320.0, -20.0))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_arrays_equal_the_plain_evaluation(self, pool, n, low):
+        x = np.concatenate([[0.0], np.geomspace(10.0**low, 1e10, n)])
+        # Every gain extends x, sharing the powers of x.
+        extending = pool + list(STACKED_PRIMITIVES) + [Compose(f, g) for f in STACKED_PRIMITIVES for g in pool[-2:]]
+        powers: dict = {}
+        with np.errstate(invalid="raise"):
+            got = [bits(gains._evaluate(g, x, powers=powers)) for g in extending]
+        assert got == [bits(reference_call(g, x)) for g in extending]
+        # The grid stays above 1e-150, where the refinement's geometric
+        # midpoints do not underflow; its powers still reach 1e-320.
+        grid = GridSpec(s_min=max(10.0**low, 1e-150), s_max=1e10, n_points=n, refinement_depth=3)
+        chains = [(f, g) for f in pool[-3:] for g in pool] + [(g,) for g in pool]
+        want = [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
+        assert less_than_identity_chains(chains, grid) == want
+
+    def test_complete_digraph_takes_each_power_once_off_the_slow_path(self, monkeypatch):
+        # The digraph of test_complete_digraph_check_keeps_memory_small:
+        # q = 2 or 4, so zeros and underflow reach s^4 down every cycle.
+        edges = {
+            (i, j): SaturatingRational(0.5 + 0.1 * ((i * j) % 5), 2.0 + 2.0 * ((i + j) % 2))
+            for i in range(1, 7)
+            for j in range(1, 7)
+            if i != j
+        }
+        g = build_gain_digraph(6, edges)
+        calls, pow_of = [], gains._pow
+
+        def recorded(s, p):
+            if isinstance(s, np.ndarray) and s.size >= gains._MASK_MIN:
+                calls.append((s, p))  # held, so that ids stay distinct
+                return pow_of(s.view(PowerRecorder), p)
+            return pow_of(s, p)
+
+        monkeypatch.setattr(gains, "_pow", recorded)
+        PowerRecorder.entries = []
+        got = check_cyclic_small_gain(g)
+        monkeypatch.undo()
+        assert got == check_cyclic_small_gain(g)
+
+        # No entry at or below the threshold reaches numpy's power, but
+        # for p = 2, which numpy evaluates as a square.
+        assert PowerRecorder.entries
+        for entries, p in PowerRecorder.entries:
+            if p != 2.0:
+                assert not np.any((entries <= zero_below(p)) & ~np.signbit(entries))
+        assert any(np.any(s <= zero_below(p)) for s, p in calls if p == 4.0)
+
+        # One power per distinct (grid array, exponent): the arrays are
+        # the distinct innermost suffixes of the cycles' edge chains.
+        chains = [
+            [edges[(c[r], c[(r + 1) % len(c)])] for r in range(len(c))] for c in enumerate_simple_cycles(g)
+        ]
+        pairs = {(tuple(map(id, chain[len(chain) - d :])), chain[-d - 1].q) for chain in chains for d in range(len(chain))}
+        extended = {(tuple(map(id, chain[len(chain) - d :])), id(chain[-d - 1])) for chain in chains for d in range(len(chain))}
+        swept = [(id(s), p) for s, p in calls if s.size == DEFAULT_GRID.n_points]
+        assert len(swept) == len(set(swept)) == len(pairs) < len(extended)
 
 
 class TestAdditiveToMax:

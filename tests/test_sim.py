@@ -756,6 +756,29 @@ class TestStageGatherAgainstReference:
         else:
             assert result[0] is True and messages and set(messages) == {warning}
 
+    def test_repeated_powers_match_reference(self):
+        # The network function takes each distinct power once per stage,
+        # also across subsystems and inside another power's base.
+        sys = dsl_system(
+            [
+                ["-x_1 + v_2[-0.1]^2/(1 + v_2[-0.1]^2) + 0.1*(1 + v_2[-0.1]^2)^1.5"],
+                ["-2*x_2 + 0.5*v_1[-0.1]^4/(1 + v_1[-0.1]^4) + 0.2*v_2[-0.1]^2"],
+            ],
+            [0.1],
+        )
+        hist = [HistoryFunction.constant([0.7]), HistoryFunction.constant([-1.2])]
+        blow_up, _, _ = same_as_reference(sys, hist, None, 2.0, 0.01)
+        assert not blow_up
+        # A stage that overflows is evaluated again on numpy scalars,
+        # which warn once per occurrence of the power, as the oracle does.
+        hist = [HistoryFunction.constant([2.0])]
+        once = dsl_system([["-x_1 + 2*(1 + v_1[-0.01]^2)^1100"]], [0.01])
+        _, once_messages = recorded(lambda: simulate(once, hist, None, 1.0, 0.01))
+        sys = dsl_system([["-x_1 + (1 + v_1[-0.01]^2)^1100 + (1 + v_1[-0.01]^2)^1100"]], [0.01])
+        result, messages = recorded(lambda: simulate(sys, hist, None, 1.0, 0.01))
+        assert result[0] is True and once_messages and messages == 2 * once_messages
+        same_as_reference(sys, hist, None, 1.0, 0.01)
+
     def test_overflow_inside_a_finite_value_gives_no_warning(self):
         # 1e300*x_1*1e300 overflows to inf and 1/inf is 0.0: the stage
         # value is finite, so the float evaluation stands and raises no
