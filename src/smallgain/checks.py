@@ -48,22 +48,6 @@ _SETTLE_RTOL = 1e-6
 _SETTLE_ATOL = 1e-12
 
 
-def _samples(traj: Trajectory, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times in [a, b], in order, and the block norms there: the
-    norm-table rows of nodes within 1e-12 of the window and of midpoints
-    inside it, plus a and b, interpolated, where they are not samples."""
-    times, norms = traj.norm_table
-    slack = np.where(np.arange(times.size) % 2, 0.0, 1e-12)
-    keep = (times >= a - slack) & (times <= b + slack)
-    times, norms = times[keep], norms[keep]
-    ends = sorted(t for t in {a, b} if -traj.theta <= t <= traj.t_end and t not in times)
-    if ends:
-        at = np.searchsorted(times, ends)
-        times = np.insert(times, at, ends)
-        norms = np.insert(norms, at, traj.block_norms(traj.interpolate_many(ends)), axis=0)
-    return times, norms
-
-
 def _column(traj: Trajectory, norms: np.ndarray, subsystem: int | None) -> np.ndarray:
     """One subsystem's norms, or the maximum over blocks for None."""
     if subsystem is None:
@@ -92,7 +76,7 @@ def sup_norm(
         raise ValueError(
             f"interval [{a}, {b}] outside trajectory range [{-traj.theta}, {traj.t_end}]"
         )
-    return float(np.max(_column(traj, _samples(traj, a, b)[1], subsystem)))
+    return float(np.max(_column(traj, traj.window_norms(a, b)[1], subsystem)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +205,7 @@ def _pointwise_check(
 ) -> tuple[dict[int, float], Witness | None]:
     """Compare each subsystem's norm against its constant bound on
     [0, t_end]; returns per-node margins and the earliest violation."""
-    times, block_norms = _samples(traj, 0.0, traj.t_end)
+    times, block_norms = traj.window_norms(0.0, traj.t_end)
     margins: dict[int, float] = {}
     witness: Witness | None = None
     for i in sorted(bounds):

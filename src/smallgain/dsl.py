@@ -739,6 +739,10 @@ def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Calla
     stage): that gives the inf or NaN and the warnings of numpy arithmetic.  An error that this evaluation
     raises too (a math function outside its domain or range, or a
     division of two constants by zero) is a :class:`SimulationError`.
+
+    f carries its expressions as ``f.expressions``, the powers as local
+    bindings, from which :mod:`smallgain.sim` writes out whole
+    Runge-Kutta steps on floats.
     """
     # The numpy-scalar twin takes every power where it occurs, so that it
     # warns once per occurrence, as the subsystem functions do.
@@ -772,7 +776,9 @@ def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Calla
         **_CODEGEN_FUNCS,
     }
     exec(compile(src, "<network rhs>", "exec"), env)
-    return env["_f"]
+    f = env["_f"]
+    f.expressions = ([(name, call) for call, name in powers.items()], list(pieces), env)
+    return f
 
 
 def _compiled_on_first_call(*source) -> Callable:

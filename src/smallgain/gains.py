@@ -62,6 +62,7 @@ this module is safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -500,6 +501,16 @@ def less_than_identity(g: KFunction, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     return less_than_identity_chains([(g,)], grid)[0]
 
 
+def _geometric_mean(a: float, b: float) -> float:
+    """sqrt(a*b), taken as sqrt(a)*sqrt(b) where a*b is not a normal
+    finite float: a product that underflows to 0 or overflows to inf
+    would make a refinement probe 0 or inf."""
+    ab = float(a) * float(b)
+    if sys.float_info.min <= ab < math.inf:
+        return math.sqrt(ab)
+    return math.sqrt(a) * math.sqrt(b)
+
+
 @np.errstate(invalid="raise")  # see SaturatingRational._eval
 def less_than_identity_chains(
     chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
@@ -577,7 +588,7 @@ def less_than_identity_chains(
             plan = _depth_plan([chains[i] for i, _ in batch])
         pr = []
         for _, st in batch:
-            pr += math.sqrt(st[3] * st[1]), math.sqrt(st[1] * st[4])
+            pr += _geometric_mean(st[3], st[1]), _geometric_mean(st[1], st[4])
         probes = np.array(pr)
         pvals = probes.copy()
         for f, entries in plan:

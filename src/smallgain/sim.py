@@ -68,6 +68,7 @@ build_auxiliary_system.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -324,6 +325,18 @@ class DelaySystemSpec:
             out.append(out[-1] + s.dim)
         return tuple(out)
 
+    @cached_property
+    def _step(self) -> Callable:
+        """simulate's full RK4 step (see _step_source), compiled on the
+        first run, so that parsing a system compiles no step."""
+        expressions = getattr(self.rhs, "expressions", None)
+        env = dict(expressions[2]) if expressions is not None else {}
+        env.update(_checked=_checked, _isfinite=math.isfinite, _sqrt=math.sqrt, _max=max,
+                   _norm=_block_max_norm(self.dims))
+        source = _step_source(self.dims, self.total_input_dim > 0, expressions)
+        exec(compile(source, "<rk4 step>", "exec"), env)
+        return env["_step"]
+
 
 def reference_rows(subsystems: Sequence[Subsystem]) -> dict[tuple[int, float], int]:
     """First row in Z of every distinct declared reference (j, theta).
@@ -527,6 +540,30 @@ class Trajectory:
         times.flags.writeable = norms.flags.writeable = False
         return times, norms
 
+    def window_norms(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Sample times in [a, b], in order, and the block norms there:
+        the norm_table rows of nodes within 1e-12 of the window and of
+        midpoints inside it, plus a and b, interpolated, where they are
+        not samples.  Computed once per window; the arrays are read-only."""
+        key = (a, b)
+        if key not in self._windows:
+            times, norms = self.norm_table
+            slack = np.where(np.arange(times.size) % 2, 0.0, 1e-12)
+            keep = (times >= a - slack) & (times <= b + slack)
+            times, norms = times[keep], norms[keep]
+            ends = sorted(t for t in {a, b} if -self.theta <= t <= self.t_end and t not in times)
+            if ends:
+                at = np.searchsorted(times, ends)
+                times = np.insert(times, at, ends)
+                norms = np.insert(norms, at, self.block_norms(self.interpolate_many(ends)), axis=0)
+            times.flags.writeable = norms.flags.writeable = False
+            self._windows[key] = times, norms
+        return self._windows[key]
+
+    @cached_property
+    def _windows(self) -> dict:
+        return {}
+
     @cached_property
     def history_norms(self) -> Mapping[int, float]:
         """Sup norm of each subsystem's initial segment: the maximum
@@ -668,6 +705,122 @@ def history_start(sys: DelaySystemSpec, h: float) -> float:
     return min(-_history_steps(sys, h) * h, -sys.theta)
 
 
+def _checked(vec: list, t: float, x_ref: list, what: str = "right-hand side evaluation") -> list:
+    """vec itself when finite; NaN raises, overflow raises _Diverged."""
+    # A finite sum means every entry is finite; only a sum that is not
+    # (or that overflowed) needs the entrywise test.
+    if math.isfinite(sum(vec)) or all(map(math.isfinite, vec)):
+        return vec
+    if any(map(math.isnan, vec)):
+        raise SimulationError(f"NaN in {what}", t, x_ref)
+    raise _Diverged
+
+
+def _block_max_norm(dims: Sequence[int]) -> Callable[[list], float]:
+    """Max over blocks of the Euclidean block norm of a flat state list,
+    bit-equal to np.linalg.norm per block: that is sqrt(b.dot(b)), and
+    sqrt is monotone, so the max can be taken before it."""
+    if set(dims) == {1}:
+        return lambda x: math.sqrt(max([v * v for v in x]))
+    off = np.cumsum([0, *dims])
+    blocks = [slice(a, b) for a, b in zip(off[:-1], off[1:])]
+
+    def norm(x: list) -> float:
+        x = np.array(x, dtype=float)
+        return math.sqrt(max(x[b].dot(x[b]) for b in blocks))
+
+    return norm
+
+
+# Stage j of a step: the prefix of its derivative's locals and of its
+# stage state's, its time, its Z and its fraction of the step.
+_STAGES = (("a", "x", "t", "Z0", "0.0"), ("b", "s", "t2", "Zm", "0.5"),
+           ("c", "s", "t2", "Zm", "0.5"), ("d", "s", "t4", "Z1", "1.0"))
+
+
+def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
+    """Source of _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed).
+
+    It takes one full RK4 step from node t = step*h with state x (a
+    list), in straight-line code over local floats: Z0, Zm and Z1 are the
+    delayed states of its first, two middle and last stages, and k1, when
+    not None, is its first stage.  It returns the first stage, the new
+    state and its max block norm, with the operations of simulate's
+    stage-by-stage code, so with its bits.  With inputs, each stage calls
+    u_at(time, step, fraction, stage state, completed).
+
+    expressions, when not None, is the network function's
+    (bindings, pieces, namespace): local bindings (name, expression) and
+    one expression per state component, over t, x, Z, u and the earlier
+    bindings, which the namespace lets evaluate on floats.  Every stage
+    is then written out inline, and a binding that reads neither x nor u
+    is taken once for the two middle stages, which read the same Z.  The
+    step returns None, for simulate to redo it stage by stage, where the
+    float arithmetic raises one of the namespace's _FLOAT_ERRORS, where
+    the new state's sum is not finite, and (with inputs, which may read
+    the stage state) before an input call on a stage that is not.
+    Without expressions, every stage calls f and classifies its value
+    with _checked, as the stage-by-stage code does.
+    """
+    n = sum(dims)
+
+    def vec(prefix: str, sep: str = ", ") -> str:
+        return sep.join(f"{prefix}{i}" for i in range(n))
+
+    if expressions is not None:
+        bindings, pieces, _ = expressions
+        operand = re.compile(r"\bx\[(\d+)\]|\b(" + "|".join(["t", "Z", *(b for b, _ in bindings)]) + r")\b")
+        middle = set()
+        for name, value in bindings:
+            reads = {m[2] for m in operand.finditer(value)} - {None, "t", "Z"}
+            if reads <= middle and not re.search(r"\b[xu]\[", value):
+                middle.add(name)
+
+    body = []
+    for j, (k, state, time, Z, frac) in enumerate(_STAGES):
+        if j:
+            if expressions is not None and inputs:
+                body.append(f"if not _isfinite({vec(_STAGES[j - 1][0], ' + ')}): return None")
+            scale = "h" if j == 3 else "mid"
+            body += [f"s{i} = x{i} + {scale} * {_STAGES[j - 1][0]}{i}" for i in range(n)]
+        stage_x = "x" if j == 0 else f"[{vec('s')}]"
+        u = f"u_at({time}, step, {frac}, {stage_x}, completed)" if inputs else "[]"
+        if expressions is None:
+            value = f"_checked(f({time}, {stage_x}, {Z}, {u}), t, x)"
+            lines = [f"[{vec(k)}] = {value}"] if j else ["if k1 is None:", f"    k1 = {value}", f"[{vec(k)}] = k1"]
+        else:
+
+            def bound(name: str) -> str:
+                return f"{name}_{'m' if name in middle and j in (1, 2) else j + 1}"
+
+            def local(m: re.Match) -> str:
+                if m[1] is not None:
+                    return f"{state}{m[1]}"
+                return {"t": time, "Z": Z}.get(m[2]) or bound(m[2])
+
+            lines = [f"u = {u}"] if inputs else []
+            lines += [f"{bound(name)} = {operand.sub(local, value)}"
+                      for name, value in bindings if not (j == 2 and name in middle)]
+            lines += [f"{k}{i} = {operand.sub(local, piece)}" for i, piece in enumerate(pieces)]
+            if j == 0:
+                lines = ["if k1 is None:", *("    " + line for line in lines), "else:", f"    [{vec(k)}] = k1"]
+        body += lines
+    body.append("w = h / 6.0")
+    body += [f"y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
+    if set(dims) == {1}:
+        squares = ", ".join(f"y{i} * y{i}" for i in range(n))
+        norm = f"_sqrt(_max({squares}))" if n > 1 else f"_sqrt({squares})"
+    else:
+        norm = f"_norm([{vec('y')}])"
+    if expressions is None:
+        tail = [f'_checked([{vec("y")}], t4, x, "state update")', f"return k1, [{vec('y')}], {norm}"]
+    else:
+        body = ["try:", *("    " + line for line in body), "except _FLOAT_ERRORS:", "    return None"]
+        tail = [f"if not _isfinite({vec('y', ' + ')}): return None", f"return [{vec('a')}], [{vec('y')}], {norm}"]
+    lines = [f"[{vec('x')}] = x", "mid = h / 2.0", "t2 = t + mid", "t4 = t + h", *body, *tail]
+    return "def _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed):\n" + "".join(f"    {line}\n" for line in lines)
+
+
 def simulate(
     sys: DelaySystemSpec,
     hist: Sequence[HistoryFunction],
@@ -793,21 +946,7 @@ def simulate(
                 Z[sel] = _hermite(u, h, states[j, c], derivs[j, c], states[j + 1, c], derivs[j + 1, c])
         return Z.tolist()
 
-    # Max over blocks of the Euclidean block norm, bit-equal to
-    # np.linalg.norm per block: that is sqrt(b.dot(b)), and sqrt is
-    # monotone, so the max can be taken before it.
-    blocks = [slice(off[i], off[i + 1]) for i in range(k)]
-    if n == k:
-
-        def block_max_norm(x: list) -> float:
-            return math.sqrt(max([v * v for v in x]))
-
-    else:
-
-        def block_max_norm(x: list) -> float:
-            x = np.array(x, dtype=float)
-            return math.sqrt(max(x[b].dot(x[b]) for b in blocks))
-
+    block_max_norm = _block_max_norm(sys.dims)
     norms_all = np.empty(M + N + 1)
     for row in range(M + 1):
         norms_all[row] = block_max_norm(xs[row].tolist())
@@ -839,15 +978,30 @@ def simulate(
         scale = feedback.rho(wnorm)
         return (scale * disturbance(t)).tolist()
 
-    def checked(vec: list, t: float, x_ref: list, what: str = "right-hand side evaluation") -> list:
-        """vec itself when finite; NaN raises, overflow raises _Diverged."""
-        # A finite sum means every entry is finite; only a sum that is
-        # not (or that overflowed) needs the entrywise test.
-        if math.isfinite(sum(vec)) or all(map(math.isfinite, vec)):
-            return vec
-        if any(map(math.isnan, vec)):
-            raise SimulationError(f"NaN in {what}", t, x_ref)
-        raise _Diverged
+    def per_stage(nstep: int, hs: float, x_n: list, Zs, k1: list | None = None) -> tuple:
+        """One step of length hs, stage by stage, each stage classified by
+        _checked: the shortened final step, and a full step that the
+        fused step refused.  Zs yields the Z of the first stage, of the
+        two middle ones and of the last; k1, when given, is the first stage."""
+        t_n, mid = nstep * h, hs / 2.0
+        Z = next(Zs)
+        if k1 is None:
+            k1 = _checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
+            derivs[nstep] = k1
+        # The stage fractions are 0.5 and 1.0 on a full step.
+        fr_mid, fr_end = mid / h, hs / h
+        Z = next(Zs)
+        x_s = [x + mid * d for x, d in zip(x_n, k1)]
+        k2 = _checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+        x_s = [x + mid * d for x, d in zip(x_n, k2)]
+        k3 = _checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+        Z = next(Zs)
+        x_s = [x + hs * d for x, d in zip(x_n, k3)]
+        k4 = _checked(f(t_n + hs, x_s, Z, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
+        w = hs / 6.0
+        x_next = [x + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(x_n, k1, k2, k3, k4)]
+        _checked(x_next, t_n + hs if hs == h else T, x_n, "state update")
+        return k1, x_next, block_max_norm(x_next)
 
     t_nodes = np.empty(N + 1)
     t_nodes[0] = 0.0
@@ -857,64 +1011,68 @@ def simulate(
 
     final = N
     x_n = xs[M].tolist()
+    step = sys._step
     # The Z rows of the current block, a list per step: at its nodes
     # (one more than its steps) and at its midpoints.
     first = end = filled = 0
     node_Z = mid_Z = []
-    with np.errstate(invalid="ignore"):  # checked reports a NaN
+    # The derivatives and states of the block's steps so far, stored
+    # into the arrays when the block ends.
+    new_k, new_x = [], []
+
+    def store() -> None:
+        if new_x:
+            a, b = first, first + len(new_x)
+            derivs[a:b] = new_k
+            states[a + 1 : b + 1] = new_x
+            t_nodes[a + 1 : b + 1] = np.arange(a, b) * h + h
+            new_k.clear()
+            new_x.clear()
+
+    with np.errstate(invalid="ignore"):  # _checked reports a NaN
         for nstep in range(N):
-            hs = h if nstep < N_full else remainder
             t_n = nstep * h
-            mid = hs / 2.0
-            full = hs == h
-            if full:
-                fr_mid, fr_end = 0.5, 1.0
-            else:
-                # Shortened final step: stage offsets as fractions of the
-                # nominal grid spacing.
-                fr_mid, fr_end = mid / h, hs / h
-            t_next = t_n + hs if full else T
             try:
-                if full and nstep == end:
-                    first, end = nstep, min(nstep + block_len, N)
-                    rows = base + np.arange(first, end + 1)[:, None]
-                    node_Z = xs[rows, cols].tolist()
-                Z = node_Z[nstep - first] if full else gather_at(t_n, completed)
-                k1 = checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
-                derivs[nstep] = k1
-                if full:
-                    if nstep == first:
-                        # The midpoint rows of the intervals completed
+                if nstep == N_full:
+                    store()
+                    mid = remainder / 2.0
+                    Zs = (gather_at(t, completed) for t in (t_n, t_n + mid, t_n + remainder))
+                    _, x_n, norm = per_stage(nstep, remainder, x_n, Zs)
+                    states[N], t_nodes[N] = x_n, T
+                else:
+                    k1 = None
+                    if nstep == end:
+                        store()
+                        first, end = nstep, min(nstep + block_len, N)
+                        rows = base + np.arange(first, end + 1)[:, None]
+                        node_Z = xs[rows, cols].tolist()
+                        # Fill the midpoint rows of the intervals completed
                         # since the last block, which this block may read.
+                        # The last of them ends at this node and needs its
+                        # derivative, this step's first stage.
+                        u = input_vector(t_n, nstep, 0.0, x_n, completed)
+                        k1 = derivs[nstep] = _checked(f(t_n, x_n, node_Z[0], u), t_n, x_n)
                         a, b = slice(filled, first), slice(filled + 1, first + 1)
                         mids[M + filled : M + first] = 0.5 * (states[a] + states[b]) + h8 * (derivs[a] - derivs[b])
                         filled = first
                         mid_Z = mids[rows[:-1], cols].tolist()
-                    Z = mid_Z[nstep - first]
-                else:
-                    Z = gather_at(t_n + mid, completed)
-                x_s = [x + mid * d for x, d in zip(x_n, k1)]
-                k2 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-                x_s = [x + mid * d for x, d in zip(x_n, k2)]
-                k3 = checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
-                Z = node_Z[nstep - first + 1] if full else gather_at(t_n + hs, completed)
-                x_s = [x + hs * d for x, d in zip(x_n, k3)]
-                k4 = checked(f(t_n + hs, x_s, Z, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
-                w = hs / 6.0
-                x_next = [x + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(x_n, k1, k2, k3, k4)]
-                checked(x_next, t_next, x_n, "state update")
+                    i = nstep - first
+                    Zs = node_Z[i], mid_Z[i], node_Z[i + 1]
+                    out = step(t_n, h, x_n, *Zs, k1, f, input_vector, nstep, completed)
+                    k1, x_n, norm = out or per_stage(nstep, h, x_n, iter(Zs), k1)
+                    new_k.append(k1)
+                    new_x.append(x_n)
             except _Diverged:
                 final = nstep
                 blow_up, escape_time = True, t_n
                 break
-            states[nstep + 1] = x_n = x_next
-            t_nodes[nstep + 1] = t_next
-            norm = norms_all[M + nstep + 1] = block_max_norm(x_next)
+            norms_all[M + nstep + 1] = norm
             completed = nstep + 1
             if norm > divergence_threshold:
                 final = nstep + 1
-                blow_up, escape_time = True, float(t_next)
+                blow_up, escape_time = True, float(T) if nstep == N_full else t_n + h
                 break
+        store()
 
         # Derivative at the last stored node, for dense output on the final
         # interval.  Best effort when the run blew up.

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallgain import checks
 from smallgain.checks import (
     BoundReport,
     check_ag,
@@ -16,13 +15,16 @@ from smallgain.checks import (
     limsup_estimate,
     sup_norm,
 )
+from smallgain.dsl import parse_system
 from smallgain.gains import Linear
 from smallgain.graph import build_gain_digraph
 from smallgain.reduction import closed_loop_input_gains
+from smallgain.ring import ring_config
 from smallgain.sim import (
     HistoryFunction,
     InputSignal,
     Subsystem,
+    Trajectory,
     build_auxiliary_system,
     build_interconnection,
     simulate,
@@ -333,6 +335,40 @@ class TestHistoryNorms:
         assert dict(traj.history_norms) == {1: 2.5}
 
 
+class TestWindowNorms:
+    def test_each_window_is_interpolated_once(self, monkeypatch):
+        # GS and GAS both sample [0, T], and AG's limsup per subsystem and
+        # GAS's limsup read the same three tail windows.
+        cfg = parse_system(ring_config())
+        closed = closed_loop_input_gains(cfg.digraph)
+        traj = simulate(cfg.system, cfg.history, None, cfg.sim.T, cfg.sim.h)
+        calls = []
+        interpolate_many = Trajectory.interpolate_many
+
+        def counted(self, times):
+            calls.append(list(times))
+            return interpolate_many(self, times)
+
+        monkeypatch.setattr(Trajectory, "interpolate_many", counted)
+        for _ in range(2):
+            check_gs(traj, cfg.digraph, closed)
+            check_ag(traj, closed, tail_fraction=0.2)
+            check_gas(traj, Linear(7.0), eps=1e-3, tail_fraction=0.2)
+        T = traj.t_end
+        windows = {(0.0, T), *((H * 0.8, H) for H in (T / 4.0, T / 2.0, T))}
+        times = traj.norm_table[0].tolist()
+        off_grid = [w for w in windows if not set(w) <= set(times)]
+        # The norm table's midpoints, then the ends of each window that
+        # are not samples, once.
+        assert len(off_grid) == 3
+        assert len(calls) == 1 + len(off_grid)
+        assert sorted(calls[1:]) == sorted(sorted(t for t in w if t not in times) for w in off_grid)
+        for w in windows:
+            got = traj.window_norms(*w)
+            assert got[0] is traj.window_norms(*w)[0]
+            assert not got[0].flags.writeable and not got[1].flags.writeable
+
+
 class TestBoundReport:
     def make_report(self) -> BoundReport:
         traj = scalar_traj(lambda t, x, z, u: -x, T=20.0)
@@ -397,7 +433,7 @@ def reference_sup_norm(traj, interval, subsystem=None):
 
 
 def reference_samples(traj, a, b):
-    """What checks._samples returns, sampled per window."""
+    """What Trajectory.window_norms returns, sampled per window."""
     times = window_times(traj, a, b)
     vals = traj.interpolate_many(times)
     return times, np.column_stack(
@@ -484,7 +520,7 @@ def assert_table_matches_reference(traj, g, windows):
     ref = dataclasses.replace(traj)
     ref.__dict__["history_norms"] = segment_norms(traj.hist_times, traj.history)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "_samples", reference_samples)
+        mp.setattr(Trajectory, "window_norms", reference_samples)
         want = report_dicts(ref, g, closed)
     assert "norm_table" not in ref.__dict__
     assert got == want

@@ -277,6 +277,19 @@ class TestVerify:
         assert len(calls) == 1
         assert read_json(out, "closed_loop_gains.json")["k"] == 3
 
+    def test_grid_reaching_below_the_normal_range(self, tmp_path, capsys):
+        # Refinement probes between 1e-200 and its neighbour, whose
+        # product underflows to 0.
+        doc = ring_config(T=10.0)
+        doc["gains"]["edges"] = {key: "0.5*s" for key in doc["gains"]["edges"]}
+        doc["checks"]["grid"] = {"s_min": 1e-200}
+        out = tmp_path / "out"
+        assert main(["verify", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        [report] = read_json(out, "cycle_reports.json")["cycles"]
+        assert report["verdict"]["status"] == "verified_on_grid"
+        assert report["verdict"]["witness"] == 1e-200
+        assert "GAS  holds" in capsys.readouterr().out
+
     def test_refusal_on_violation(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["verify", violating_doc(tmp_path), "--out", str(out)])
@@ -432,6 +445,10 @@ class TestSweep:
             ("exp(1000*v_1[-1.0])", None, "math range error"),
             # A negative constant to a fractional power is NaN, not complex.
             ("-3*x_1 + (-8)^(1/3)", None, "NaN"),
+            # The same errors from t = 2.2 on, inside a block of 10 steps.
+            ("-3*x_1 + 0.001*(2.25 - t)^0.5", None, "NaN"),
+            ("-3*x_1 + 0.001*sqrt(2.25 - t)", None, "math domain error"),
+            ("-3*x_1 + 0.001*exp(1e4*(t - 2.31))", None, "math range error"),
         ],
     )
     def test_math_function_error_is_one_error_line(self, tmp_path, rhs, history, message):

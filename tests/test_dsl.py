@@ -513,6 +513,83 @@ class TestParseSystem:
             )
         ]
 
+    def test_parse_system_compiles_no_step(self, monkeypatch):
+        # simulate writes out its RK4 step on the first run of a system: a
+        # delta sweep parses four networks and integrates only their union.
+        import smallgain.sim as sim
+
+        emitted = []
+        step_source = sim._step_source
+
+        def recorded(*args):
+            emitted.append(step_source(*args))
+            return emitted[-1]
+
+        monkeypatch.setattr(sim, "_step_source", recorded)
+        system = parse_system(ring_config()).system
+        assert emitted == []
+        hist = [HistoryFunction.constant([1.0])] * 3
+        for _ in range(2):
+            simulate(system, hist, None, T=0.1, h=0.01)
+        assert len(emitted) == 1
+
+    def test_ring_step_source_is_pinned(self):
+        # Trajectories keep their bits only while the fused step keeps the
+        # operations of the stage-by-stage code.
+        import smallgain.sim as sim
+
+        system = ring_system()
+        source = sim._step_source(system.dims, False, system.rhs.expressions)
+        assert source.splitlines() == [
+            "def _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed):",
+            "    [x0, x1, x2] = x",
+            "    mid = h / 2.0",
+            "    t2 = t + mid",
+            "    t4 = t + h",
+            "    try:",
+            "        if k1 is None:",
+            "            _p0_1 = _pow(Z0[1], 2.0)",
+            "            _p1_1 = _pow(Z0[2], 3.0)",
+            "            _p2_1 = _pow(Z0[0], 2.0)",
+            "            a0 = (((-3.0) * x0) + (_p0_1 / (1.0 + _p0_1)))",
+            "            a1 = (((-1.5) * x1) + _p1_1)",
+            "            a2 = (((-2.0) * x2) + _p2_1)",
+            "        else:",
+            "            [a0, a1, a2] = k1",
+            "        s0 = x0 + mid * a0",
+            "        s1 = x1 + mid * a1",
+            "        s2 = x2 + mid * a2",
+            "        _p0_m = _pow(Zm[1], 2.0)",
+            "        _p1_m = _pow(Zm[2], 3.0)",
+            "        _p2_m = _pow(Zm[0], 2.0)",
+            "        b0 = (((-3.0) * s0) + (_p0_m / (1.0 + _p0_m)))",
+            "        b1 = (((-1.5) * s1) + _p1_m)",
+            "        b2 = (((-2.0) * s2) + _p2_m)",
+            "        s0 = x0 + mid * b0",
+            "        s1 = x1 + mid * b1",
+            "        s2 = x2 + mid * b2",
+            "        c0 = (((-3.0) * s0) + (_p0_m / (1.0 + _p0_m)))",
+            "        c1 = (((-1.5) * s1) + _p1_m)",
+            "        c2 = (((-2.0) * s2) + _p2_m)",
+            "        s0 = x0 + h * c0",
+            "        s1 = x1 + h * c1",
+            "        s2 = x2 + h * c2",
+            "        _p0_4 = _pow(Z1[1], 2.0)",
+            "        _p1_4 = _pow(Z1[2], 3.0)",
+            "        _p2_4 = _pow(Z1[0], 2.0)",
+            "        d0 = (((-3.0) * s0) + (_p0_4 / (1.0 + _p0_4)))",
+            "        d1 = (((-1.5) * s1) + _p1_4)",
+            "        d2 = (((-2.0) * s2) + _p2_4)",
+            "        w = h / 6.0",
+            "        y0 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0)",
+            "        y1 = x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)",
+            "        y2 = x2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2)",
+            "    except _FLOAT_ERRORS:",
+            "        return None",
+            "    if not _isfinite(y0 + y1 + y2): return None",
+            "    return [a0, a1, a2], [y0, y1, y2], _sqrt(_max(y0 * y0, y1 * y1, y2 * y2))",
+        ]
+
     def test_network_takes_each_distinct_power_once(self, monkeypatch):
         import smallgain.dsl as dsl
 

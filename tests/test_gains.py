@@ -454,6 +454,22 @@ class TestLessThanIdentity:
         assert v.violated and not math.isnan(v.margin)
         assert g(v.witness) >= v.witness
 
+    @pytest.mark.parametrize(
+        "g, grid",
+        [
+            # The worst margin of a linear gain lies at s_min, where
+            # s_min times its neighbour underflows to 0.
+            (Linear(0.5), GridSpec(s_min=1e-162, s_max=1e10, n_points=256)),
+            (Linear(0.5), GridSpec(s_min=1e-200)),
+            # The worst margin lies at s_max, where s_max squared overflows.
+            (Compose(Linear(0.001), Power(1.001)), GridSpec(s_max=1e200)),
+        ],
+    )
+    def test_refinement_probes_at_extreme_grid_ends(self, g, grid):
+        v = less_than_identity(g, grid)
+        assert v.verified and v.witness in (grid.s_min, grid.s_max)
+        assert v.margin == 1.0 - g(v.witness) / v.witness
+
     def test_saturation_level_overflow_keeps_verdict(self):
         # At most 1e-9 everywhere, though c*s^q of the inner gain
         # overflows for s above about 1.8e7.

@@ -1,5 +1,6 @@
 """Delay-system integrator: accuracy, dense output, and failure modes."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ import smallgain.sim
 from smallgain.cli import _sweep_trajectories
 from smallgain.dsl import SimParams, parse_system
 from smallgain.gains import Linear, SaturatingRational
+from smallgain.ring import ring_config, ring_system
 from smallgain.sim import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     HistoryFunction,
@@ -854,6 +856,113 @@ class TestStageGatherAgainstReference:
         # The oracle reads it unchecked and reports a blow-up at t=0.
         traj = reference_simulate(sys, [spiky], None, 1.0, h)
         assert traj.blow_up and traj.escape_time == 0.0
+
+
+def ring_union(deltas, T=3.0, h=0.01):
+    """The delta-sweep union of the bundled ring: (sys, hist)."""
+    docs = [smallgain.cli._sweep_doc(ring_config(), "delta", d) for d in deltas]
+    hist = [HistoryFunction.constant([1.0 + 0.1 * i]) for i in range(3 * len(deltas))]
+    return parse_system(smallgain.cli._union_doc(docs)).system, hist
+
+
+def block_pair(feedback=False):
+    """Two hand-built subsystems of dims 2 and 1 with an input each."""
+    subs = [
+        Subsystem(2, lambda t, x, z, u: np.array([-x[0] + 0.4 * np.sin(z[(2, 0.2)][0]) + u[0], -2.0 * x[1] + 0.1 * x[0]]),
+                  references=((2, 0.2),), input_dim=1),
+        Subsystem(1, lambda t, x, z, u: -x + 0.3 * z[(1, 0.5)][1] ** 2 + 0.5 * u, references=((1, 0.5),), input_dim=1),
+    ]
+    sys = build_interconnection(subs, [0.2, 0.5])
+    if feedback:
+        sys = build_auxiliary_system(sys, Linear(0.5), InputSignal.from_callable(lambda t: np.array([np.sin(t), 0.5]), 2))
+    return sys
+
+
+class TestFusedStep:
+    """simulate takes every full step in one generated function; the
+    stage-by-stage oracle gives the same bits, errors and warnings."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["one_step_delay", "inputs", "feedback", "interconnection", "interconnection_feedback", "sweep_union"],
+    )
+    def test_fixed_networks_match_reference(self, case):
+        h, T, hist, inputs = 0.01, 2.005, [HistoryFunction.constant([1.0])] * 3, None
+        if case == "one_step_delay":
+            # Every block is one step long.
+            sys = parse_system(ring_config(delta=h)).system
+        elif case in ("inputs", "feedback"):
+            sys = dsl_system([["-x_1_1 + 0.5*tanh(v_2[-0.1]) + u_1", "-x_1_2 + u_1^2"], ["-x_2 + 0.2*v_1_2[-0.1]^2"]],
+                             [0.1], input_dims=[1, 0])
+            hist = [HistoryFunction.polynomial([[1.0, 0.5], [0.2]]), HistoryFunction.constant([0.3])]
+            if case == "inputs":
+                inputs = [InputSignal.from_callable(lambda t: np.array([np.cos(3.0 * t)]), 1), InputSignal.zero(0)]
+            else:
+                sys = build_auxiliary_system(sys, SaturatingRational(1.5, 2.0), InputSignal.constant([0.8]))
+        elif case.startswith("interconnection"):
+            sys = block_pair(feedback=case.endswith("feedback"))
+            hist = [HistoryFunction.constant([1.0, -0.5]), HistoryFunction.constant([0.7])]
+            if not case.endswith("feedback"):
+                inputs = [InputSignal.constant([0.2]), InputSignal.piecewise_constant([0.0, 1.0], [[0.0], [1.0]])]
+        else:
+            sys, hist = ring_union([0.5, 1.0, 2.0])
+        blow_up, _, arrays = same_as_reference(sys, hist, inputs, T, h)
+        assert not blow_up and arrays[0][0] == (202,)
+
+    @pytest.mark.parametrize(
+        "term, error",
+        [
+            ("(2.25 - t)^0.5", "NaN in right-hand side evaluation (t=2.2"),
+            ("sqrt(2.25 - t)", "math domain error in right-hand side evaluation (t=2.3"),
+            ("exp(1e4*(t - 2.31))", "math range error in right-hand side evaluation (t=2.4"),
+            ("(0*x_1 + t/2.26)^60000", None),
+        ],
+    )
+    def test_errors_after_fused_steps_match_reference(self, term, error):
+        # The term first fails at the last stage of step 22 or 23, in the
+        # middle of a block of 10 steps.  The oracle's subsystem function
+        # raises a math function's error itself; the network function
+        # reports it at the stage time and state.
+        sys = dsl_system([[f"-3*x_1 + 0.1*v_1[-1.0] + 0.001*{term}"]], [1.0])
+        [sub] = sys.subsystems
+
+        def rhs(t, x, z, u):
+            try:
+                return sub.rhs(t, x, z, u)
+            except (ValueError, OverflowError) as exc:
+                raise SimulationError(f"{exc} in right-hand side evaluation", t, x) from None
+
+        oracle = replace(sys, subsystems=(replace(sub, rhs=rhs),))
+        hist = [HistoryFunction.constant([1.0])]
+        with np.errstate(invalid="ignore"):
+            ref = recorded(lambda: reference_simulate(oracle, hist, None, 4.0, 0.1))
+        assert recorded(lambda: simulate(sys, hist, None, 4.0, 0.1)) == ref
+        (result, messages) = ref
+        if error is None:
+            assert result[:2] == (True, 22 * 0.1) and messages == ["overflow encountered in scalar power"]
+        else:
+            assert result[0] is SimulationError and result[1].startswith(error) and messages == []
+
+    def test_only_block_starts_and_the_shortened_step_call_the_network_function(self):
+        # The bundled ring gathers Z in blocks of 100 steps.  The fused
+        # step evaluates stages inline; the network function is called
+        # for the first stage of each block, the four stages of the
+        # shortened final step and the final derivative.
+        sys = ring_system()
+        calls = Counter()
+        f = sys.rhs
+
+        @functools.wraps(f)
+        def counted(t, x, Z, u):
+            calls[t] += 1
+            return f(t, x, Z, u)
+
+        hist = [HistoryFunction.constant([1.0])] * 3
+        for T, want in ((3.0, {0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1}), (3.005, {0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1, 3.0025: 2, 3.005: 2})):
+            calls.clear()
+            traj = simulate(replace(sys, rhs=counted), hist, None, T, 0.01)
+            assert calls == want
+            assert outcome(lambda: traj) == outcome(lambda: reference_simulate(sys, hist, None, T, 0.01))
 
 
 def _nan_child(h, m):
