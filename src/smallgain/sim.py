@@ -27,8 +27,8 @@ evaluates on Python floats, again on numpy scalars where that raises or
 gives a value that is not finite (smallgain.dsl).
 
 Integration uses the classical fourth-order Runge-Kutta scheme with a
-fixed step h that must divide every delay.  The stages run on lists of
-Python floats, in the operation order of the array form
+fixed step h that must divide every delay.  The stages run on Python
+floats, in the operation order of the array form
 x_n + (h/6)(k1 + 2 k2 + 2 k3 + k4), so they give its bits; numpy arrays
 only store the run.  Because every delay is at least one step, all
 delayed stage values lie in already-computed territory: stage times fall
@@ -44,14 +44,29 @@ intervals hold the u = 1/2 form of the Hermite interpolant,
 the shortest delay in steps (and at most _DENSE_BLOCK): once the first
 stage of a block has given its node's derivative, one vectorised pass
 fills the midpoint rows of the intervals completed so far, and one
-fancy index per buffer gathers the Z of every stage of the block.  The
-general interpolant is written once, in _hermite:
+fancy index per buffer gathers the Z of every stage of the block.
+Within a block the states and derivatives stay in lists, stored into
+the arrays when the block ends.
+
+Every full step is one call of a function that simulate writes out for
+the system on its first run (_step_source): the four stages and the
+update in straight-line code over local floats.  When f carries its
+expressions, as the generated network function does, the stages are
+inline and their float arithmetic classifies nothing: a step that
+raises or whose new state is not finite is refused and taken again
+stage by stage through f, and only there do _checked and f's own
+numpy-scalar evaluation report NaN, overflow and math errors.  For any
+other f, each stage of the written-out step calls f and _checked.  The
+shortened final step is always taken stage by stage.
+
+The general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
 vectorised pass, which is the dense output on the whole time range, and
 the shortened final step uses it for its off-grid delayed values.
 Trajectory.norm_table holds the block norms at every stored node and
 step midpoint; the history norms and every supremum of smallgain.checks
-are maxima over its rows.
+are maxima over its rows, which Trajectory.window_norms selects once
+per window.
 
 A trajectory whose max-norm exceeds the divergence threshold stops
 early and is flagged as blown up together with the escape time.  NaN
@@ -282,10 +297,12 @@ class DelaySystemSpec:
     the module docstring: x, Z and u are lists of floats, Z follows
     reference_rows(subsystems), and f returns the list of the total
     dim.  simulate calls it once per Runge-Kutta stage instead of the
-    subsystems' own rhs callables.  parse_system generates it to
+    subsystems' own rhs callables, except where the stages are written out
+    inline from its expressions.  parse_system generates it to
     evaluate on Python floats and to evaluate the stage again on numpy
     scalars where that raises or gives inf or NaN, so that the values and
-    warnings are those of numpy arithmetic.  When rhs is None, simulate
+    warnings are those of numpy arithmetic, and attaches the expressions
+    (see _step_source).  When rhs is None, simulate
     uses an adapter that converts the lists to arrays and calls every
     subsystem's rhs once per stage.
     """
@@ -739,42 +756,48 @@ _STAGES = (("a", "x", "t", "Z0", "0.0"), ("b", "s", "t2", "Zm", "0.5"),
 
 
 def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
-    """Source of _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed).
+    """Source of _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed).
 
     It takes one full RK4 step from node t = step*h with state x (a
     list), in straight-line code over local floats: Z0, Zm and Z1 are the
     delayed states of its first, two middle and last stages, and k1, when
     not None, is its first stage.  It returns the first stage, the new
-    state and its max block norm, with the operations of simulate's
-    stage-by-stage code, so with its bits.  With inputs, each stage calls
-    u_at(time, step, fraction, stage state, completed).
+    state, its max block norm and P (below), with the operations of
+    simulate's stage-by-stage code, so with its bits.  With inputs, each
+    stage calls u_at(time, step, fraction, stage state, completed).
 
     expressions, when not None, is the network function's
     (bindings, pieces, namespace): local bindings (name, expression) and
     one expression per state component, over t, x, Z, u and the earlier
     bindings, which the namespace lets evaluate on floats.  Every stage
-    is then written out inline, and a binding that reads neither x nor u
-    is taken once for the two middle stages, which read the same Z.  The
-    step returns None, for simulate to redo it stage by stage, where the
-    float arithmetic raises one of the namespace's _FLOAT_ERRORS, where
-    the new state's sum is not finite, and (with inputs, which may read
-    the stage state) before an input call on a stage that is not.
-    Without expressions, every stage calls f and classifies its value
-    with _checked, as the stage-by-stage code does.
+    is then written out inline.  A binding that reads neither x nor u is
+    taken once for the two middle stages, which read the same Z and t.
+    The values at the last stage of the bindings that read only Z and
+    constants are returned as P; passed back as P to the next step, whose
+    Z0 is this step's Z1, they are its first stage's.  The step returns
+    None, for simulate to redo it stage by stage, where the float
+    arithmetic raises one of the namespace's _FLOAT_ERRORS, where the new
+    state's sum is not finite, and (with inputs, which may read the stage
+    state) before an input call on a stage that is not.  Without
+    expressions, every stage calls f and classifies its value with
+    _checked, as the stage-by-stage code does, and P is None.
     """
     n = sum(dims)
 
     def vec(prefix: str, sep: str = ", ") -> str:
         return sep.join(f"{prefix}{i}" for i in range(n))
 
+    carried = []
     if expressions is not None:
         bindings, pieces, _ = expressions
         operand = re.compile(r"\bx\[(\d+)\]|\b(" + "|".join(["t", "Z", *(b for b, _ in bindings)]) + r")\b")
         middle = set()
         for name, value in bindings:
-            reads = {m[2] for m in operand.finditer(value)} - {None, "t", "Z"}
-            if reads <= middle and not re.search(r"\b[xu]\[", value):
+            reads = {m[2] for m in operand.finditer(value)} - {None, "Z"}
+            if reads - {"t"} <= middle and not re.search(r"\b[xu]\[", value):
                 middle.add(name)
+                if reads <= set(carried):
+                    carried.append(name)
 
     body = []
     for j, (k, state, time, Z, frac) in enumerate(_STAGES):
@@ -787,23 +810,28 @@ def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
         u = f"u_at({time}, step, {frac}, {stage_x}, completed)" if inputs else "[]"
         if expressions is None:
             value = f"_checked(f({time}, {stage_x}, {Z}, {u}), t, x)"
-            lines = [f"[{vec(k)}] = {value}"] if j else ["if k1 is None:", f"    k1 = {value}", f"[{vec(k)}] = k1"]
-        else:
+            body += [f"[{vec(k)}] = {value}"] if j else ["if k1 is None:", f"    k1 = {value}", f"[{vec(k)}] = k1"]
+            continue
 
-            def bound(name: str) -> str:
-                return f"{name}_{'m' if name in middle and j in (1, 2) else j + 1}"
+        def bound(name: str) -> str:
+            return f"{name}_{'m' if name in middle and j in (1, 2) else j + 1}"
 
-            def local(m: re.Match) -> str:
-                if m[1] is not None:
-                    return f"{state}{m[1]}"
-                return {"t": time, "Z": Z}.get(m[2]) or bound(m[2])
+        def local(m: re.Match) -> str:
+            if m[1] is not None:
+                return f"{state}{m[1]}"
+            return {"t": time, "Z": Z}.get(m[2]) or bound(m[2])
 
-            lines = [f"u = {u}"] if inputs else []
-            lines += [f"{bound(name)} = {operand.sub(local, value)}"
-                      for name, value in bindings if not (j == 2 and name in middle)]
-            lines += [f"{k}{i} = {operand.sub(local, piece)}" for i, piece in enumerate(pieces)]
-            if j == 0:
-                lines = ["if k1 is None:", *("    " + line for line in lines), "else:", f"    [{vec(k)}] = k1"]
+        taken = [(name, f"{bound(name)} = {operand.sub(local, value)}")
+                 for name, value in bindings if not (j == 2 and name in middle)]
+        lines = [f"u = {u}"] if inputs else []
+        if j == 0 and carried:
+            lines += ["if P is None:", *("    " + line for name, line in taken if name in carried),
+                      "else:", f"    [{', '.join(map(bound, carried))}] = P"]
+            taken = [(name, line) for name, line in taken if name not in carried]
+        lines += [line for _, line in taken]
+        lines += [f"{k}{i} = {operand.sub(local, piece)}" for i, piece in enumerate(pieces)]
+        if j == 0:
+            lines = ["if k1 is None:", *("    " + line for line in lines), "else:", f"    [{vec(k)}] = k1"]
         body += lines
     body.append("w = h / 6.0")
     body += [f"y{i} = x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
@@ -812,13 +840,14 @@ def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
         norm = f"_sqrt(_max({squares}))" if n > 1 else f"_sqrt({squares})"
     else:
         norm = f"_norm([{vec('y')}])"
+    P = f"[{', '.join(name + '_4' for name in carried)}]" if carried else "None"
     if expressions is None:
-        tail = [f'_checked([{vec("y")}], t4, x, "state update")', f"return k1, [{vec('y')}], {norm}"]
+        tail = [f'_checked([{vec("y")}], t4, x, "state update")', f"return k1, [{vec('y')}], {norm}, None"]
     else:
         body = ["try:", *("    " + line for line in body), "except _FLOAT_ERRORS:", "    return None"]
-        tail = [f"if not _isfinite({vec('y', ' + ')}): return None", f"return [{vec('a')}], [{vec('y')}], {norm}"]
+        tail = [f"if not _isfinite({vec('y', ' + ')}): return None", f"return [{vec('a')}], [{vec('y')}], {norm}, {P}"]
     lines = [f"[{vec('x')}] = x", "mid = h / 2.0", "t2 = t + mid", "t4 = t + h", *body, *tail]
-    return "def _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed):\n" + "".join(f"    {line}\n" for line in lines)
+    return "def _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def simulate(
@@ -900,9 +929,11 @@ def simulate(
         remainder = 0.0
     N = N_full + (1 if remainder > 0.0 else 0)
 
-    def sample_history(t: float) -> np.ndarray:
-        vals = np.concatenate([fn(t) for fn in hist])
-        if not np.isfinite(vals).all():
+    def sample_history(t: float) -> list:
+        vals = []
+        for fn in hist:
+            vals += fn(t).tolist()
+        if not (math.isfinite(sum(vals)) or all(map(math.isfinite, vals))):
             raise SimulationError("history function produced non-finite values", t, vals)
         return vals
 
@@ -910,8 +941,7 @@ def simulate(
     # M + j holds node j, so node 0 is the last history sample.
     xs = np.empty((M + N + 1, n))
     hist_times = np.arange(-M, 1) * h
-    for row, t in enumerate(hist_times):
-        xs[row] = sample_history(float(t))
+    xs[: M + 1] = [sample_history(float(t)) for t in hist_times]
     states = xs[M:]
     derivs = np.zeros((N + 1, n))
 
@@ -934,7 +964,7 @@ def simulate(
             c = cols[sel]
             tq = t_stage - th
             if tq <= 0.0:
-                Z[sel] = sample_history(tq)[c]
+                Z[sel] = np.take(sample_history(tq), c)
                 continue
             j = min(int(math.floor(tq / h + 1e-12)), completed - 1)
             u = (tq - j * h) / h
@@ -947,9 +977,12 @@ def simulate(
         return Z.tolist()
 
     block_max_norm = _block_max_norm(sys.dims)
+    # The max block norm at every stored node, which a disturbance
+    # closure reads.
     norms_all = np.empty(M + N + 1)
-    for row in range(M + 1):
-        norms_all[row] = block_max_norm(xs[row].tolist())
+    if feedback is not None:
+        for row in range(M + 1):
+            norms_all[row] = block_max_norm(xs[row].tolist())
 
     clamp_warned = False
 
@@ -1019,6 +1052,7 @@ def simulate(
     # The derivatives and states of the block's steps so far, stored
     # into the arrays when the block ends.
     new_k, new_x = [], []
+    P = None  # what the last step hands the next one (see _step_source)
 
     def store() -> None:
         if new_x:
@@ -1057,16 +1091,19 @@ def simulate(
                         filled = first
                         mid_Z = mids[rows[:-1], cols].tolist()
                     i = nstep - first
-                    Zs = node_Z[i], mid_Z[i], node_Z[i + 1]
-                    out = step(t_n, h, x_n, *Zs, k1, f, input_vector, nstep, completed)
-                    k1, x_n, norm = out or per_stage(nstep, h, x_n, iter(Zs), k1)
+                    out = step(t_n, h, x_n, node_Z[i], mid_Z[i], node_Z[i + 1], k1, P, f, input_vector, nstep, completed)
+                    if out is None:
+                        Zs = iter((node_Z[i], mid_Z[i], node_Z[i + 1]))
+                        out = *per_stage(nstep, h, x_n, Zs, k1), None
+                    k1, x_n, norm, P = out
                     new_k.append(k1)
                     new_x.append(x_n)
             except _Diverged:
                 final = nstep
                 blow_up, escape_time = True, t_n
                 break
-            norms_all[M + nstep + 1] = norm
+            if feedback is not None:
+                norms_all[M + nstep + 1] = norm
             completed = nstep + 1
             if norm > divergence_threshold:
                 final = nstep + 1

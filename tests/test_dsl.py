@@ -541,16 +541,19 @@ class TestParseSystem:
         system = ring_system()
         source = sim._step_source(system.dims, False, system.rhs.expressions)
         assert source.splitlines() == [
-            "def _step(t, h, x, Z0, Zm, Z1, k1, f, u_at, step, completed):",
+            "def _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed):",
             "    [x0, x1, x2] = x",
             "    mid = h / 2.0",
             "    t2 = t + mid",
             "    t4 = t + h",
             "    try:",
             "        if k1 is None:",
-            "            _p0_1 = _pow(Z0[1], 2.0)",
-            "            _p1_1 = _pow(Z0[2], 3.0)",
-            "            _p2_1 = _pow(Z0[0], 2.0)",
+            "            if P is None:",
+            "                _p0_1 = _pow(Z0[1], 2.0)",
+            "                _p1_1 = _pow(Z0[2], 3.0)",
+            "                _p2_1 = _pow(Z0[0], 2.0)",
+            "            else:",
+            "                [_p0_1, _p1_1, _p2_1] = P",
             "            a0 = (((-3.0) * x0) + (_p0_1 / (1.0 + _p0_1)))",
             "            a1 = (((-1.5) * x1) + _p1_1)",
             "            a2 = (((-2.0) * x2) + _p2_1)",
@@ -587,7 +590,7 @@ class TestParseSystem:
             "    except _FLOAT_ERRORS:",
             "        return None",
             "    if not _isfinite(y0 + y1 + y2): return None",
-            "    return [a0, a1, a2], [y0, y1, y2], _sqrt(_max(y0 * y0, y1 * y1, y2 * y2))",
+            "    return [a0, a1, a2], [y0, y1, y2], _sqrt(_max(y0 * y0, y1 * y1, y2 * y2)), [_p0_4, _p1_4, _p2_4]",
         ]
 
     def test_network_takes_each_distinct_power_once(self, monkeypatch):
