@@ -858,7 +858,7 @@ class TestStageGatherAgainstReference:
         assert traj.blow_up and traj.escape_time == 0.0
 
 
-def ring_union(deltas, T=3.0, h=0.01):
+def ring_union(deltas):
     """The delta-sweep union of the bundled ring: (sys, hist)."""
     docs = [smallgain.cli._sweep_doc(ring_config(), "delta", d) for d in deltas]
     hist = [HistoryFunction.constant([1.0 + 0.1 * i]) for i in range(3 * len(deltas))]
@@ -892,7 +892,7 @@ class TestFusedStep:
             # Every block is one step long.
             sys = parse_system(ring_config(delta=h)).system
         elif case in ("inputs", "feedback"):
-            sys = dsl_system([["-x_1_1 + 0.5*tanh(v_2[-0.1]) + u_1", "-x_1_2 + u_1^2"], ["-x_2 + 0.2*v_1_2[-0.1]^2"]],
+            sys = dsl_system([["-x_1_1 + 0.5*tanh(v_2[-0.1]) + u_1", "-x_1_2 + u_1^2 - 0.1*x_1_2^2"], ["-x_2 + 0.2*v_1_2[-0.1]^2"]],
                              [0.1], input_dims=[1, 0])
             hist = [HistoryFunction.polynomial([[1.0, 0.5], [0.2]]), HistoryFunction.constant([0.3])]
             if case == "inputs":
