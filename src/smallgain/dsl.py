@@ -20,7 +20,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -548,7 +548,7 @@ class _RhsCompiler:
         source: str,
         time_only: bool = False,
         rows: Mapping[tuple[int, float], int] | None = None,
-        powers: dict[str, str] | None = None,
+        powers: dict[str, tuple[str, bool]] | None = None,
     ):
         self.index = index
         self.dims = list(dims)
@@ -560,12 +560,17 @@ class _RhsCompiler:
         self.references: set[tuple[int, float]] = set()
         # With rows (the Z layout of sim.reference_rows), emit the network
         # form f(t, x, Z, u) over the flat vectors instead of the
-        # subsystem form rhs(t, x, z, u).
+        # subsystem form rhs(t, x, z, u), as a template whose fields
+        # {t}, {x[i]} and {Z} name the stage's time, state components and
+        # delayed state (see _network).
         self.rows = rows
         # With powers (shared by every expression of a network), each
         # distinct ``^`` is emitted as a local name, bound once per call
-        # (see _network_function): powers maps its source to that name.
+        # (see _network_function): powers maps its template to that name
+        # and to whether it reads x or u, directly or through another power.
         self.powers = powers
+        # Whether the expression emitted so far reads x or u.
+        self.reads_state = False
         self.x_base = sum(self.dims[: index - 1]) if rows is not None else 0
         self.u_base = sum(self.input_dims[: index - 1]) if rows is not None else 0
 
@@ -611,15 +616,19 @@ class _RhsCompiler:
         if isinstance(node, _Neg):
             return f"(-{self.emit(node.operand)})"
         if isinstance(node, _Bin):
+            outer, self.reads_state = self.reads_state, False
             left = self.emit(node.left)
             if node.op == ".":
                 self.error("'.' composes gains; dynamics have no composition", node.pos)
+            right = self.emit(node.right)
+            reads_state = self.reads_state
+            self.reads_state |= outer
             if node.op == "^":
-                call = f"_pow({left}, {self.emit(node.right)})"
+                call = f"_pow({left}, {right})"
                 if self.powers is None:
                     return call
-                return self.powers.setdefault(call, f"_p{len(self.powers)}")
-            return f"({left} {node.op} {self.emit(node.right)})"
+                return self.powers.setdefault(call, (f"_p{len(self.powers)}", reads_state))[0]
+            return f"({left} {node.op} {right})"
         if node.name not in _CODEGEN_FUNCS:
             self._misused(node)
         if len(node.args) != 1:
@@ -632,7 +641,7 @@ class _RhsCompiler:
         if node.text == "t":
             if node.delay is not None:
                 self.error("t cannot carry a delay suffix", node.pos)
-            return "t"
+            return "t" if self.rows is None else "{t}"
         m = _NAME_RE.match(node.text)
         if m is None:
             self._misused(node)
@@ -653,7 +662,9 @@ class _RhsCompiler:
                 )
             comp = self._component(comp, self.dims[index - 1], name, node.pos)
             if node.delay is None:
-                return f"x[{self.x_base + comp - 1}]"
+                self.reads_state = True
+                i = self.x_base + comp - 1
+                return f"x[{i}]" if self.rows is None else f"{{x[{i}]}}"
             return self._delayed(node, index, comp)
         if kind == "v":
             if not 1 <= index <= self.k:
@@ -680,6 +691,7 @@ class _RhsCompiler:
                 node.pos,
             )
         comp = self._component(comp, input_dim, name, node.pos)
+        self.reads_state = True
         return f"u[{self.u_base + comp - 1}]"
 
     def _delayed(self, node: _Name, index: int, comp: int) -> str:
@@ -694,7 +706,7 @@ class _RhsCompiler:
         self.references.add(key)
         if self.rows is None:
             return f"z[{key!r}][{comp - 1}]"
-        return f"Z[{self.rows[key] + comp - 1}]"
+        return f"{{Z}}[{self.rows[key] + comp - 1}]"
 
 
 def _numpy_pow(a, b):
@@ -739,10 +751,6 @@ def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Calla
     stage): that gives the inf or NaN and the warnings of numpy arithmetic.  An error that this evaluation
     raises too (a math function outside its domain or range, or a
     division of two constants by zero) is a :class:`SimulationError`.
-
-    f carries its expressions as ``f.expressions``, the powers as local
-    bindings, from which :mod:`smallgain.sim` writes out whole
-    Runge-Kutta steps on floats.
     """
     # The numpy-scalar twin takes every power where it occurs, so that it
     # warns once per occurrence, as the subsystem functions do.
@@ -776,8 +784,40 @@ def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Calla
         **_CODEGEN_FUNCS,
     }
     exec(compile(src, "<network rhs>", "exec"), env)
-    f = env["_f"]
-    f.expressions = ([(name, call) for call, name in powers.items()], list(pieces), env)
+    return env["_f"]
+
+
+class _NetworkExpressions(NamedTuple):
+    """The expressions of a network function, from which simulate writes
+    out its Runge-Kutta stages inline (sim._step_source).
+
+    bindings are (name, template, reads_state) per power and pieces one
+    template per state component, as _RhsCompiler emits them: their
+    fields {t}, {x[i]} and {Z} take the source of the stage's time,
+    state component i and delayed state vector; u stays u, and each
+    power is its binding's name.  A binding that reads neither x nor u
+    has the same value at the two middle stages.  The templates evaluate
+    in namespace, and belong to function alone: a function that wraps
+    it may compute something else.
+    """
+
+    function: Callable
+    bindings: list
+    pieces: list
+    namespace: dict
+
+
+def _network(templates: Sequence[str], powers: Mapping[str, tuple[str, bool]]) -> Callable:
+    """The network function of the emitted templates (one per state
+    component, so x has as many), carrying them as ``f.expressions``."""
+    x = [f"x[{i}]" for i in range(len(templates))]
+
+    def source(template: str) -> str:
+        return template.format(t="t", x=x, Z="Z")
+
+    f = _network_function([source(p) for p in templates], {source(call): name for call, (name, _) in powers.items()})
+    bindings = [(name, call, reads_state) for call, (name, reads_state) in powers.items()]
+    f.expressions = _NetworkExpressions(f, bindings, list(templates), f.__globals__)
     return f
 
 
@@ -1153,7 +1193,7 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     pieces, powers = [], {}
     for i, sub in enumerate(subs_doc):
         pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows, powers=powers)[0]
-    network = _network_function(pieces, powers)
+    network = _network(pieces, powers)
 
     # Declared-but-unreferenced delays are legal; the builder checks the
     # converse (every referenced delay must be declared).

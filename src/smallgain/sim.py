@@ -48,16 +48,16 @@ fancy index per buffer gathers the Z of every stage of the block.
 Within a block the states and derivatives stay in lists, stored into
 the arrays when the block ends.
 
-Every full step is one call of a function that simulate writes out for
-the system on its first run (_step_source): the four stages and the
-update in straight-line code over local floats.  When f carries its
-expressions, as the generated network function does, the stages are
-inline and their float arithmetic classifies nothing: a step that
-raises or whose new state is not finite is refused and taken again
-stage by stage through f, and only there do _checked and f's own
-numpy-scalar evaluation report NaN, overflow and math errors.  For any
-other f, each stage of the written-out step calls f and _checked.  The
-shortened final step is always taken stage by stage.
+When f carries its own expressions, as the generated network function
+does, every full step is one call of a function that simulate writes
+out for the system on its first run (_step_source): the four stages,
+inline, and the update in straight-line code over local floats.  Its
+float arithmetic classifies nothing: a step that raises or whose new
+state is not finite is refused and taken again stage by stage through
+f, reusing the inputs the refused step took, and only there do _checked
+and f's own numpy-scalar evaluation report NaN, overflow and math
+errors.  The full steps of any other f, and the shortened final step,
+are taken stage by stage.
 
 The general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
@@ -83,7 +83,6 @@ build_auxiliary_system.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -298,13 +297,13 @@ class DelaySystemSpec:
     reference_rows(subsystems), and f returns the list of the total
     dim.  simulate calls it once per Runge-Kutta stage instead of the
     subsystems' own rhs callables, except where the stages are written out
-    inline from its expressions.  parse_system generates it to
-    evaluate on Python floats and to evaluate the stage again on numpy
-    scalars where that raises or gives inf or NaN, so that the values and
-    warnings are those of numpy arithmetic, and attaches the expressions
-    (see _step_source).  When rhs is None, simulate
-    uses an adapter that converts the lists to arrays and calls every
-    subsystem's rhs once per stage.
+    inline from its own expressions (see _step_source).  parse_system
+    generates it to evaluate on Python floats and to evaluate the stage
+    again on numpy scalars where that raises or gives inf or NaN, so that
+    the values and warnings are those of numpy arithmetic, and attaches
+    the expressions.  When rhs is None, simulate uses an adapter that
+    converts the lists to arrays and calls every subsystem's rhs once per
+    stage.
     """
 
     subsystems: tuple[Subsystem, ...]
@@ -343,13 +342,14 @@ class DelaySystemSpec:
         return tuple(out)
 
     @cached_property
-    def _step(self) -> Callable:
-        """simulate's full RK4 step (see _step_source), compiled on the
-        first run, so that parsing a system compiles no step."""
+    def _step(self) -> Callable | None:
+        """simulate's full RK4 step (see _step_source) when rhs carries
+        its own expressions, compiled on the first run, so that parsing a
+        system compiles no step; None for any other rhs."""
         expressions = getattr(self.rhs, "expressions", None)
-        env = dict(expressions[2]) if expressions is not None else {}
-        env.update(_checked=_checked, _isfinite=math.isfinite, _sqrt=math.sqrt, _max=max,
-                   _norm=_block_max_norm(self.dims))
+        if expressions is None or expressions.function is not self.rhs:
+            return None
+        env = dict(expressions.namespace, _sqrt=math.sqrt, _max=max, _norm=_block_max_norm(self.dims))
         source = _step_source(self.dims, self.total_input_dim > 0, expressions)
         exec(compile(source, "<rk4 step>", "exec"), env)
         return env["_step"]
@@ -755,81 +755,44 @@ _STAGES = (("a", "x", "t", "Z0", "0.0"), ("b", "s", "t2", "Zm", "0.5"),
            ("c", "s", "t2", "Zm", "0.5"), ("d", "s", "t4", "Z1", "1.0"))
 
 
-def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
-    """Source of _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed).
+def _step_source(dims: Sequence[int], inputs: bool, expressions) -> str:
+    """Source of _step(t, h, x, Z0, Zm, Z1, k1, u_at, step, completed).
 
     It takes one full RK4 step from node t = step*h with state x (a
     list), in straight-line code over local floats: Z0, Zm and Z1 are the
     delayed states of its first, two middle and last stages, and k1, when
     not None, is its first stage.  It returns the first stage, the new
-    state, its max block norm and P (below), with the operations of
-    simulate's stage-by-stage code, so with its bits.  With inputs, each
-    stage calls u_at(time, step, fraction, stage state, completed).
+    state and its max block norm, with the operations of simulate's
+    stage-by-stage code, so with its bits.  With inputs, each stage calls
+    u_at(time, step, fraction, stage state, completed).
 
-    expressions, when not None, is the network function's
-    (bindings, pieces, namespace): local bindings (name, expression) and
-    one expression per state component, over t, x, Z, u and the earlier
-    bindings, which the namespace lets evaluate on floats.  Every stage
-    is then written out inline.  A binding that reads neither x nor u is
-    taken once for the two middle stages, which read the same Z and t.
-    The values at the last stage of the bindings that read only Z and
-    constants are returned as P; passed back as P to the next step, whose
-    Z0 is this step's Z1, they are its first stage's.  The step returns
-    None, for simulate to redo it stage by stage, where the float
-    arithmetic raises one of the namespace's _FLOAT_ERRORS, where the new
-    state's sum is not finite, and (with inputs, which may read the stage
-    state) before an input call on a stage that is not.  Without
-    expressions, every stage calls f and classifies its value with
-    _checked, as the stage-by-stage code does, and P is None.
+    expressions are the network function's (see dsl._NetworkExpressions),
+    written out inline at every stage; a binding that reads neither x nor
+    u is taken once for the two middle stages, which read the same Z and
+    t.  The step returns None, for simulate to take it again stage by
+    stage, where the float arithmetic raises one of the namespace's
+    _FLOAT_ERRORS, where the new state's sum is not finite, and (with
+    inputs, which may read the stage state) before an input call on a
+    stage whose sum is not.
     """
     n = sum(dims)
 
     def vec(prefix: str, sep: str = ", ") -> str:
         return sep.join(f"{prefix}{i}" for i in range(n))
 
-    carried = []
-    if expressions is not None:
-        bindings, pieces, _ = expressions
-        operand = re.compile(r"\bx\[(\d+)\]|\b(" + "|".join(["t", "Z", *(b for b, _ in bindings)]) + r")\b")
-        middle = set()
-        for name, value in bindings:
-            reads = {m[2] for m in operand.finditer(value)} - {None, "Z"}
-            if reads - {"t"} <= middle and not re.search(r"\b[xu]\[", value):
-                middle.add(name)
-                if reads <= set(carried):
-                    carried.append(name)
-
     body = []
     for j, (k, state, time, Z, frac) in enumerate(_STAGES):
         if j:
-            if expressions is not None and inputs:
+            if inputs:
                 body.append(f"if not _isfinite({vec(_STAGES[j - 1][0], ' + ')}): return None")
             scale = "h" if j == 3 else "mid"
             body += [f"s{i} = x{i} + {scale} * {_STAGES[j - 1][0]}{i}" for i in range(n)]
+        names = {"t": time, "x": [f"{state}{i}" for i in range(n)], "Z": Z}
         stage_x = "x" if j == 0 else f"[{vec('s')}]"
-        u = f"u_at({time}, step, {frac}, {stage_x}, completed)" if inputs else "[]"
-        if expressions is None:
-            value = f"_checked(f({time}, {stage_x}, {Z}, {u}), t, x)"
-            body += [f"[{vec(k)}] = {value}"] if j else ["if k1 is None:", f"    k1 = {value}", f"[{vec(k)}] = k1"]
-            continue
-
-        def bound(name: str) -> str:
-            return f"{name}_{'m' if name in middle and j in (1, 2) else j + 1}"
-
-        def local(m: re.Match) -> str:
-            if m[1] is not None:
-                return f"{state}{m[1]}"
-            return {"t": time, "Z": Z}.get(m[2]) or bound(m[2])
-
-        taken = [(name, f"{bound(name)} = {operand.sub(local, value)}")
-                 for name, value in bindings if not (j == 2 and name in middle)]
-        lines = [f"u = {u}"] if inputs else []
-        if j == 0 and carried:
-            lines += ["if P is None:", *("    " + line for name, line in taken if name in carried),
-                      "else:", f"    [{', '.join(map(bound, carried))}] = P"]
-            taken = [(name, line) for name, line in taken if name not in carried]
-        lines += [line for _, line in taken]
-        lines += [f"{k}{i} = {operand.sub(local, piece)}" for i, piece in enumerate(pieces)]
+        lines = [f"u = u_at({time}, step, {frac}, {stage_x}, completed)"] if inputs else []
+        lines += [f"{name} = {value.format(**names)}" for name, value, reads_state in expressions.bindings
+                  if reads_state or j != 2]
+        lines += [f"{k}{i} = {piece.format(**names)}" for i, piece in enumerate(expressions.pieces)]
         if j == 0:
             lines = ["if k1 is None:", *("    " + line for line in lines), "else:", f"    [{vec(k)}] = k1"]
         body += lines
@@ -840,14 +803,13 @@ def _step_source(dims: Sequence[int], inputs: bool, expressions=None) -> str:
         norm = f"_sqrt(_max({squares}))" if n > 1 else f"_sqrt({squares})"
     else:
         norm = f"_norm([{vec('y')}])"
-    P = f"[{', '.join(name + '_4' for name in carried)}]" if carried else "None"
-    if expressions is None:
-        tail = [f'_checked([{vec("y")}], t4, x, "state update")', f"return k1, [{vec('y')}], {norm}, None"]
-    else:
-        body = ["try:", *("    " + line for line in body), "except _FLOAT_ERRORS:", "    return None"]
-        tail = [f"if not _isfinite({vec('y', ' + ')}): return None", f"return [{vec('a')}], [{vec('y')}], {norm}, {P}"]
-    lines = [f"[{vec('x')}] = x", "mid = h / 2.0", "t2 = t + mid", "t4 = t + h", *body, *tail]
-    return "def _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed):\n" + "".join(f"    {line}\n" for line in lines)
+    lines = [
+        f"[{vec('x')}] = x", "mid = h / 2.0", "t2 = t + mid", "t4 = t + h",
+        "try:", *("    " + line for line in body), "except _FLOAT_ERRORS:", "    return None",
+        f"if not _isfinite({vec('y', ' + ')}): return None",
+        f"return [{vec('a')}], [{vec('y')}], {norm}",
+    ]
+    return "def _step(t, h, x, Z0, Zm, Z1, k1, u_at, step, completed):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def simulate(
@@ -1011,26 +973,39 @@ def simulate(
         scale = feedback.rho(wnorm)
         return (scale * disturbance(t)).tolist()
 
+    # The inputs of the stages that the fused step took before refusing
+    # its step: the stage-by-stage code reuses them, so that every input
+    # is called once per stage.
+    taken = []
+
+    def fused_input(*args) -> list:
+        taken.append(input_vector(*args))
+        return taken[-1]
+
+    def stage_input(t: float, step: int, frac: float, x_stage: list) -> list:
+        return taken.pop(0) if taken else input_vector(t, step, frac, x_stage, completed)
+
     def per_stage(nstep: int, hs: float, x_n: list, Zs, k1: list | None = None) -> tuple:
         """One step of length hs, stage by stage, each stage classified by
-        _checked: the shortened final step, and a full step that the
-        fused step refused.  Zs yields the Z of the first stage, of the
-        two middle ones and of the last; k1, when given, is the first stage."""
+        _checked: the shortened final step, every full step of a system
+        without a fused step, and a full step that the fused step refused.
+        Zs yields the Z of the first stage, of the two middle ones and of
+        the last; k1, when given, is the first stage."""
         t_n, mid = nstep * h, hs / 2.0
         Z = next(Zs)
         if k1 is None:
-            k1 = _checked(f(t_n, x_n, Z, input_vector(t_n, nstep, 0.0, x_n, completed)), t_n, x_n)
+            k1 = _checked(f(t_n, x_n, Z, stage_input(t_n, nstep, 0.0, x_n)), t_n, x_n)
             derivs[nstep] = k1
         # The stage fractions are 0.5 and 1.0 on a full step.
         fr_mid, fr_end = mid / h, hs / h
         Z = next(Zs)
         x_s = [x + mid * d for x, d in zip(x_n, k1)]
-        k2 = _checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+        k2 = _checked(f(t_n + mid, x_s, Z, stage_input(t_n + mid, nstep, fr_mid, x_s)), t_n, x_n)
         x_s = [x + mid * d for x, d in zip(x_n, k2)]
-        k3 = _checked(f(t_n + mid, x_s, Z, input_vector(t_n + mid, nstep, fr_mid, x_s, completed)), t_n, x_n)
+        k3 = _checked(f(t_n + mid, x_s, Z, stage_input(t_n + mid, nstep, fr_mid, x_s)), t_n, x_n)
         Z = next(Zs)
         x_s = [x + hs * d for x, d in zip(x_n, k3)]
-        k4 = _checked(f(t_n + hs, x_s, Z, input_vector(t_n + hs, nstep, fr_end, x_s, completed)), t_n, x_n)
+        k4 = _checked(f(t_n + hs, x_s, Z, stage_input(t_n + hs, nstep, fr_end, x_s)), t_n, x_n)
         w = hs / 6.0
         x_next = [x + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4) for x, d1, d2, d3, d4 in zip(x_n, k1, k2, k3, k4)]
         _checked(x_next, t_n + hs if hs == h else T, x_n, "state update")
@@ -1052,7 +1027,6 @@ def simulate(
     # The derivatives and states of the block's steps so far, stored
     # into the arrays when the block ends.
     new_k, new_x = [], []
-    P = None  # what the last step hands the next one (see _step_source)
 
     def store() -> None:
         if new_x:
@@ -1091,11 +1065,13 @@ def simulate(
                         filled = first
                         mid_Z = mids[rows[:-1], cols].tolist()
                     i = nstep - first
-                    out = step(t_n, h, x_n, node_Z[i], mid_Z[i], node_Z[i + 1], k1, P, f, input_vector, nstep, completed)
+                    out = None
+                    if step is not None:
+                        out = step(t_n, h, x_n, node_Z[i], mid_Z[i], node_Z[i + 1], k1, fused_input, nstep, completed)
                     if out is None:
-                        Zs = iter((node_Z[i], mid_Z[i], node_Z[i + 1]))
-                        out = *per_stage(nstep, h, x_n, Zs, k1), None
-                    k1, x_n, norm, P = out
+                        out = per_stage(nstep, h, x_n, iter((node_Z[i], mid_Z[i], node_Z[i + 1])), k1)
+                    taken.clear()
+                    k1, x_n, norm = out
                     new_k.append(k1)
                     new_x.append(x_n)
             except _Diverged:

@@ -541,48 +541,45 @@ class TestParseSystem:
         system = ring_system()
         source = sim._step_source(system.dims, False, system.rhs.expressions)
         assert source.splitlines() == [
-            "def _step(t, h, x, Z0, Zm, Z1, k1, P, f, u_at, step, completed):",
+            "def _step(t, h, x, Z0, Zm, Z1, k1, u_at, step, completed):",
             "    [x0, x1, x2] = x",
             "    mid = h / 2.0",
             "    t2 = t + mid",
             "    t4 = t + h",
             "    try:",
             "        if k1 is None:",
-            "            if P is None:",
-            "                _p0_1 = _pow(Z0[1], 2.0)",
-            "                _p1_1 = _pow(Z0[2], 3.0)",
-            "                _p2_1 = _pow(Z0[0], 2.0)",
-            "            else:",
-            "                [_p0_1, _p1_1, _p2_1] = P",
-            "            a0 = (((-3.0) * x0) + (_p0_1 / (1.0 + _p0_1)))",
-            "            a1 = (((-1.5) * x1) + _p1_1)",
-            "            a2 = (((-2.0) * x2) + _p2_1)",
+            "            _p0 = _pow(Z0[1], 2.0)",
+            "            _p1 = _pow(Z0[2], 3.0)",
+            "            _p2 = _pow(Z0[0], 2.0)",
+            "            a0 = (((-3.0) * x0) + (_p0 / (1.0 + _p0)))",
+            "            a1 = (((-1.5) * x1) + _p1)",
+            "            a2 = (((-2.0) * x2) + _p2)",
             "        else:",
             "            [a0, a1, a2] = k1",
             "        s0 = x0 + mid * a0",
             "        s1 = x1 + mid * a1",
             "        s2 = x2 + mid * a2",
-            "        _p0_m = _pow(Zm[1], 2.0)",
-            "        _p1_m = _pow(Zm[2], 3.0)",
-            "        _p2_m = _pow(Zm[0], 2.0)",
-            "        b0 = (((-3.0) * s0) + (_p0_m / (1.0 + _p0_m)))",
-            "        b1 = (((-1.5) * s1) + _p1_m)",
-            "        b2 = (((-2.0) * s2) + _p2_m)",
+            "        _p0 = _pow(Zm[1], 2.0)",
+            "        _p1 = _pow(Zm[2], 3.0)",
+            "        _p2 = _pow(Zm[0], 2.0)",
+            "        b0 = (((-3.0) * s0) + (_p0 / (1.0 + _p0)))",
+            "        b1 = (((-1.5) * s1) + _p1)",
+            "        b2 = (((-2.0) * s2) + _p2)",
             "        s0 = x0 + mid * b0",
             "        s1 = x1 + mid * b1",
             "        s2 = x2 + mid * b2",
-            "        c0 = (((-3.0) * s0) + (_p0_m / (1.0 + _p0_m)))",
-            "        c1 = (((-1.5) * s1) + _p1_m)",
-            "        c2 = (((-2.0) * s2) + _p2_m)",
+            "        c0 = (((-3.0) * s0) + (_p0 / (1.0 + _p0)))",
+            "        c1 = (((-1.5) * s1) + _p1)",
+            "        c2 = (((-2.0) * s2) + _p2)",
             "        s0 = x0 + h * c0",
             "        s1 = x1 + h * c1",
             "        s2 = x2 + h * c2",
-            "        _p0_4 = _pow(Z1[1], 2.0)",
-            "        _p1_4 = _pow(Z1[2], 3.0)",
-            "        _p2_4 = _pow(Z1[0], 2.0)",
-            "        d0 = (((-3.0) * s0) + (_p0_4 / (1.0 + _p0_4)))",
-            "        d1 = (((-1.5) * s1) + _p1_4)",
-            "        d2 = (((-2.0) * s2) + _p2_4)",
+            "        _p0 = _pow(Z1[1], 2.0)",
+            "        _p1 = _pow(Z1[2], 3.0)",
+            "        _p2 = _pow(Z1[0], 2.0)",
+            "        d0 = (((-3.0) * s0) + (_p0 / (1.0 + _p0)))",
+            "        d1 = (((-1.5) * s1) + _p1)",
+            "        d2 = (((-2.0) * s2) + _p2)",
             "        w = h / 6.0",
             "        y0 = x0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0)",
             "        y1 = x1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1)",
@@ -590,8 +587,28 @@ class TestParseSystem:
             "    except _FLOAT_ERRORS:",
             "        return None",
             "    if not _isfinite(y0 + y1 + y2): return None",
-            "    return [a0, a1, a2], [y0, y1, y2], _sqrt(_max(y0 * y0, y1 * y1, y2 * y2)), [_p0_4, _p1_4, _p2_4]",
+            "    return [a0, a1, a2], [y0, y1, y2], _sqrt(_max(y0 * y0, y1 * y1, y2 * y2))",
         ]
+
+    def test_network_expressions_say_which_powers_read_the_state(self):
+        # A power that reads x or u, itself or through a power in it,
+        # differs between the two middle stages; one over t, Z and
+        # constants does not.
+        doc = base_doc()
+        doc["subsystems"][0]["rhs"] = ["-x_1 + v_2[-0.5]^2 + (1 + v_2[-0.5]^2)^1.5 + (x_1 + t^2)^3"]
+        doc["subsystems"][1]["rhs"] = ["-x_2 + (t + u_2^2)^0.5"]
+        rhs = parse_system(doc).system.rhs
+        expressions = rhs.expressions
+        assert expressions.function is rhs
+        assert expressions.bindings == [
+            ("_p0", "_pow({Z}[0], 2.0)", False),
+            ("_p1", "_pow((1.0 + _p0), 1.5)", False),
+            ("_p2", "_pow({t}, 2.0)", False),
+            ("_p3", "_pow(({x[0]} + _p2), 3.0)", True),
+            ("_p4", "_pow(u[0], 2.0)", True),
+            ("_p5", "_pow(({t} + _p4), 0.5)", True),
+        ]
+        assert expressions.pieces == ["((((-{x[0]}) + _p0) + _p1) + _p3)", "((-{x[1]}) + _p5)"]
 
     def test_network_takes_each_distinct_power_once(self, monkeypatch):
         import smallgain.dsl as dsl

@@ -943,26 +943,78 @@ class TestFusedStep:
         else:
             assert result[0] is SimulationError and result[1].startswith(error) and messages == []
 
-    def test_only_block_starts_and_the_shortened_step_call_the_network_function(self):
+    def test_only_block_starts_and_the_shortened_step_take_the_per_stage_code(self, monkeypatch):
         # The bundled ring gathers Z in blocks of 100 steps.  The fused
-        # step evaluates stages inline; the network function is called
-        # for the first stage of each block, the four stages of the
-        # shortened final step and the final derivative.
+        # step evaluates stages inline and classifies nothing; _checked
+        # classifies the first stage of each block, which the loop takes
+        # to fill the midpoint rows, and the four stages and the state
+        # update of the shortened final step.
         sys = ring_system()
         calls = Counter()
-        f = sys.rhs
+        checked = smallgain.sim._checked
 
-        @functools.wraps(f)
-        def counted(t, x, Z, u):
-            calls[t] += 1
-            return f(t, x, Z, u)
+        def counted(vec, t, x_ref, what="right-hand side evaluation"):
+            calls[t, what] += 1
+            return checked(vec, t, x_ref, what)
 
+        monkeypatch.setattr(smallgain.sim, "_checked", counted)
         hist = [HistoryFunction.constant([1.0])] * 3
-        for T, want in ((3.0, {0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1}), (3.005, {0.0: 1, 1.0: 1, 2.0: 1, 3.0: 1, 3.0025: 2, 3.005: 2})):
+        starts = {(t, "right-hand side evaluation"): 1 for t in (0.0, 1.0, 2.0)}
+        shortened = {(3.0, "right-hand side evaluation"): 4, (3.005, "state update"): 1}
+        for T, want in ((3.0, starts), (3.005, {**starts, **shortened})):
             calls.clear()
-            traj = simulate(replace(sys, rhs=counted), hist, None, T, 0.01)
+            traj = simulate(sys, hist, None, T, 0.01)
             assert calls == want
             assert outcome(lambda: traj) == outcome(lambda: reference_simulate(sys, hist, None, T, 0.01))
+
+    def test_a_wrapper_of_the_network_function_is_called(self):
+        # functools.wraps copies the network function's expressions onto
+        # the wrapper; they are not the wrapper's, so its stages call it.
+        sys = ring_system()
+        f = sys.rhs
+
+        def forced(t, x, Z, u):
+            return [d + 0.5 for d in f(t, x, Z, u)]
+
+        wrapped = functools.wraps(f)(lambda *args: forced(*args))
+        assert wrapped.expressions is f.expressions
+        hist = [HistoryFunction.constant([1.0])] * 3
+        result = outcome(lambda: simulate(replace(sys, rhs=wrapped), hist, None, 2.0, 0.01))
+        assert result == outcome(lambda: simulate(replace(sys, rhs=forced), hist, None, 2.0, 0.01))
+        assert result != outcome(lambda: simulate(sys, hist, None, 2.0, 0.01))
+
+    @pytest.mark.parametrize(
+        "term, signal",
+        [
+            # The input overflows at the second stage of step 12, inside a
+            # block of 10 steps, and the run blows up.
+            ("0", lambda t: np.exp(1e5 * (t - 1.2))),
+            # 0^(-1) raises on floats and is inf on numpy scalars, where
+            # the stage's value is finite: every fused step is refused,
+            # after its first stage's input call, and the run goes on.
+            ("1/(1 + (0*v_1[-1.0])^(-1))", np.sin),
+        ],
+    )
+    def test_a_refused_step_calls_each_input_once_per_stage(self, term, signal):
+        sys = dsl_system([[f"-3*x_1 + 0.1*v_1[-1.0] + 0.001*u_1 + {term}"]], [1.0], input_dims=[1])
+        hist = [HistoryFunction.constant([1.0])]
+
+        def run(integrate):
+            calls = []
+
+            def logged(t):
+                calls.append(t)
+                return np.array([signal(t)])
+
+            inputs = [InputSignal.from_callable(logged, 1)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = outcome(lambda: integrate(sys, hist, inputs, 4.0, 0.1))
+            return result, calls, [str(w.message) for w in caught]
+
+        ref = run(reference_simulate)
+        assert run(simulate) == ref
+        assert ref[0][0] is (term == "0") and ref[2]
 
 
 def _nan_child(h, m):
