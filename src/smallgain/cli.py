@@ -391,9 +391,20 @@ def _union_doc(docs: list[dict]) -> dict:
 
 
 def _guarded(fn: HistoryFunction, lo: float) -> HistoryFunction:
-    """fn on [lo, 0], zeros before lo."""
+    """fn on [lo, 0], zeros before lo, at a time or, for the history kinds
+    read on arrays, at an array of times; fn is never read before lo."""
     zero = np.zeros(fn.dim)
-    return replace(fn, fn=lambda t, g=fn.fn: g(t) if t >= lo else zero)
+
+    def read(t, g=fn.fn):
+        if np.ndim(t) == 0:
+            return g(t) if t >= lo else zero
+        inside = t >= lo
+        out = np.zeros((len(t), fn.dim))
+        if inside.any():
+            out[inside] = g(t[inside])
+        return out
+
+    return replace(fn, fn=read)
 
 
 def _union_trajectories(docs: list[dict], cfgs: list[ParsedConfig]):

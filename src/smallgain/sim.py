@@ -40,13 +40,15 @@ followed by the computed states.  Midpoint stages read a buffer with one
 row per step interval: rows inside the history window are the history
 functions sampled once at the half-step times, and rows of computed
 intervals hold the u = 1/2 form of the Hermite interpolant,
-(x_a + x_b)/2 + (h/8)(f_a - f_b).  The loop works in blocks of at most
-the shortest delay in steps (and at most _DENSE_BLOCK): once the first
-stage of a block has given its node's derivative, one vectorised pass
-fills the midpoint rows of the intervals completed so far, and one
-fancy index per buffer gathers the Z of every stage of the block.
-Within a block the states and derivatives stay in lists, stored into
-the arrays when the block ends.
+(x_a + x_b)/2 + (h/8)(f_a - f_b).  History functions are read on arrays
+of times (HistoryFunction.many): the built-in constant, polynomial and
+table kinds once per array, expression and callable histories once per
+time.  The loop works in blocks of at most the shortest delay in steps
+(and at most _DENSE_BLOCK): once the first stage of a block has given
+its node's derivative, one vectorised pass fills the midpoint rows of
+the intervals completed so far, and one fancy index per buffer gathers
+the Z of every stage of the block.  Within a block the states and
+derivatives stay in lists, stored into the arrays when the block ends.
 
 When f carries its own expressions, as the generated network function
 does, every full step is one call of a function that simulate writes
@@ -135,9 +137,20 @@ class SimulationError(RuntimeError):
         self.state = None if state is None else np.array(state)
 
 
+# History kinds whose fn also maps a 1-d array of times to one row per time.
+_ARRAY_KINDS = frozenset({"constant", "polynomial", "table"})
+
+
 @dataclass(frozen=True)
 class HistoryFunction:
-    """Initial segment of one subsystem on [-theta, 0]."""
+    """Initial segment of one subsystem on [-theta, 0].
+
+    fn(t) gives the dim values at time t.  For the built-in constant,
+    polynomial and table kinds fn(ts) on a 1-d array of times also gives
+    an (n, dim) array, row r being fn(ts[r]) bit for bit, and many reads
+    them that way; a wrapper that replaces fn of such a history keeps
+    both forms.  The other kinds are read one time at a time.
+    """
 
     dim: int
     fn: Callable[[float], np.ndarray]
@@ -151,18 +164,36 @@ class HistoryFunction:
             )
         return out
 
+    def many(self, ts: np.ndarray) -> np.ndarray:
+        """Values at the times of the 1-d float array ts, one row per
+        time: one call of fn for the array kinds, one per time (on Python
+        floats) for the others."""
+        if self.kind not in _ARRAY_KINDS:
+            return np.array([self(t) for t in ts.tolist()]).reshape(ts.size, self.dim)
+        out = np.asarray(self.fn(ts), dtype=float)
+        if out.shape != (ts.size, self.dim):
+            raise SimulationError(
+                f"history function returned shape {out.shape}, expected ({ts.size}, {self.dim})",
+                float(ts[0]),
+            )
+        return out
+
     @classmethod
     def constant(cls, values: Sequence[float] | float) -> "HistoryFunction":
         vec = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(dim=vec.size, fn=lambda t, vec=vec: vec, kind="constant")
+
+        def fn(t):
+            return vec if np.ndim(t) == 0 else np.broadcast_to(vec, (len(t), vec.size))
+
+        return cls(dim=vec.size, fn=fn, kind="constant")
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[Sequence[float]]) -> "HistoryFunction":
         """Per-component polynomial in t, coefficients in ascending order."""
         rows = [np.asarray(c, dtype=float) for c in coeffs]
 
-        def fn(t: float) -> np.ndarray:
-            return np.array([np.polynomial.polynomial.polyval(t, c) for c in rows])
+        def fn(t):
+            return np.stack([np.polynomial.polynomial.polyval(t, c) for c in rows], axis=-1)
 
         return cls(dim=len(rows), fn=fn, kind="polynomial")
 
@@ -178,14 +209,19 @@ class HistoryFunction:
         dim = vals.shape[1] if vals.ndim == 2 else 1
         vals = vals.reshape(ts.size, dim)
 
-        def fn(t: float) -> np.ndarray:
-            return np.array([np.interp(t, ts, vals[:, c]) for c in range(dim)])
+        def fn(t):
+            return np.stack([np.interp(t, ts, vals[:, c]) for c in range(dim)], axis=-1)
 
         return cls(dim=dim, fn=fn, kind="table")
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], np.ndarray], dim: int) -> "HistoryFunction":
         return cls(dim=dim, fn=fn, kind="callable")
+
+
+def _history_rows(hist: Sequence[HistoryFunction], ts: np.ndarray) -> np.ndarray:
+    """The flat initial state at the times ts, one row per time."""
+    return np.concatenate([fn.many(ts) for fn in hist], axis=1)
 
 
 @dataclass(frozen=True)
@@ -589,9 +625,6 @@ class Trajectory:
         sup = norms[times <= 0.0].max(axis=0)
         return MappingProxyType({i: float(v) for i, v in enumerate(sup, start=1)})
 
-    def _hist_value(self, t: float) -> np.ndarray:
-        return np.concatenate([fn(t) for fn in self.history])
-
     def interpolate(self, t: float) -> np.ndarray:
         """Dense state at time t in [-theta, t_end]."""
         return self.interpolate_many([t])[0]
@@ -612,9 +645,9 @@ class Trajectory:
             t = float(ts[~inside][0])
             raise ValueError(f"time {t} outside trajectory range [{-self.theta}, {self.t_end}]")
         past = ts <= 0.0
-        lo = min(-self.theta, float(self.hist_times[0]))
-        for r in np.flatnonzero(past):
-            out[r] = self._hist_value(max(float(ts[r]), lo))
+        if past.any():
+            lo = min(-self.theta, float(self.hist_times[0]))
+            out[past] = _history_rows(self.history, np.maximum(ts[past], lo))
         if len(self.t_nodes) == 1:
             out[~past] = self.states[0]
             return out
@@ -654,7 +687,7 @@ class Trajectory:
         starts at column start."""
         cols = slice(start, start + sys.total_dim)
         rows = slice(len(self.hist_times) - _history_steps(sys, self.h) - 1, None)
-        return replace(
+        child = replace(
             self,
             dims=sys.dims,
             delays=sys.delays,
@@ -666,6 +699,15 @@ class Trajectory:
             history=tuple(history),
             inputs=tuple(inputs),
         )
+        # sys's grid times are the last ones of this run's, so the members
+        # of one union share its formatted time column.
+        child.__dict__["_time_text"] = self._time_text[rows.start :]
+        return child
+
+    @cached_property
+    def _time_text(self) -> list[str]:
+        """repr of every grid time, the first column of to_csv."""
+        return list(map(repr, self.grid_times().tolist()))
 
     def metadata(self) -> dict:
         return {
@@ -685,11 +727,15 @@ class Trajectory:
         Values use repr formatting, so the file round-trips exactly and
         identical runs produce identical bytes.
         """
-        fileobj.write("t," + ",".join(f"x_{c}" for c in range(1, self.total_dim + 1)) + "\n")
-        table = np.column_stack((self.grid_times(), self.grid_states()))
-        for b in range(0, len(table), _DENSE_BLOCK):  # blocks bound the floats held as objects
-            rows = table[b : b + _DENSE_BLOCK].tolist()
-            fileobj.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        n = self.total_dim
+        fileobj.write("t," + ",".join(f"x_{c}" for c in range(1, n + 1)) + "\n")
+        times, states = self._time_text, self.grid_states()
+        for b in range(0, len(times), _DENSE_BLOCK):  # blocks bound the floats held as objects
+            block = states[b : b + _DENSE_BLOCK]
+            rows = np.empty((len(block), n + 1), dtype=object)
+            rows[:, 0] = times[b : b + len(block)]
+            rows[:, 1:] = block
+            fileobj.write(("%s" + ",%r" * n + "\n") * len(block) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -891,29 +937,31 @@ def simulate(
         remainder = 0.0
     N = N_full + (1 if remainder > 0.0 else 0)
 
-    def sample_history(t: float) -> list:
-        vals = []
-        for fn in hist:
-            vals += fn(t).tolist()
-        if not (math.isfinite(sum(vals)) or all(map(math.isfinite, vals))):
-            raise SimulationError("history function produced non-finite values", t, vals)
-        return vals
+    def sample_history(ts: np.ndarray) -> np.ndarray:
+        rows = _history_rows(hist, ts)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            raise SimulationError("history function produced non-finite values", float(ts[r]), rows[r])
+        return rows
 
     # History samples on the step grid, then the computed states: row
     # M + j holds node j, so node 0 is the last history sample.
     xs = np.empty((M + N + 1, n))
     hist_times = np.arange(-M, 1) * h
-    xs[: M + 1] = [sample_history(float(t)) for t in hist_times]
+    xs[: M + 1] = sample_history(hist_times)
     states = xs[M:]
     derivs = np.zeros((N + 1, n))
 
     # Delayed midpoints, row M + j for the interval [t_j, t_j+1].  The
-    # history rows that midpoint stages read are sampled here; the rows
-    # of computed intervals are filled at the start of each block.
+    # history rows that midpoint stages read are sampled here, at most
+    # one read per delay; the rows of computed intervals are filled at the
+    # start of each block.
     mids = np.empty((M + N, n))
     sampled = -M
     for lo, hi in sorted((-m, min(0, N_full - m)) for m in set(lag.tolist())):
-        for idx in range(max(lo, sampled), hi):
+        idx = np.arange(max(lo, sampled), hi)
+        if idx.size:
             mids[idx + M] = sample_history((idx + 0.5) * h)
         sampled = max(sampled, hi)
     h8 = h / 8.0
@@ -926,7 +974,7 @@ def simulate(
             c = cols[sel]
             tq = t_stage - th
             if tq <= 0.0:
-                Z[sel] = np.take(sample_history(tq), c)
+                Z[sel] = sample_history(np.array([tq]))[0, c]
                 continue
             j = min(int(math.floor(tq / h + 1e-12)), completed - 1)
             u = (tq - j * h) / h

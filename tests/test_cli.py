@@ -78,27 +78,45 @@ def read_json(out_dir, name):
     return json.loads((out_dir / name).read_text())
 
 
-def plain_sweep_doc(key, value):
+# One history of each kind but the constant, which the ring has: the
+# table's times start after the longest swept delay, so reads clamp there.
+MIXED_HISTORY = [
+    {"type": "polynomial", "coeffs": [[1.0, 0.5, -0.25]]},
+    {"type": "table", "times": [-1.5, -0.4, 0.0], "rows": [[0.2], [1.5], [0.7]]},
+    {"type": "expression", "exprs": ["1 + 0.3*sin(3*t)"]},
+]
+
+
+def ring_from(history, **kwargs):
+    """ring_config(**kwargs), from history when given."""
+    doc = ring_config(**kwargs)
+    if history is not None:
+        doc["simulation"]["history"] = history
+    return doc
+
+
+def plain_sweep_doc(key, value, history=None):
     """The ring a sweep child runs, written without the sweep."""
     if key == "delta":
-        return ring_config(delta=value, T=4.0)
-    doc = ring_config(T=4.0)
+        return ring_from(history, delta=value, T=4.0)
+    doc = ring_from(history, T=4.0)
     doc["gains"]["edges"] = {e: f"{value!r}*({g})" for e, g in doc["gains"]["edges"].items()}
     return doc
 
 
-def assert_sweep_matches_plain_runs(tmp_path, capsys, key, values, options):
+def assert_sweep_matches_plain_runs(tmp_path, capsys, key, values, options, history=None):
     """Each sweep child's stdout lines and artifacts are those of a plain
-    verify run of its config."""
+    verify run of its config; the ring starts from history when given."""
     out = tmp_path / "sweep"
     spec = f"{key}=" + ",".join(repr(v) for v in values)
-    cmd = ["verify", ring_doc(tmp_path, T=4.0), "--out", str(out), "--sweep", spec, *options]
+    config = write_doc(tmp_path, ring_from(history, T=4.0))
+    cmd = ["verify", config, "--out", str(out), "--sweep", spec, *options]
     sweep_code = main(cmd)
     sweep_lines = capsys.readouterr().out.splitlines()
     expected_lines, codes = [], []
     for v in values:
         plain = tmp_path / f"plain_{v!r}"
-        cfg = write_doc(tmp_path, plain_sweep_doc(key, v), name=f"ring_{v!r}.json")
+        cfg = write_doc(tmp_path, plain_sweep_doc(key, v, history), name=f"ring_{v!r}.json")
         codes.append(main(["verify", cfg, "--out", str(plain), *options]))
         expected_lines += [f"[{key}={v!r}] {line}" for line in capsys.readouterr().out.splitlines()]
         assert_same_artifacts(out / f"{key}_{v!r}", plain)
@@ -383,6 +401,11 @@ class TestSweep:
         # Not sorted: children run in the given order.
         assert_sweep_matches_plain_runs(tmp_path, capsys, "delta", (1.0, 0.5, 2.0), [])
 
+    def test_mixed_history_children_match_plain_runs(self, tmp_path, capsys):
+        # Array reads through the union's guard, per-time reads of the
+        # expression, and the shared time column of the CSVs.
+        assert_sweep_matches_plain_runs(tmp_path, capsys, "delta", (1.0, 0.5, 2.0), [], MIXED_HISTORY)
+
     @pytest.mark.parametrize(
         "values, options", [((1.0, 3.0, 0.5), []), ((3.0, 1.0), ["--force-simulate"])]
     )
@@ -616,6 +639,9 @@ class TestErrors:
             ("v_3[-1.0]^3", "v_3[-1e999]^3", "'1e999' is beyond"),
             ("[1.0], [1.0], [1.0]", '[1.0], [1.0], {"type": "expression", "exprs": ["1e999*t"]}',
              "'1e999' is beyond"),
+            # An empty coefficient row has no polynomial to evaluate.
+            ("[1.0], [1.0], [1.0]", '[1.0], [1.0], {"type": "polynomial", "coeffs": [[]]}',
+             "$.simulation.history[2]"),
         ],
     )
     def test_out_of_range_config_numbers(self, tmp_path, capsys, old, new, fragment):

@@ -260,7 +260,8 @@ def reference_interpolate(traj: Trajectory, t: float) -> np.ndarray:
         raise ValueError(f"time {t} outside trajectory range [{-traj.theta}, {traj.t_end}]")
     if t <= 0.0:
         # The first stored history node may lie just below -theta.
-        return traj._hist_value(max(t, min(-traj.theta, float(traj.hist_times[0]))))
+        t = max(t, min(-traj.theta, float(traj.hist_times[0])))
+        return np.concatenate([fn(t) for fn in traj.history])
     if len(traj.t_nodes) == 1:
         return traj.states[0].copy()
     t = min(t, traj.t_end)
@@ -1037,7 +1038,12 @@ def _finite_only_in_own_window(sys, hist):
     edge = -sys.theta - 1e-9
 
     def guarded(fn):
-        return replace(fn, fn=lambda t, g=fn.fn, dim=fn.dim: g(t) if t >= edge else np.full(dim, np.inf))
+        def read(t, g=fn.fn):
+            if np.ndim(t) == 0:
+                return g(t) if t >= edge else np.full(fn.dim, np.inf)
+            return np.where((t >= edge)[:, None], g(t), np.inf)
+
+        return replace(fn, fn=read)
 
     return tuple(guarded(fn) for fn in hist)
 
@@ -1081,7 +1087,7 @@ def sweep_matches_own_runs(docs, cfgs):
 
     def recorded(b, fn):
         def read(t):
-            reads[b].append(t)
+            reads[b].extend(np.atleast_1d(t).tolist())
             return fn.fn(t)
 
         return replace(fn, fn=read)
@@ -1166,6 +1172,58 @@ class TestDeltaSweepAgainstOwnRuns:
         assert all(len(o) == 3 and not o[0] for o in own)
 
 
+_history_values = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]),
+)
+
+
+@st.composite
+def array_histories(draw):
+    """A constant, polynomial or table history, a guard start lo, and
+    times to read it at: inside and outside the table's range, at lo,
+    and at -0.0 and 0.0."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(_history_values, min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(["constant", "polynomial", "table"]))
+    if kind == "constant":
+        fn = HistoryFunction.constant(draw(row))
+    elif kind == "polynomial":
+        coeffs = st.lists(_history_values, min_size=1, max_size=4)
+        fn = HistoryFunction.polynomial(draw(st.lists(coeffs, min_size=dim, max_size=dim)))
+    else:
+        times = sorted(draw(st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=5, unique=True)))
+        fn = HistoryFunction.table(times, [draw(row) for _ in times])
+    lo = draw(st.floats(-3.0, 0.0))
+    times = draw(st.lists(st.floats(-4.0, 0.5), max_size=12)) + [lo, -0.0, 0.0]
+    return fn, lo, np.array(draw(st.permutations(times)))
+
+
+class TestHistoryArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(array_histories())
+    def test_array_read_equals_per_time_rows(self, case):
+        fn, lo, times = case
+        with np.errstate(all="ignore"):  # a polynomial may overflow
+            for read in (fn, smallgain.cli._guarded(fn, lo)):
+                rows = np.array([read(t) for t in times.tolist()]).reshape(times.size, read.dim)
+                got = read.many(times)
+                assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dsl_cases())
+    def test_simulate_matches_per_time_reads(self, case):
+        sys, hist, inputs, T, h = case
+        per_time = [HistoryFunction.from_callable(fn.fn, fn.dim) for fn in hist]
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore")
+            runs = [outcome(lambda fns=fns: simulate(sys, fns, inputs, T, h)) for fns in (hist, per_time)]
+            assert runs[0] == runs[1]
+            if len(runs[0]) == 3 and not runs[0][0]:
+                tables = [simulate(sys, fns, inputs, T, h).norm_table for fns in (hist, per_time)]
+                assert [a.tobytes() for a in tables[0]] == [a.tobytes() for a in tables[1]]
+
+
 class TestFailureModes:
     def test_blow_up_flagged_before_analytic_escape_window_closes(self):
         # x' = x^2 from 2 escapes at t = 1/2.
@@ -1195,6 +1253,34 @@ class TestFailureModes:
         bad = HistoryFunction.from_callable(lambda t: np.array([float("inf")]), 1)
         with pytest.raises(SimulationError):
             simulate(sys, [bad], None, 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "bad, delay, h",
+        [
+            (HistoryFunction.constant([math.inf]), 0.2, 0.1),
+            # inf only between the table's times -0.2 and -0.1: at the
+            # midpoint -0.15, not at a node.
+            (HistoryFunction.table([-0.2, -0.15, -0.1, 0.0], [[1.0], [math.inf], [1.0], [1.0]]), 0.2, 0.1),
+            # 1e308 * t overflows at the node t = -2.
+            (HistoryFunction.polynomial([[0.0, 1e308]]), 2.0, 0.5),
+        ],
+        ids=["constant", "table_midpoint", "polynomial_overflow"],
+    )
+    def test_nonfinite_array_history_raises_as_per_time(self, bad, delay, h):
+        sys = dsl_system([[f"-x_1 + v_1[-{delay!r}]"]], [delay])
+        per_time = HistoryFunction.from_callable(bad.fn, bad.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = (outcome(lambda fn=fn: simulate(sys, [fn], None, 1.0, h)) for fn in (bad, per_time))
+        assert got == want and got[0] is SimulationError
+        assert got[1].startswith("history function produced non-finite values (t=")
+
+    def test_wrong_array_shape_raises(self):
+        # Right at one time; flat, not one column, on an array of times.
+        flat = HistoryFunction(dim=1, fn=lambda t: 1.0 if np.ndim(t) == 0 else np.ones(len(t)), kind="constant")
+        sys = dsl_system([["-x_1 + v_1[-0.2]"]], [0.2])
+        with pytest.raises(SimulationError, match=r"history function returned shape \(3,\), expected \(3, 1\) \(t=-0.2\)"):
+            simulate(sys, [flat], None, 1.0, 0.1)
 
 
 class TestFeedbackSystems:

@@ -3,10 +3,13 @@ package, so a rename in src/ fails here rather than in a traced benchmark
 run.  The tracer's tables are read from its source, not imported."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from smallgain.sim import HistoryFunction, Subsystem, build_interconnection, simulate
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -27,3 +30,27 @@ def test_function_resolves(module, attr, span):
 def test_method_resolves(module, cls, meth, span):
     owner = getattr(importlib.import_module(module), cls, None)
     assert owner is not None and callable(vars(owner).get(meth)), f"{module}.{cls}.{meth} ({span})"
+
+
+@pytest.mark.parametrize(
+    "history",
+    [HistoryFunction.constant([1.0]), HistoryFunction.polynomial([[1.0, 0.5]]),
+     HistoryFunction.table([-0.3, 0.0], [[1.0], [0.2]])],
+    ids=lambda f: f.kind,
+)
+def test_counted_history_is_called(history):
+    # The tracer counts history reads by replacing fn with a counter; the
+    # array reads must go through it, or sim.hist_calls would read 0.
+    calls = []
+
+    def counter(*args):
+        calls.append(args)
+        return history.fn(*args)
+
+    counted = dataclasses.replace(history, fn=counter)
+    sub = Subsystem(dim=1, rhs=lambda t, x, z, u: -z[(1, 0.2)], references=((1, 0.2),))
+    traj = simulate(build_interconnection([sub], [0.2]), [counted], None, 1.0, 0.1)
+    assert calls
+    calls.clear()
+    traj.interpolate_many([-0.15, 0.5])
+    assert calls
