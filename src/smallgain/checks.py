@@ -235,8 +235,9 @@ def check_gs(
     c = combined_initial_constant(sys_gains, traj.history_norms)
     u_norm = _input_norm(traj)
     bounds: dict[int, float] = {}
+    memo: dict = {}  # shared by the sigmas at c
     for i in range(1, closed.k + 1):
-        b = closed.sigmas[i](c)
+        b = closed.sigmas[i](c, memo)
         gain = closed.input_gains.get(i)
         if gain is not None and u_norm > 0.0:
             b = max(b, gain(u_norm))

@@ -21,9 +21,13 @@ value already computed for that node at that very argument object, and
 each distinct node's expression string is built once per ``to_expr``
 call.  Every node still performs the same operations on the same
 operands, so values and strings are bit-for-bit those of the plain tree
-recursion.  Array evaluation does not memoise nodes, so it holds no more
-arrays at once than the recursion would, besides the powers of the
-arrays it is evaluating at.
+recursion.  A caller that evaluates or serializes several gains may
+share one memo among them.  :func:`_evaluate_floats` evaluates a DAG at
+a list of Python floats, each distinct node once over the whole list,
+with the bits of the scalar calls wherever those stay on Python floats.
+Array evaluation does not memoise nodes, so it holds no more arrays at
+once than the recursion would, besides the powers of the arrays it is
+evaluating at.
 
 Array powers stay off libm's slow path (see :func:`_pow`): an entry
 whose power must round to +0 is written as +0, not handed to numpy.
@@ -51,9 +55,11 @@ concrete witness, or inconclusive when the margin falls below floating
 point trust.  :func:`less_than_identity_chains` decides many composed
 chains of gains in one batch, as the cyclic small-gain check needs: each
 distinct innermost suffix of gains is evaluated on the grid once, and
-the refinement rounds of all chains share one probe array per round.
-Each verdict keeps the bits of checking its chain alone, and
-``less_than_identity`` is the batch of one.
+the refinement rounds of all chains share one probe array per round,
+with the state of every chain in arrays and the saturations of one
+exponent at one depth evaluated together.  Each verdict keeps the bits
+of checking its chain alone, and ``less_than_identity`` is the batch of
+one.
 
 All objects are immutable and all functions are pure, so everything in
 this module is safe to share across threads.
@@ -61,12 +67,13 @@ this module is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -209,30 +216,9 @@ class SaturatingRational(KFunction):
 
     def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
         if powers is None:
-            u = _pow(s, self.q)
-            v = 1.0 + u
-        else:
-            u, v = _shared_pow(s, self.q, powers, plus_one=True)
-        try:
-            return self._saturate(u, v)
-        except FloatingPointError:
-            # inf/inf where s^q overflowed.  Numpy raises it only under
-            # np.errstate(invalid="raise"), which KFunction.__call__ and
-            # less_than_identity_chains set, so the common path pays no check.
-            # The gain tends to c, its bound.
-            with np.errstate(invalid="ignore"):
-                return np.where(np.isinf(u), self.c, self._saturate(u, v))
-
-    def _saturate(self, u: Scalar, v: Scalar) -> Scalar:
-        """c*u/v with v = 1+u.
-
-        c*u overflows for finite u only when c > 1; taking the ratio
-        first keeps the result at most c there.  c <= 1 keeps the plain
-        expression and its bits.
-        """
-        if self.c > 1.0:
-            return self.c * (u / v)
-        return self.c * u / v
+            return _saturating(self.q, self.c, self.c > 1.0, s)
+        u, v = _shared_pow(s, self.q, powers, plus_one=True)
+        return _saturate(self.c, self.c > 1.0, u, v)
 
     def _expr(self) -> str:
         return f"{self.c!r}*s^{self.q!r}/(1+s^{self.q!r})"
@@ -262,6 +248,30 @@ class Max(KFunction):
         for part in (self.left, self.right):
             if not isinstance(part, KFunction):
                 raise TypeError(f"Max expects KFunction operands, got {part!r}")
+
+
+def _saturate(c: Scalar, big: bool, u: Scalar, v: Scalar) -> Scalar:
+    """c*u/v with v = 1+u, for one level c or an array of levels.
+
+    c*u overflows for finite u only when c > 1 (``big``); taking the
+    ratio first keeps the result at most c there.  c <= 1 keeps the plain
+    expression and its bits.  Where s^q overflowed, u/v is inf/inf.
+    Numpy raises that only under np.errstate(invalid="raise"), which
+    KFunction.__call__ and less_than_identity_chains set, so the common
+    path pays no check; the gain tends to c, its bound.
+    """
+    try:
+        return c * (u / v) if big else c * u / v
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(u), c, _saturate(c, big, u, v))
+
+
+def _saturating(q: float, c: Scalar, big: bool, s: Scalar) -> Scalar:
+    """c*s^q/(1+s^q) for one level c, or for an array of levels, one per
+    entry of s: the gains of one exponent and one side of c = 1."""
+    u = _pow(s, q)
+    return _saturate(c, big, u, 1.0 + u)
 
 
 def _evaluate(g: KFunction, s: Scalar, memo: dict | None = None, powers: dict | None = None) -> Scalar:
@@ -299,6 +309,30 @@ def _evaluate(g: KFunction, s: Scalar, memo: dict | None = None, powers: dict | 
         out = g._eval(s, powers)
     if memo is not None:
         memo[key] = (out, s)
+    return out
+
+
+def _evaluate_floats(g: KFunction, xs: list[float], memo: dict) -> list[float]:
+    """g at every Python float of xs, each distinct node once over all of xs.
+
+    ``memo`` maps ``(id(node), id(list))`` to ``(values, list)``, as in
+    :func:`_evaluate`.  Every entry takes the float operations the scalar
+    path takes at that point, with ``np.maximum`` at Max nodes, so it has
+    the bits of ``g(x)`` wherever no power overflows (Python floats raise
+    ``OverflowError`` there) and no value is NaN; there the scalar path
+    goes through np.float64 and the caller must take it instead.
+    """
+    key = (id(g), id(xs))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0]
+    if isinstance(g, Compose):
+        out = _evaluate_floats(g.outer, _evaluate_floats(g.inner, xs, memo), memo)
+    elif isinstance(g, Max):
+        out = np.maximum(_evaluate_floats(g.left, xs, memo), _evaluate_floats(g.right, xs, memo)).tolist()
+    else:
+        out = [g._eval(x) for x in xs]
+    memo[key] = (out, xs)
     return out
 
 
@@ -501,17 +535,21 @@ def less_than_identity(g: KFunction, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     return less_than_identity_chains([(g,)], grid)[0]
 
 
-def _geometric_mean(a: float, b: float) -> float:
-    """sqrt(a*b), taken as sqrt(a)*sqrt(b) where a*b is not a normal
-    finite float: a product that underflows to 0 or overflows to inf
-    would make a refinement probe 0 or inf."""
-    ab = float(a) * float(b)
-    if sys.float_info.min <= ab < math.inf:
-        return math.sqrt(ab)
-    return math.sqrt(a) * math.sqrt(b)
+def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sqrt(a*b) elementwise, taken as sqrt(a)*sqrt(b) where a*b is not a
+    normal finite float: a product that underflows to 0 or overflows to
+    inf would make a refinement probe 0 or inf.  np.sqrt rounds
+    correctly, as math.sqrt does."""
+    with np.errstate(over="ignore"):
+        ab = a * b
+    out = np.sqrt(ab)
+    odd = ~((ab >= sys.float_info.min) & (ab < math.inf))
+    if odd.any():
+        out[odd] = np.sqrt(a[odd]) * np.sqrt(b[odd])
+    return out
 
 
-@np.errstate(invalid="raise")  # see SaturatingRational._eval
+@np.errstate(invalid="raise")  # see _saturate
 def less_than_identity_chains(
     chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
 ) -> list[Verdict]:
@@ -532,12 +570,13 @@ def less_than_identity_chains(
       ``1 + x**q`` are taken once per array and exponent.  A chain's worst
       grid point is either its witness of violation or the centre of its
       refinement bracket.
-    * Refinement: each round puts the two probes of every undecided
-      chain into one array (an ``(n, 2)`` array, stored flat) and
-      evaluates it depth by depth, each distinct gain once on the
-      entries of the chains that have it at that depth.  The
-      bookkeeping stays per chain, in Python floats, and a violated
-      chain leaves the batch.
+    * Refinement: the state of every undecided chain lives in float64
+      arrays, one entry per chain, and each round puts the two probes of
+      every chain into one array (an ``(n, 2)`` array, stored flat).  It
+      is evaluated depth by depth (see :func:`_depth_plan`), and every
+      chain is updated at once with ``np.where``, in the order of
+      comparisons of checking it alone.  A violated chain leaves the
+      batch.
 
     numpy evaluates elementwise, so an entry of the shared array gets
     the bits it gets in a chain's own two-probe array; the tests check
@@ -547,9 +586,10 @@ def less_than_identity_chains(
         raise ValueError("every chain needs at least one gain")
     pts = grid.points()
     verdicts: list[Verdict | None] = [None] * len(chains)
-    # Undecided chains: index and [centre_margin, centre_s, centre_val,
-    # lo, hi, best_margin, best_s, best_val].
-    batch: list[tuple[int, list]] = []
+    # The undecided chains and their starting states (centre margin, s,
+    # value, then lo and hi).
+    undecided: list[int] = []
+    starts: list[tuple] = []
 
     # stack[d] is the grid array after the d innermost gains of the
     # previous chain, whose gain identities are prev; powers[d] is the
@@ -573,75 +613,81 @@ def less_than_identity_chains(
             verdicts[i] = Verdict(VerdictStatus.VIOLATED, margin, s, val)
         else:
             # The bracket is the pair of neighbouring grid points.
-            lo, hi = pts[max(worst - 1, 0)], pts[min(worst + 1, len(pts) - 1)]
-            batch.append((i, [margin, s, val, lo, hi, margin, s, val]))
+            undecided.append(i)
+            starts.append((margin, s, val, pts[max(worst - 1, 0)], pts[min(worst + 1, len(pts) - 1)]))
     del stack, powers
 
-    # Each round evaluates the two geometric midpoints of every bracket
-    # and re-centres it on the worst of the three samples.  Entries 2r
-    # and 2r+1 of a round's arrays are the probes of the r-th chain.
+    # Rows of state: the centre's margin, s and value, then lo and hi;
+    # rows of best: the smallest margin seen, its s and its value.  Each
+    # round evaluates the two geometric midpoints of every bracket and
+    # re-centres it on the worst of the three samples.
+    idx = np.array(undecided, dtype=np.intp)
+    state = np.array(starts, dtype=float).reshape(-1, 5).T
+    best = state[:3]
     plan = None
     for _ in range(grid.refinement_depth):
-        if not batch:
+        if not idx.size:
             break
         if plan is None:
-            plan = _depth_plan([chains[i] for i, _ in batch])
-        pr = []
-        for _, st in batch:
-            pr += _geometric_mean(st[3], st[1]), _geometric_mean(st[1], st[4])
-        probes = np.array(pr)
+            plan = _depth_plan([chains[i] for i in idx.tolist()])
+        centre, lo, hi = state[:3], state[3], state[4]
+        probes = np.stack([_geometric_means(lo, centre[1]), _geometric_means(centre[1], hi)], axis=1).ravel()
         pvals = probes.copy()
-        for f, entries in plan:
-            pvals[entries] = _evaluate(f, pvals[entries])
-        pm, pv = (1.0 - pvals / probes).tolist(), pvals.tolist()
-        kept = []
-        for r, (i, st) in enumerate(batch):
-            centre_margin, centre_s, centre_val, lo, hi, best_margin, best_s, best_val = st
-            a, b = 2 * r, 2 * r + 1
-            for j in (a, b):
-                if pm[j] < best_margin:
-                    best_margin, best_s, best_val = pm[j], pr[j], pv[j]
-                if pv[j] >= pr[j]:
-                    verdicts[i] = Verdict(VerdictStatus.VIOLATED, pm[j], pr[j], pv[j])
-                    break
-            else:
-                # The first of the three samples with the smallest margin.
-                centre = (pm[a], pr[a], pv[a], lo, centre_s)
-                if centre_margin < centre[0]:
-                    centre = (centre_margin, centre_s, centre_val, pr[a], pr[b])
-                if pm[b] < centre[0]:
-                    centre = (pm[b], pr[b], pv[b], centre_s, hi)
-                kept.append((i, [*centre, best_margin, best_s, best_val]))
-        if len(kept) < len(batch):
-            plan = None
-        batch = kept
+        for evaluate, entries in plan:
+            pvals[entries] = evaluate(pvals[entries])
+        # a[:, r] and b[:, r] are (margin, s, value) of the r-th chain's probes.
+        a, b = np.stack([1.0 - pvals / probes, probes, pvals]).reshape(3, -1, 2).transpose(2, 0, 1)
+        # Probe a updates the best sample and is tested before probe b.
+        best = np.where(a[0] < best[0], a, best)
+        violated_a = a[2] >= a[1]
+        best = np.where(b[0] < best[0], b, best)
+        violated = violated_a | (b[2] >= b[1])
+        # The first of the three samples with the smallest margin.
+        new = np.concatenate([a, [lo, centre[1]]])
+        new = np.where(centre[0] < new[0], np.concatenate([centre, [a[1], b[1]]]), new)
+        state = np.where(b[0] < new[0], np.concatenate([b, [centre[1], hi]]), new)
+        if violated.any():
+            witness = np.where(violated_a, a, b)[:, violated]
+            for i, (m, s, v) in zip(idx[violated].tolist(), witness.T.tolist()):
+                verdicts[i] = Verdict(VerdictStatus.VIOLATED, m, s, v)
+            kept = ~violated
+            idx, state, best, plan = idx[kept], state[:, kept], best[:, kept], None
 
-    for i, st in batch:
-        best_margin, best_s, best_val = st[5:]
-        status = VerdictStatus.VERIFIED_ON_GRID if best_margin > grid.margin else VerdictStatus.INCONCLUSIVE
-        verdicts[i] = Verdict(status, best_margin, best_s, best_val)
+    for i, (m, s, v) in zip(idx.tolist(), best.T.tolist()):
+        status = VerdictStatus.VERIFIED_ON_GRID if m > grid.margin else VerdictStatus.INCONCLUSIVE
+        verdicts[i] = Verdict(status, m, s, v)
     return verdicts
 
 
-def _depth_plan(chains: list[tuple[KFunction, ...]]) -> list[tuple[KFunction, slice | np.ndarray]]:
+def _depth_plan(chains: list[tuple[KFunction, ...]]) -> list[tuple[Callable, slice | np.ndarray]]:
     """Evaluation plan of a refinement round, two probe entries per chain.
 
-    Lists ``(gain, entries)`` depth by depth, innermost gain first, once
-    per distinct gain at each depth.  ``entries`` is a slice where the
-    chains that have the gain there are adjacent, else an index array.
+    Lists ``(evaluate, entries)`` depth by depth, innermost gain first.
+    At each depth the ``SaturatingRational`` gains of one exponent q and
+    one side of c = 1 share one step, which evaluates their entries with
+    an array of their levels c (see :func:`_saturating`); every
+    other distinct gain has a step of its own.  ``entries`` is a slice
+    where the chains of a step are adjacent, else an index array.
     """
     plan = []
     for depth in range(1, max(map(len, chains)) + 1):
-        rows: dict[int, tuple[KFunction, list[int]]] = {}
+        rows: dict[object, tuple[KFunction, list[int]]] = {}
         for r, chain in enumerate(chains):
             if depth <= len(chain):
                 f = chain[-depth]
-                rows.setdefault(id(f), (f, []))[1].append(r)
-        for f, rs in rows.values():
+                key = (f.q, f.c > 1.0) if type(f) is SaturatingRational else id(f)
+                rows.setdefault(key, (f, []))[1].append(r)
+        for key, (f, rs) in rows.items():
             if rs[-1] - rs[0] == len(rs) - 1:
-                plan.append((f, slice(2 * rs[0], 2 * rs[-1] + 2)))
+                entries = slice(2 * rs[0], 2 * rs[-1] + 2)
             else:
-                plan.append((f, np.array([j for r in rs for j in (2 * r, 2 * r + 1)])))
+                entries = np.array([j for r in rs for j in (2 * r, 2 * r + 1)])
+            if isinstance(key, tuple):
+                q, big = key
+                levels = np.repeat([chains[r][-depth].c for r in rs], 2)
+                plan.append((functools.partial(_saturating, q, levels, big), entries))
+            else:
+                plan.append((functools.partial(_evaluate, f), entries))
     return plan
 
 

@@ -29,6 +29,7 @@ from .gains import (
     KFunction,
     Verdict,
     VerdictStatus,
+    _serialize,
     compose_chain,
     less_than_identity_chains,
 )
@@ -218,10 +219,12 @@ class CycleReport:
     def witness(self) -> float:
         return self.verdict.witness
 
-    def to_dict(self) -> dict:
+    def to_dict(self, memo: dict | None = None) -> dict:
+        """JSON form; ``memo`` maps ``id(node)`` to its expression string
+        and may be shared by reports whose gains share nodes."""
         return {
             "cycle": list(self.cycle),
-            "gain": self.gain.to_expr(),
+            "gain": _serialize(self.gain, {} if memo is None else memo),
             "verdict": self.verdict.to_dict(),
         }
 
@@ -251,9 +254,10 @@ class SmallGainCheck:
         return min(self.reports, key=lambda r: r.margin)
 
     def to_dict(self) -> dict:
+        memo: dict = {}  # the cycles' gains share their edge gains
         return {
             "status": self.status.value,
-            "cycles": [r.to_dict() for r in self.reports],
+            "cycles": [r.to_dict(memo) for r in self.reports],
         }
 
 

@@ -36,6 +36,7 @@ All inputs and outputs are immutable; functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -46,6 +47,8 @@ from .gains import (
     GridSpec,
     Identity,
     KFunction,
+    _evaluate_floats,
+    _serialize,
     max_of,
 )
 from .graph import (
@@ -283,32 +286,28 @@ class ClosedLoopGains:
     def to_dict(self, samples: Sequence[float] = ()) -> dict:
         """JSON-friendly form: expression strings plus evaluation tables.
 
-        The tables are evaluated sample by sample, with one memo per
-        sample shared by every node's gains, so a subexpression common
-        to several gains is evaluated once per sample.
+        The tables hold the values of the scalar calls ``gain(s)``.  Each
+        distinct node of the gains' DAG is evaluated once over all the
+        samples, on Python floats (see :func:`_gain_tables`).
         """
         node_ids = range(1, self.k + 1)
         xs = [float(s) for s in samples]
-        gain_vals: dict[int, list[float]] = {i: [] for i in node_ids if self.input_gains.get(i) is not None}
-        sigma_vals: dict[int, list[float]] = {i: [] for i in node_ids}
-        for x in xs:
-            memo: dict = {}
-            for i in node_ids:
-                sigma_vals[i].append(self.sigmas[i](x, memo))
-                if i in gain_vals:
-                    gain_vals[i].append(self.input_gains[i](x, memo))
+        gains = {("sigma", i): self.sigmas[i] for i in node_ids}
+        gains.update({("input_gain", i): g for i, g in self.input_gains.items() if g is not None})
+        tables = _gain_tables(gains, xs)
+        exprs: dict = {}  # expression strings of the shared nodes
         nodes = {}
         for i in node_ids:
             gain = self.input_gains.get(i)
             entry: dict = {
-                "input_gain": None if gain is None else gain.to_expr(),
-                "sigma": self.sigmas[i].to_expr(),
+                "input_gain": None if gain is None else _serialize(gain, exprs),
+                "sigma": _serialize(self.sigmas[i], exprs),
             }
             if samples:
                 entry["table"] = {
                     "s": list(xs),
-                    "input_gain": gain_vals.get(i),
-                    "sigma": sigma_vals[i],
+                    "input_gain": tables.get(("input_gain", i)),
+                    "sigma": tables[("sigma", i)],
                 }
             nodes[str(i)] = entry
         return {
@@ -318,6 +317,36 @@ class ClosedLoopGains:
             "certifies": "validity of the bounds, not minimality",
             "transient_bounds_via": "identity-gain constant channel run through the same elimination",
         }
+
+
+def _gain_tables(gains: Mapping[object, KFunction], xs: list[float]) -> dict[object, list[float]]:
+    """Each gain's values at the samples xs, those of the scalar calls.
+
+    Every distinct node is evaluated once over all of xs, on Python
+    floats (:func:`~smallgain.gains._evaluate_floats`).  Where a power
+    overflows or a value is NaN the scalar call takes another path, so
+    then the whole table comes from :func:`_gain_tables_per_sample`.
+    """
+    try:
+        memo: dict = {}
+        tables = {key: _evaluate_floats(g, xs, memo) for key, g in gains.items()}
+        if not any(math.isnan(v) for vals in tables.values() for v in vals):
+            return tables
+    except OverflowError:
+        pass
+    return _gain_tables_per_sample(gains, xs)
+
+
+def _gain_tables_per_sample(gains: Mapping[object, KFunction], xs: list[float]) -> dict[object, list[float]]:
+    """Each gain's values at the samples xs, by scalar calls: one memo per
+    sample, shared by every gain, so a subexpression common to several
+    gains is evaluated once per sample."""
+    tables: dict[object, list[float]] = {key: [] for key in gains}
+    for x in xs:
+        memo: dict = {}
+        for key, g in gains.items():
+            tables[key].append(g(x, memo))
+    return tables
 
 
 def closed_loop_input_gains(

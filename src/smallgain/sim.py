@@ -180,7 +180,7 @@ class HistoryFunction:
 
     @classmethod
     def constant(cls, values: Sequence[float] | float) -> "HistoryFunction":
-        vec = np.atleast_1d(np.asarray(values, dtype=float))
+        vec = _frozen_vector(values)
 
         def fn(t):
             return vec if np.ndim(t) == 0 else np.broadcast_to(vec, (len(t), vec.size))
@@ -219,6 +219,15 @@ class HistoryFunction:
         return cls(dim=dim, fn=fn, kind="callable")
 
 
+def _frozen_vector(values: Sequence[float] | float) -> np.ndarray:
+    """A read-only float copy of values, at least 1-d.  The constant
+    kinds return it from every call, so a caller writing into a result
+    would change every later read; it raises instead."""
+    vec = np.array(values, dtype=float, ndmin=1)
+    vec.flags.writeable = False
+    return vec
+
+
 def _history_rows(hist: Sequence[HistoryFunction], ts: np.ndarray) -> np.ndarray:
     """The flat initial state at the times ts, one row per time."""
     return np.concatenate([fn.many(ts) for fn in hist], axis=1)
@@ -241,12 +250,12 @@ class InputSignal:
 
     @classmethod
     def zero(cls, dim: int = 1) -> "InputSignal":
-        z = np.zeros(dim)
+        z = _frozen_vector(np.zeros(dim))
         return cls(dim=dim, fn=lambda t, z=z: z, kind="zero")
 
     @classmethod
     def constant(cls, values: Sequence[float] | float) -> "InputSignal":
-        vec = np.atleast_1d(np.asarray(values, dtype=float))
+        vec = _frozen_vector(values)
         return cls(dim=vec.size, fn=lambda t, vec=vec: vec, kind="constant", table_values=tuple(np.abs(vec)))
 
     @classmethod

@@ -16,9 +16,9 @@ from smallgain.checks import (
     sup_norm,
 )
 from smallgain.dsl import parse_system
-from smallgain.gains import Linear
+from smallgain.gains import Linear, Power, SaturatingRational
 from smallgain.graph import build_gain_digraph
-from smallgain.reduction import closed_loop_input_gains
+from smallgain.reduction import closed_loop_input_gains, combined_initial_constant
 from smallgain.ring import ring_config
 from smallgain.sim import (
     HistoryFunction,
@@ -189,6 +189,34 @@ class TestCheckGS:
         # max{sigma(c), gamma_u(5)} = max{0.1, 10} = 10; state tends to 5.
         assert report.node_bounds[1] == pytest.approx(10.0)
         assert report.holds
+
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e150])
+    def test_sigmas_share_one_memo_with_the_bits_of_fresh_calls(self, scale):
+        # Four nodes whose sigmas share subtrees.  At scale 1e150 the
+        # overshoot gain s^3 overflows, c is inf and the saturations take
+        # inf/inf, so the shared memo holds NaN for nodes whose calls
+        # fall back to np.float64.
+        k = 4
+        edges = {
+            (i, j): SaturatingRational(0.3 + 0.05 * ((i * j) % 3), 2.0) if (i + j) % 2 else Linear(0.4)
+            for i in range(1, k + 1)
+            for j in range(1, k + 1)
+            if i != j
+        }
+        g = build_gain_digraph(k, edges, gs_gains={1: Power(3.0), 2: Linear(2.0)})
+        closed = closed_loop_input_gains(g)
+        subs = [Subsystem(dim=1, rhs=lambda t, x, z, u: -x) for _ in range(k)]
+        hist = [HistoryFunction.constant([scale * i]) for i in range(1, k + 1)]
+        traj = simulate(build_interconnection(subs, []), hist, None, T=1.0, h=0.1)
+        with np.errstate(over="ignore"):
+            report = check_gs(traj, g, closed)
+            c = report.details["c"]
+            assert c == combined_initial_constant(g, traj.history_norms)
+        assert math.isinf(c) == (scale > 1e100)
+        fresh = {i: float(closed.sigmas[i](c)) for i in range(1, k + 1)}
+        assert np.array(list(report.node_bounds.values())).tobytes() == np.array(list(fresh.values())).tobytes()
+        assert list(report.node_bounds) == list(fresh)
 
 
 class TestCheckAG:

@@ -1,6 +1,7 @@
 """Gain algebra: evaluation, closure operations, and the identity check."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smallgain.gains as gains
+import smallgain.reduction as reduction
 from conftest import gain_leaves, gain_trees
 from smallgain.gains import (
     Compose,
@@ -211,6 +213,97 @@ class TestSharedSubexpressions:
                 assert entry["input_gain"] == reference_expr(gain)
                 want = [bits(reference_call(gain, s)) for s in samples]
                 assert [bits(v) for v in entry["table"]["input_gain"]] == want
+
+
+# Input gains whose scalar evaluation leaves Python floats: s^400
+# overflows float ** at 1e3, s^40 does above 1e8, and Linear(1e300)
+# gives inf above 1e8, where the saturation takes inf/inf.
+OVERFLOWING_INPUTS = (
+    Power(400.0),
+    SaturatingRational(0.5, 40.0),
+    Compose(SaturatingRational(0.5, 2.0), Linear(1e300)),
+)
+TABLE_POINTS = (*DAG_POINTS, 1e3, 1e10)
+
+
+@st.composite
+def elimination_dags(draw):
+    """Closed-loop gains of a verified digraph, some of whose input gains
+    overflow on some samples."""
+    g = draw(verified_digraphs())
+    inputs = dict(g.input_gains)
+    for i in draw(st.lists(st.integers(1, g.k), unique=True, max_size=2)):
+        inputs[i] = draw(st.sampled_from(OVERFLOWING_INPUTS))
+    g = build_gain_digraph(g.k, g.edges, input_gains=inputs)
+    return closed_loop_input_gains(g, GridSpec(n_points=256, refinement_depth=2))
+
+
+def closed_loop_tables(closed, samples):
+    return {
+        (name, i): doc["table"][name]
+        for i, doc in closed.to_dict(samples)["nodes"].items()
+        for name in ("sigma", "input_gain")
+        if doc["table"][name] is not None
+    }
+
+
+class TestGainTables:
+    """Closed-loop tables evaluated once per node over all samples, against
+    the per-sample scalar path."""
+
+    @given(elimination_dags(), st.lists(st.one_of(st.sampled_from(TABLE_POINTS), st.floats(0.0, 1e12)), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    @example(
+        closed=closed_loop_input_gains(
+            build_gain_digraph(2, {(1, 2): Linear(0.5), (2, 1): SaturatingRational(0.5, 2.0)}, input_gains={1: Power(400.0)})
+        ),
+        samples=[1e-3, 1.0, 1e3],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tables_equal_the_per_sample_path_bit_for_bit(self, closed, samples):
+        xs = [float(x) for x in samples]
+        gains_of = {("sigma", i): closed.sigmas[i] for i in closed.sigmas}
+        gains_of.update({("input_gain", i): g for i, g in closed.input_gains.items() if g is not None})
+        want = reduction._gain_tables_per_sample(gains_of, xs)
+        got = closed_loop_tables(closed, samples)
+        assert {(name, int(i)): bits(v) for (name, i), v in got.items()} == {key: bits(v) for key, v in want.items()}
+
+    @given(gain_dags(), st.lists(st.sampled_from(TABLE_POINTS), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_any_dag_equals_the_per_sample_path_bit_for_bit(self, pool, points):
+        gains_of = dict(enumerate(pool))
+        want = reduction._gain_tables_per_sample(gains_of, list(points))
+        got = reduction._gain_tables(gains_of, list(points))
+        assert {j: bits(v) for j, v in got.items()} == {j: bits(v) for j, v in want.items()}
+
+    @pytest.mark.parametrize(
+        "input_gain, ordinary, leaving, value",
+        [
+            (Power(400.0), [1e-3, 0.5, 1.2], 1e3, math.inf),  # 1e3^400 overflows
+            (SaturatingRational(0.5, 40.0), [1e-3, 0.5, 1.2], 1e10, 0.5),  # (1e10)^40 overflows
+            (Compose(SaturatingRational(0.5, 2.0), Linear(1e300)), [1e-300, 1e-200], 1e10, 0.5),  # inf/inf
+        ],
+    )
+    def test_per_sample_path_runs_only_where_a_value_leaves_floats(self, monkeypatch, input_gain, ordinary, leaving, value):
+        edges = {(1, 2): Linear(0.5), (2, 3): SaturatingRational(1.2, 2.0), (3, 1): SaturatingRational(0.5, 4.0)}
+        closed = closed_loop_input_gains(build_gain_digraph(3, edges, input_gains={1: input_gain}))
+        calls = []
+        per_sample = reduction._gain_tables_per_sample
+
+        def recorded(gains_of, xs):
+            calls.append(list(xs))
+            return per_sample(gains_of, xs)
+
+        monkeypatch.setattr(reduction, "_gain_tables_per_sample", recorded)
+        tables = [closed_loop_tables(closed, xs) for xs in (ordinary, ordinary + [leaving])]
+        assert calls == [ordinary + [leaving]]
+        assert tables[1][("input_gain", "1")][-1] == value
+        monkeypatch.undo()
+        for got, xs in zip(tables, (ordinary, ordinary + [leaving])):
+            for (name, i), vals in got.items():
+                gain = (closed.sigmas if name == "sigma" else closed.input_gains)[int(i)]
+                assert bits(vals) == bits([reference_call(gain, x) for x in xs])
 
 
 class TestEvaluation:
@@ -518,6 +611,15 @@ class TestLessThanIdentity:
         assert not (v2.verified and v2.margin > 1e-6)
 
 
+def geometric_mean(a: float, b: float) -> float:
+    """A refinement probe: sqrt(a*b), or sqrt(a)*sqrt(b) where a*b is
+    not a normal finite float (it would make the probe 0 or inf)."""
+    ab = float(a) * float(b)
+    if sys.float_info.min <= ab < math.inf:
+        return math.sqrt(ab)
+    return math.sqrt(a) * math.sqrt(b)
+
+
 @np.errstate(invalid="raise")
 def reference_less_than_identity(g, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     """One gain at a time: the grid sweep and refinement loop that
@@ -539,7 +641,7 @@ def reference_less_than_identity(g, grid: GridSpec = DEFAULT_GRID) -> Verdict:
     hi = pts[min(worst + 1, len(pts) - 1)]
     centre_s, centre_margin, centre_val = best_s, best_margin, best_val
     for _ in range(grid.refinement_depth):
-        probes = np.array([math.sqrt(lo * centre_s), math.sqrt(centre_s * hi)])
+        probes = np.array([geometric_mean(lo, centre_s), geometric_mean(centre_s, hi)])
         pvals, pmargins = relative_margins(probes)
         for j in range(2):
             if pmargins[j] < best_margin:
@@ -662,6 +764,104 @@ class TestBatchedCycleCheck:
             tracemalloc.stop()
         assert len(result.reports) == 409
         assert peak < 1.5e6
+
+
+# Saturations of both exponents on both sides of c = 1, which share a
+# refinement step at each depth, next to edges that keep steps of their own.
+SATURATION_FAMILIES = tuple(SaturatingRational(c, q) for c in (0.5, 0.9, 1.2, 1.5) for q in (2.0, 4.0))
+OWN_STEP_EDGES = (
+    Identity(),
+    Linear(0.5),
+    Power(1.01),
+    Compose(Linear(0.3), Power(1.2)),
+    Max(Linear(0.4), SaturatingRational(0.5, 2.0)),
+    SaturatingRational(0.5, 40.0),  # s^40 overflows: the inf/inf lane
+)
+COARSE = GridSpec(s_min=1e-3, s_max=1e3, n_points=3)
+
+
+class TestArrayRefinement:
+    """The refinement state of all chains in arrays, against the
+    one-chain-at-a-time reference."""
+
+    def test_probes_match_the_scalar_geometric_mean(self):
+        rng = np.random.default_rng(11)
+        special = [5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-160, 1.0, 1e160, 1e300, sys.float_info.max]
+        a = np.concatenate([np.repeat(special, len(special)), 10.0 ** rng.uniform(-323.0, 308.0, 4000)])
+        b = np.concatenate([np.tile(special, len(special)), 10.0 ** rng.uniform(-323.0, 308.0, 4000)])
+        want = [geometric_mean(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert bits(gains._geometric_means(a, b)) == bits(want)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(n_points=64),
+            COARSE,
+            GridSpec(n_points=2, refinement_depth=12),
+            # Worst margins at the ends of this grid put probes where the
+            # product of two points underflows or overflows.
+            GridSpec(s_min=1e-300, s_max=1e300, n_points=40, refinement_depth=10),
+        ],
+        ids=["n64", "coarse", "n2", "extreme"],
+    )
+    def test_mixed_steps_match_the_reference(self, grid):
+        pool = SATURATION_FAMILIES + OWN_STEP_EDGES + (Linear(1.0 - 1e-13),)
+        chains = [(f,) for f in pool] + [(f, g) for f in pool for g in pool]
+        chains += [(f, g, h) for f in SATURATION_FAMILIES[::3] for g in OWN_STEP_EDGES[:3] for h in SATURATION_FAMILIES]
+        got = less_than_identity_chains(chains, grid)
+        assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
+        assert {v.status for v in got} == set(VerdictStatus)
+
+        # Each depth evaluates the families in one step per (q, c > 1),
+        # each step with the levels of its gains.
+        plan = gains._depth_plan([c for c, v in zip(chains, got) if not v.violated])
+        grouped = [step.args for step, _ in plan if step.func is gains._saturating]
+        assert {(2.0, False), (2.0, True), (4.0, False), (4.0, True)} <= {(q, big) for q, _, big in grouped}
+        assert any(len(set(levels)) > 1 for _, levels, _ in grouped)
+
+    @pytest.mark.parametrize(
+        "f, grid",
+        [
+            # The margins of a linear gain take a few values one ulp apart,
+            # so both probes can tie below the best sample so far: probe a
+            # must win.
+            (Linear(0.69), GridSpec(s_min=0.1, s_max=1e4, n_points=2, refinement_depth=12)),
+            (Linear(0.99), GridSpec(n_points=3, refinement_depth=12)),
+            # Tangent to the identity at s = 1, a probe of these grids:
+            # g(1) = 1 exactly is a violation.
+            (SaturatingRational(2.0, 2.0), GridSpec(s_min=1e-2, s_max=1e2, n_points=2)),
+            (SaturatingRational(2.0, 2.0), GridSpec(s_min=1e-3, s_max=1e1, n_points=2)),
+        ],
+    )
+    def test_ties_keep_the_order_of_comparisons(self, f, grid):
+        chains = [(f,), (Linear(0.5),), (f, Linear(1.0)), (Linear(1.0), f)]
+        got = less_than_identity_chains(chains, grid)
+        assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
+
+    def test_mid_batch_violations_rebuild_the_plan(self, monkeypatch):
+        # Below the identity at the three grid points, above it between
+        # them: found in refinement round 4 and round 5 respectively.
+        late = {SaturatingRational(1.6, 8.0): 4, SaturatingRational(1.4, 12.0): 5}
+        for f, round_ in late.items():
+            assert not less_than_identity(f, replace(COARSE, refinement_depth=round_ - 1)).violated
+            assert less_than_identity(f, replace(COARSE, refinement_depth=round_)).violated
+        chains = [(f, g) for f in (Linear(1.0 - 1e-9), *SATURATION_FAMILIES[:4]) for g in late]
+        chains += [(f,) for f in late] + [(f,) for f in SATURATION_FAMILIES] + [(Linear(1.0 - 1e-13),)]
+        plans = []
+
+        def recorded(batch):
+            plans.append(len(batch))
+            return plan_of(batch)
+
+        plan_of = gains._depth_plan
+        monkeypatch.setattr(gains, "_depth_plan", recorded)
+        got = less_than_identity_chains(chains, COARSE)
+        monkeypatch.undo()
+        assert got == [reference_less_than_identity(compose_chain(*c), COARSE) for c in chains]
+        # Built for the undecided chains, then again after each round
+        # that lost chains.
+        assert len(plans) == 3 and plans[0] > plans[1] > plans[2] > 0
+        assert {v.status for v in got} == set(VerdictStatus)
 
 
 STACKED_PRIMITIVES = (

@@ -85,6 +85,25 @@ class TestHistoryAndInputs:
         with pytest.raises(ValueError):
             HistoryFunction.table([0.0, 0.0], [[1.0], [2.0]])
 
+    @pytest.mark.parametrize(
+        "make, read",
+        [
+            (HistoryFunction.constant, lambda f: np.vstack([f(-0.5), f.many(np.array([-0.5, 0.0]))])),
+            (InputSignal.constant, lambda f: f(0.5)),
+            (lambda values: InputSignal.zero(2), lambda f: f(0.5)),
+        ],
+        ids=["history-constant", "input-constant", "input-zero"],
+    )
+    def test_constant_kinds_return_read_only_copies(self, make, read):
+        values = np.array([2.0, 3.0])
+        f = make(values)
+        before = read(f)
+        with pytest.raises(ValueError, match="read-only"):
+            f(-0.5)[0] = 7.0
+        values[0] = 7.0  # the caller's array is not aliased
+        np.testing.assert_array_equal(read(f), before)
+        assert 7.0 not in read(f)
+
     def test_piecewise_input_hold_semantics(self):
         u = InputSignal.piecewise_constant([0.0, 1.0], [[2.0], [5.0]])
         assert u(0.0)[0] == 2.0
