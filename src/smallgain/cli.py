@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_ag, check_gas, check_gs
-from .dsl import ConfigError, ParsedConfig, SimParams, load_document, parse_system
+from .dsl import ConfigError, ParsedConfig, SimParams, check_document, load_document, parse_system
 from .gains import VerdictStatus
 from .graph import CycleCountExceeded, check_cyclic_small_gain
 from .reduction import (
@@ -464,6 +464,7 @@ def cmd_verify(args) -> int:
         cfg = _check_steps(_apply_overrides(parse_system(doc), args))
         return _verify_one(cfg, args, args.out)
 
+    check_document(doc)  # _sweep_doc rewrites only a valid document
     key, values = _parse_sweep(args.sweep)
     docs, jobs = [], []
     for value in values:

@@ -56,6 +56,7 @@ __all__ = [
     "SimParams",
     "CheckParams",
     "ParsedConfig",
+    "check_document",
     "parse_system",
     "load_document",
     "load_config",
@@ -1123,6 +1124,17 @@ def _parse_input_entry(path: tuple, entry, input_dim: int) -> InputSignal:
     _fail(path, f"unsupported input type {kind!r}")
 
 
+def check_document(doc) -> None:
+    """Raise ConfigError unless doc is a JSON object that config_schema.json
+    accepts, naming the error with the smallest path, as jsonschema's
+    errors sorted by path give it."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError("configuration root must be a JSON object")
+    first = min(_schema_errors(doc, _schema()), key=lambda error: error[0], default=None)
+    if first is not None:
+        _fail(*first)
+
+
 def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
     """Parse a configuration document into a system plus gain structure.
 
@@ -1136,14 +1148,7 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise ConfigError("configuration root must be a JSON object")
-
-    # The first error with the smallest path, as jsonschema's errors sorted
-    # by path give it.
-    first = min(_schema_errors(doc, _schema()), key=lambda error: error[0], default=None)
-    if first is not None:
-        _fail(*first)
+    check_document(doc)
 
     k = int(doc["k"])
     subs_doc = doc["subsystems"]

@@ -22,12 +22,10 @@ each distinct node's expression string is built once per ``to_expr``
 call.  Every node still performs the same operations on the same
 operands, so values and strings are bit-for-bit those of the plain tree
 recursion.  A caller that evaluates or serializes several gains may
-share one memo among them.  :func:`_evaluate_floats` evaluates a DAG at
-a list of Python floats, each distinct node once over the whole list,
-with the bits of the scalar calls wherever those stay on Python floats.
-Array evaluation does not memoise nodes, so it holds no more arrays at
-once than the recursion would, besides the powers of the arrays it is
-evaluating at.
+share one memo among them; an array call takes a memo the same way, as
+the closed-loop tables do.  An array call without a memo does not
+memoise nodes, so it holds no more arrays at once than the recursion
+would, besides the powers of the arrays it is evaluating at.
 
 Array powers stay off libm's slow path (see :func:`_pow`): an entry
 whose power must round to +0 is written as +0, not handed to numpy.
@@ -115,14 +113,18 @@ class KFunction:
     """
 
     def __call__(self, s: Scalar, memo: dict | None = None) -> Scalar:
-        """Evaluate at a scalar or an array.
+        """Evaluate at a scalar or an array of arguments s >= 0.
 
-        A scalar call may pass ``memo``, a dict shared by calls at the
-        same argument object (see :func:`_evaluate`); array calls never
-        memoise nodes, but the nodes that evaluate at one array share its
-        powers.
+        A negative argument raises ValueError; -0.0, NaN and inf are
+        evaluated.  A call may pass ``memo``, a dict shared by calls at
+        the same argument object (see :func:`_evaluate`).  An array call
+        without one evaluates every occurrence of a node, but the nodes
+        that evaluate at one array share its powers.  The tables of
+        ``ClosedLoopGains.to_dict`` are the values of one array call.
         """
         if np.isscalar(s) or isinstance(s, (int, float)):
+            if s < 0:
+                raise ValueError(f"gain argument must be nonnegative, got {float(s)!r}")
             # Plain floats are the fast path, but float ** raises on overflow
             # and a saturated SaturatingRational gives nan there; either
             # sends the point through the np.float64 path below.
@@ -134,8 +136,11 @@ class KFunction:
                 return out
             with np.errstate(invalid="raise"):
                 return float(_evaluate(self, np.float64(s), {}))
+        negative = np.less(s, 0)
+        if negative.any():
+            raise ValueError(f"gain argument must be nonnegative, got {float(np.extract(negative, s)[0])!r}")
         with np.errstate(invalid="raise"):
-            return _evaluate(self, s, powers={})
+            return _evaluate(self, s, memo, powers={})
 
     def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
         """Evaluate a primitive; Compose and Max go through :func:`_evaluate`.
@@ -309,30 +314,6 @@ def _evaluate(g: KFunction, s: Scalar, memo: dict | None = None, powers: dict | 
         out = g._eval(s, powers)
     if memo is not None:
         memo[key] = (out, s)
-    return out
-
-
-def _evaluate_floats(g: KFunction, xs: list[float], memo: dict) -> list[float]:
-    """g at every Python float of xs, each distinct node once over all of xs.
-
-    ``memo`` maps ``(id(node), id(list))`` to ``(values, list)``, as in
-    :func:`_evaluate`.  Every entry takes the float operations the scalar
-    path takes at that point, with ``np.maximum`` at Max nodes, so it has
-    the bits of ``g(x)`` wherever no power overflows (Python floats raise
-    ``OverflowError`` there) and no value is NaN; there the scalar path
-    goes through np.float64 and the caller must take it instead.
-    """
-    key = (id(g), id(xs))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[0]
-    if isinstance(g, Compose):
-        out = _evaluate_floats(g.outer, _evaluate_floats(g.inner, xs, memo), memo)
-    elif isinstance(g, Max):
-        out = np.maximum(_evaluate_floats(g.left, xs, memo), _evaluate_floats(g.right, xs, memo)).tolist()
-    else:
-        out = [g._eval(x) for x in xs]
-    memo[key] = (out, xs)
     return out
 
 

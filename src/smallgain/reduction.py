@@ -36,10 +36,11 @@ All inputs and outputs are immutable; functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .gains import (
     DEFAULT_GRID,
@@ -47,7 +48,6 @@ from .gains import (
     GridSpec,
     Identity,
     KFunction,
-    _evaluate_floats,
     _serialize,
     max_of,
 )
@@ -286,28 +286,26 @@ class ClosedLoopGains:
     def to_dict(self, samples: Sequence[float] = ()) -> dict:
         """JSON-friendly form: expression strings plus evaluation tables.
 
-        The tables hold the values of the scalar calls ``gain(s)``.  Each
-        distinct node of the gains' DAG is evaluated once over all the
-        samples, on Python floats (see :func:`_gain_tables`).
+        The tables hold the values of the array call ``gain(xs)`` at the
+        float64 array xs of the samples.  All gains share one memo, so
+        each distinct node of their DAG is evaluated once over all the
+        samples.
         """
-        node_ids = range(1, self.k + 1)
-        xs = [float(s) for s in samples]
-        gains = {("sigma", i): self.sigmas[i] for i in node_ids}
-        gains.update({("input_gain", i): g for i, g in self.input_gains.items() if g is not None})
-        tables = _gain_tables(gains, xs)
+        xs = np.array(samples, dtype=float)
+        memo: dict = {}  # values of the shared nodes at xs
         exprs: dict = {}  # expression strings of the shared nodes
         nodes = {}
-        for i in node_ids:
-            gain = self.input_gains.get(i)
+        for i in range(1, self.k + 1):
+            gain, sigma = self.input_gains.get(i), self.sigmas[i]
             entry: dict = {
                 "input_gain": None if gain is None else _serialize(gain, exprs),
-                "sigma": _serialize(self.sigmas[i], exprs),
+                "sigma": _serialize(sigma, exprs),
             }
-            if samples:
+            if xs.size:
                 entry["table"] = {
-                    "s": list(xs),
-                    "input_gain": tables.get(("input_gain", i)),
-                    "sigma": tables[("sigma", i)],
+                    "s": xs.tolist(),
+                    "input_gain": None if gain is None else gain(xs, memo).tolist(),
+                    "sigma": sigma(xs, memo).tolist(),
                 }
             nodes[str(i)] = entry
         return {
@@ -317,36 +315,6 @@ class ClosedLoopGains:
             "certifies": "validity of the bounds, not minimality",
             "transient_bounds_via": "identity-gain constant channel run through the same elimination",
         }
-
-
-def _gain_tables(gains: Mapping[object, KFunction], xs: list[float]) -> dict[object, list[float]]:
-    """Each gain's values at the samples xs, those of the scalar calls.
-
-    Every distinct node is evaluated once over all of xs, on Python
-    floats (:func:`~smallgain.gains._evaluate_floats`).  Where a power
-    overflows or a value is NaN the scalar call takes another path, so
-    then the whole table comes from :func:`_gain_tables_per_sample`.
-    """
-    try:
-        memo: dict = {}
-        tables = {key: _evaluate_floats(g, xs, memo) for key, g in gains.items()}
-        if not any(math.isnan(v) for vals in tables.values() for v in vals):
-            return tables
-    except OverflowError:
-        pass
-    return _gain_tables_per_sample(gains, xs)
-
-
-def _gain_tables_per_sample(gains: Mapping[object, KFunction], xs: list[float]) -> dict[object, list[float]]:
-    """Each gain's values at the samples xs, by scalar calls: one memo per
-    sample, shared by every gain, so a subexpression common to several
-    gains is evaluated once per sample."""
-    tables: dict[object, list[float]] = {key: [] for key in gains}
-    for x in xs:
-        memo: dict = {}
-        for key, g in gains.items():
-            tables[key].append(g(x, memo))
-    return tables
 
 
 def closed_loop_input_gains(

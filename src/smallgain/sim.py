@@ -180,7 +180,7 @@ class HistoryFunction:
 
     @classmethod
     def constant(cls, values: Sequence[float] | float) -> "HistoryFunction":
-        vec = _frozen_vector(values)
+        vec = _frozen(values, ndmin=1)
 
         def fn(t):
             return vec if np.ndim(t) == 0 else np.broadcast_to(vec, (len(t), vec.size))
@@ -190,7 +190,7 @@ class HistoryFunction:
     @classmethod
     def polynomial(cls, coeffs: Sequence[Sequence[float]]) -> "HistoryFunction":
         """Per-component polynomial in t, coefficients in ascending order."""
-        rows = [np.asarray(c, dtype=float) for c in coeffs]
+        rows = [_frozen(c) for c in coeffs]
 
         def fn(t):
             return np.stack([np.polynomial.polynomial.polyval(t, c) for c in rows], axis=-1)
@@ -200,8 +200,8 @@ class HistoryFunction:
     @classmethod
     def table(cls, times: Sequence[float], values: Sequence[Sequence[float]]) -> "HistoryFunction":
         """Linear interpolation through (times, values) samples."""
-        ts = np.asarray(times, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        ts = _frozen(times)
+        vals = _frozen(values)
         if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0):
             raise ValueError("table times must be strictly increasing with at least two entries")
         if vals.shape[0] != ts.size:
@@ -219,13 +219,14 @@ class HistoryFunction:
         return cls(dim=dim, fn=fn, kind="callable")
 
 
-def _frozen_vector(values: Sequence[float] | float) -> np.ndarray:
-    """A read-only float copy of values, at least 1-d.  The constant
-    kinds return it from every call, so a caller writing into a result
-    would change every later read; it raises instead."""
-    vec = np.array(values, dtype=float, ndmin=1)
-    vec.flags.writeable = False
-    return vec
+def _frozen(values, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of values.  Signals keep their data in such
+    copies: a caller writing into the arrays it passed, or into a row a
+    signal returned, would otherwise change every later read; the latter
+    raises instead."""
+    out = np.array(values, dtype=float, ndmin=ndmin)
+    out.flags.writeable = False
+    return out
 
 
 def _history_rows(hist: Sequence[HistoryFunction], ts: np.ndarray) -> np.ndarray:
@@ -250,12 +251,12 @@ class InputSignal:
 
     @classmethod
     def zero(cls, dim: int = 1) -> "InputSignal":
-        z = _frozen_vector(np.zeros(dim))
+        z = _frozen(np.zeros(dim), ndmin=1)
         return cls(dim=dim, fn=lambda t, z=z: z, kind="zero")
 
     @classmethod
     def constant(cls, values: Sequence[float] | float) -> "InputSignal":
-        vec = _frozen_vector(values)
+        vec = _frozen(values, ndmin=1)
         return cls(dim=vec.size, fn=lambda t, vec=vec: vec, kind="constant", table_values=tuple(np.abs(vec)))
 
     @classmethod
@@ -263,8 +264,8 @@ class InputSignal:
         cls, times: Sequence[float], values: Sequence[Sequence[float]] | Sequence[float]
     ) -> "InputSignal":
         """Hold values[i] on [times[i], times[i+1]); the last value persists."""
-        ts = np.asarray(times, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        ts = _frozen(times)
+        vals = _frozen(values)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
         if ts.ndim != 1 or ts.size != vals.shape[0] or np.any(np.diff(ts) <= 0):

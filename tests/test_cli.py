@@ -554,6 +554,30 @@ class TestSweep:
         assert captured.err == "error: step h=0.01 must divide every delay; delay 0.015 is 1.5 steps\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", ["gain_scale=2", "delta=1.0"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("gains",), None), (("subsystems", 0, "rhs"), None), (("subsystems",), "oops")],
+        ids=["no-gains", "no-rhs", "subsystems-not-a-list"],
+    )
+    def test_invalid_document_fails_as_without_sweep(self, tmp_path, capsys, sweep, path, value):
+        doc = ring_config(T=1.0)
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        if value is None:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+        cfg = write_doc(tmp_path, doc)
+        assert main(["verify", cfg, "--out", str(tmp_path / "plain")]) == 1
+        plain = capsys.readouterr()
+        assert main(["verify", cfg, "--out", str(tmp_path / "x"), "--sweep", sweep]) == 1
+        swept = capsys.readouterr()
+        assert swept.out == plain.out == ""
+        assert swept.err == plain.err and plain.err.startswith("error: $") and plain.err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_delta_sweep_needs_single_delay(self, tmp_path):
         doc = ring_config(T=1.0)
         doc["delays"] = [1.0, 2.0]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smallgain.gains as gains
-import smallgain.reduction as reduction
 from conftest import gain_leaves, gain_trees
 from smallgain.gains import (
     Compose,
@@ -167,8 +166,11 @@ class TestSharedSubexpressions:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_arrays_equal_the_tree_recursion_bit_for_bit(self, pool):
         pts = np.array([p for p in DAG_POINTS if not math.isnan(p)] + list(np.geomspace(1e-3, 1e3, 9)))
+        memo: dict = {}  # shared by every gain, as in ClosedLoopGains.to_dict
         for g in pool:
-            assert bits(g(pts)) == bits(reference_call(g, pts))
+            want = bits(reference_call(g, pts))
+            assert bits(g(pts)) == want
+            assert bits(g(pts, memo)) == want
 
     @given(gain_dags())
     @settings(max_examples=100, deadline=None)
@@ -194,30 +196,42 @@ class TestSharedSubexpressions:
         memo: dict = {}
         g(x, memo), Compose(g, g)(x, memo)
         assert len(calls) == 3  # leaf at x again, then at g(x) for the outer g
+        # An array call takes a memo the same way; without one it evaluates
+        # every occurrence.
+        h = leaf
+        for _ in range(10):
+            h = Max(h, h)  # 2^10 leaf occurrences
+        xs = np.array([1.0, 3.0])
+        del calls[:]
+        memo = {}
+        np.testing.assert_array_equal(h(xs, memo), [0.5, 1.5])
+        np.testing.assert_array_equal(Compose(h, h)(xs, memo), [0.25, 0.75])
+        assert [c is xs for c in calls] == [True, False]  # leaf at xs, then at h(xs)
+        h(xs)
+        assert len(calls) == 2 + 2**10
 
     @given(verified_digraphs())
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_closed_loop_gains_equal_the_tree_recursion(self, g):
         closed = closed_loop_input_gains(g, GridSpec(n_points=256, refinement_depth=2))
-        samples = (1e-3, 0.5, 1.0, 7.0, 1e300)
+        samples = np.array([1e-3, 0.5, 1.0, 7.0, 1e300])
         doc = closed.to_dict(samples)
         for i in range(1, g.k + 1):
             entry = doc["nodes"][str(i)]
             sigma, gain = closed.sigmas[i], closed.input_gains[i]
             assert entry["sigma"] == reference_expr(sigma)
-            assert [bits(v) for v in entry["table"]["sigma"]] == [bits(reference_call(sigma, s)) for s in samples]
+            assert bits(entry["table"]["sigma"]) == bits(reference_call(sigma, samples))
             if gain is None:
                 assert entry["input_gain"] is None and entry["table"]["input_gain"] is None
             else:
                 assert entry["input_gain"] == reference_expr(gain)
-                want = [bits(reference_call(gain, s)) for s in samples]
-                assert [bits(v) for v in entry["table"]["input_gain"]] == want
+                assert bits(entry["table"]["input_gain"]) == bits(reference_call(gain, samples))
 
 
-# Input gains whose scalar evaluation leaves Python floats: s^400
-# overflows float ** at 1e3, s^40 does above 1e8, and Linear(1e300)
-# gives inf above 1e8, where the saturation takes inf/inf.
+# Input gains that leave float range: s^400 overflows at 1e3, s^40 does
+# above 1e8, and Linear(1e300) gives inf above 1e8, where the saturation
+# takes inf/inf.
 OVERFLOWING_INPUTS = (
     Power(400.0),
     SaturatingRational(0.5, 40.0),
@@ -240,16 +254,19 @@ def elimination_dags(draw):
 
 def closed_loop_tables(closed, samples):
     return {
-        (name, i): doc["table"][name]
+        (name, int(i)): doc["table"][name]
         for i, doc in closed.to_dict(samples)["nodes"].items()
         for name in ("sigma", "input_gain")
         if doc["table"][name] is not None
     }
 
 
+def tabled_gain(closed, name, i):
+    return (closed.sigmas if name == "sigma" else closed.input_gains)[i]
+
+
 class TestGainTables:
-    """Closed-loop tables evaluated once per node over all samples, against
-    the per-sample scalar path."""
+    """Closed-loop tables: the values of one array call at the samples."""
 
     @given(elimination_dags(), st.lists(st.one_of(st.sampled_from(TABLE_POINTS), st.floats(0.0, 1e12)), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -260,50 +277,32 @@ class TestGainTables:
         samples=[1e-3, 1.0, 1e3],
     )
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_tables_equal_the_per_sample_path_bit_for_bit(self, closed, samples):
-        xs = [float(x) for x in samples]
-        gains_of = {("sigma", i): closed.sigmas[i] for i in closed.sigmas}
-        gains_of.update({("input_gain", i): g for i, g in closed.input_gains.items() if g is not None})
-        want = reduction._gain_tables_per_sample(gains_of, xs)
-        got = closed_loop_tables(closed, samples)
-        assert {(name, int(i)): bits(v) for (name, i), v in got.items()} == {key: bits(v) for key, v in want.items()}
-
-    @given(gain_dags(), st.lists(st.sampled_from(TABLE_POINTS), min_size=1, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_any_dag_equals_the_per_sample_path_bit_for_bit(self, pool, points):
-        gains_of = dict(enumerate(pool))
-        want = reduction._gain_tables_per_sample(gains_of, list(points))
-        got = reduction._gain_tables(gains_of, list(points))
-        assert {j: bits(v) for j, v in got.items()} == {j: bits(v) for j, v in want.items()}
+    def test_tables_equal_the_array_call_bit_for_bit(self, closed, samples):
+        xs = np.array(samples, dtype=float)
+        for (name, i), vals in closed_loop_tables(closed, samples).items():
+            gain = tabled_gain(closed, name, i)
+            assert bits(vals) == bits(gain(xs))
+            # Within the tolerance between array and scalar calls; the
+            # absolute one covers subnormal values, which carry fewer bits.
+            np.testing.assert_allclose(vals, [gain(x) for x in samples], rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize(
-        "input_gain, ordinary, leaving, value",
+        "input_gain, leaving, value",
         [
-            (Power(400.0), [1e-3, 0.5, 1.2], 1e3, math.inf),  # 1e3^400 overflows
-            (SaturatingRational(0.5, 40.0), [1e-3, 0.5, 1.2], 1e10, 0.5),  # (1e10)^40 overflows
-            (Compose(SaturatingRational(0.5, 2.0), Linear(1e300)), [1e-300, 1e-200], 1e10, 0.5),  # inf/inf
+            (Power(400.0), 1e3, math.inf),  # 1e3^400 overflows
+            (SaturatingRational(0.5, 40.0), 1e10, 0.5),  # (1e10)^40 overflows
+            (Compose(SaturatingRational(0.5, 2.0), Linear(1e300)), 1e10, 0.5),  # inf/inf
         ],
     )
-    def test_per_sample_path_runs_only_where_a_value_leaves_floats(self, monkeypatch, input_gain, ordinary, leaving, value):
+    def test_values_that_leave_float_range_take_their_limits(self, input_gain, leaving, value):
         edges = {(1, 2): Linear(0.5), (2, 3): SaturatingRational(1.2, 2.0), (3, 1): SaturatingRational(0.5, 4.0)}
         closed = closed_loop_input_gains(build_gain_digraph(3, edges, input_gains={1: input_gain}))
-        calls = []
-        per_sample = reduction._gain_tables_per_sample
-
-        def recorded(gains_of, xs):
-            calls.append(list(xs))
-            return per_sample(gains_of, xs)
-
-        monkeypatch.setattr(reduction, "_gain_tables_per_sample", recorded)
-        tables = [closed_loop_tables(closed, xs) for xs in (ordinary, ordinary + [leaving])]
-        assert calls == [ordinary + [leaving]]
-        assert tables[1][("input_gain", "1")][-1] == value
-        monkeypatch.undo()
-        for got, xs in zip(tables, (ordinary, ordinary + [leaving])):
-            for (name, i), vals in got.items():
-                gain = (closed.sigmas if name == "sigma" else closed.input_gains)[int(i)]
-                assert bits(vals) == bits([reference_call(gain, x) for x in xs])
+        samples = [1e-3, 0.5, 1.2, leaving]
+        tables = closed_loop_tables(closed, samples)
+        assert tables[("input_gain", 1)][-1] == value == input_gain(leaving)
+        for (name, i), vals in tables.items():
+            gain = tabled_gain(closed, name, i)
+            assert bits(vals) == bits(reference_call(gain, np.array(samples)))
 
 
 class TestEvaluation:
@@ -324,6 +323,28 @@ class TestEvaluation:
         for f in (Identity(), Linear(2), Power(2), SaturatingRational(1, 1)):
             assert isinstance(f(1), float)
             assert isinstance(f(np.float64(1.0)), float)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Power(0.5)(-1.0),
+            lambda: Linear(0.5)(-1.0),
+            lambda: Power(0.5)(np.array([1.0, -1.0, -2.0])),
+            lambda: closed_loop_input_gains(
+                build_gain_digraph(2, {(1, 2): Linear(0.5), (2, 1): Linear(0.5)}, input_gains={1: Power(0.5)})
+            ).to_dict([1.0, -1.0]),
+        ],
+        ids=["power", "linear", "array", "table"],
+    )
+    def test_negative_argument_raises(self, call):
+        with pytest.raises(ValueError, match=r"^gain argument must be nonnegative, got -1\.0$"):
+            call()
+
+    def test_signed_zero_nan_and_inf_are_evaluated(self):
+        for g in (Linear(0.5), Power(0.5), SaturatingRational(0.5, 2.0)):
+            xs = np.array([-0.0, math.nan, math.inf])
+            assert bits(g(xs)) == bits(reference_call(g, xs))
+            assert bits([g(x) for x in xs.tolist()]) == bits([reference_call(g, x) for x in xs.tolist()])
 
     @given(gain_trees())
     @settings(max_examples=200, deadline=None)

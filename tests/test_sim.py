@@ -104,6 +104,37 @@ class TestHistoryAndInputs:
         np.testing.assert_array_equal(read(f), before)
         assert 7.0 not in read(f)
 
+    @pytest.mark.parametrize(
+        "make, read",
+        [
+            (
+                lambda values: HistoryFunction.table([-1.0, 0.0], values),
+                lambda f: np.vstack([f(-0.5), f.many(np.array([-0.5, 0.0]))]),
+            ),
+            (
+                lambda values: HistoryFunction.polynomial([values[:, 0]]),
+                lambda f: np.vstack([f(1.0), f.many(np.array([-0.5, 1.0]))]),
+            ),
+            (
+                lambda values: InputSignal.piecewise_constant([0.0, 1.0], values),
+                lambda f: np.vstack([f(0.2), f(1.5), [f.sup_norm([])]]),
+            ),
+        ],
+        ids=["history-table", "history-polynomial", "input-piecewise"],
+    )
+    def test_data_kinds_keep_read_only_copies(self, make, read):
+        values = np.array([[2.0], [1.0]])
+        f = make(values)
+        before = read(f)
+        values[:] = 50.0  # the caller's array is not aliased
+        row = f(0.5)
+        if f.kind == "piecewise":  # rows of the stored table
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 9.0
+        else:  # computed afresh by every call
+            row[0] = 9.0
+        np.testing.assert_array_equal(read(f), before)
+
     def test_piecewise_input_hold_semantics(self):
         u = InputSignal.piecewise_constant([0.0, 1.0], [[2.0], [5.0]])
         assert u(0.0)[0] == 2.0
