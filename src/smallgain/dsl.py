@@ -20,7 +20,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +37,11 @@ from .gains import (
 )
 from .graph import GainDigraph, build_gain_digraph
 from .sim import (
+    FUNCTIONS,
     DelaySystemSpec,
     HistoryFunction,
     InputSignal,
-    SimulationError,
+    NetworkExpressions,
     Subsystem,
     build_interconnection,
     reference_rows,
@@ -522,19 +523,10 @@ def parse_gain(text: str) -> KFunction:
 #
 # A NAME is t, x_<i>, v_<j> or u_<i>, optionally suffixed with a component
 # index (x_1_2 is component 2 of subsystem 1); a call applies one of
-# _CODEGEN_FUNCS to one argument.
+# sim.FUNCTIONS to one argument.
 
 
 _NAME_RE = re.compile(r"^([xvu])_(\d+)(?:_(\d+))?$")
-
-_CODEGEN_FUNCS = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "tanh": math.tanh,
-}
 
 
 class _RhsCompiler:
@@ -563,12 +555,13 @@ class _RhsCompiler:
         # form f(t, x, Z, u) over the flat vectors instead of the
         # subsystem form rhs(t, x, z, u), as a template whose fields
         # {t}, {x[i]} and {Z} name the stage's time, state components and
-        # delayed state (see _network).
+        # delayed state (see sim.NetworkExpressions).
         self.rows = rows
         # With powers (shared by every expression of a network), each
-        # distinct ``^`` is emitted as a local name, bound once per call
-        # (see _network_function): powers maps its template to that name
-        # and to whether it reads x or u, directly or through another power.
+        # distinct ``^`` is emitted as a local name, bound once per stage
+        # (see sim.NetworkExpressions): powers maps its template to that
+        # name and to whether it reads x or u, directly or through another
+        # power.
         self.powers = powers
         # Whether the expression emitted so far reads x or u.
         self.reads_state = False
@@ -583,7 +576,7 @@ class _RhsCompiler:
         name = node.text if isinstance(node, _Name) else node.name
         if isinstance(node, _Call) and (name == "t" or _NAME_RE.match(name)):
             message = f"{name!r} is a variable, not a function"
-        elif isinstance(node, _Name) and name in _CODEGEN_FUNCS:
+        elif isinstance(node, _Name) and name in FUNCTIONS:
             message = f"{name} is a function; call it as {name}(...)"
         else:
             message = (
@@ -630,7 +623,7 @@ class _RhsCompiler:
                     return call
                 return self.powers.setdefault(call, (f"_p{len(self.powers)}", reads_state))[0]
             return f"({left} {node.op} {right})"
-        if node.name not in _CODEGEN_FUNCS:
+        if node.name not in FUNCTIONS:
             self._misused(node)
         if len(node.args) != 1:
             self.error(
@@ -726,109 +719,19 @@ def _vector_function(name: str, params: str, pieces: Sequence[str], filename: st
     warning, and ``^`` is :func:`_numpy_pow`.
     """
     src = f"def {name}({params}):\n    return _np.array([{', '.join(pieces)}], dtype=float)\n"
-    env: dict[str, Any] = {"_np": np, "_pow": _numpy_pow, **_CODEGEN_FUNCS}
+    env: dict[str, Any] = {"_np": np, "_pow": _numpy_pow, **FUNCTIONS}
     exec(compile(src, filename, "exec"), env)
     return env[name]
-
-
-# The local names that _RhsCompiler gives powers in the network form.
-_POWER_NAME = re.compile(r"\b_p\d+\b")
-
-# What float arithmetic raises where numpy scalars give inf or NaN.
-_FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
-
-
-def _network_function(pieces: Sequence[str], powers: Mapping[str, str]) -> Callable:
-    """The network right-hand side f(t, x, Z, u) of the given expressions.
-
-    x, Z and u are lists of floats, and f returns the list of the
-    expressions evaluated on Python floats, with ``^`` as ``math.pow``
-    (the bits of numpy's scalar power).  Each distinct power is taken
-    once per call, as the local name that ``powers`` maps its source to;
-    ``math.pow`` is a function of its operands alone, so the bits are
-    those of taking it at every occurrence.  Where that raises or gives a
-    value that is not finite, f evaluates the stage again on numpy
-    scalars, as :func:`_vector_function` does (compiled on the first such
-    stage): that gives the inf or NaN and the warnings of numpy arithmetic.  An error that this evaluation
-    raises too (a math function outside its domain or range, or a
-    division of two constants by zero) is a :class:`SimulationError`.
-    """
-    # The numpy-scalar twin takes every power where it occurs, so that it
-    # warns once per occurrence, as the subsystem functions do.
-    source: dict[str, str] = {}
-    for call, name in powers.items():
-        source[name] = _POWER_NAME.sub(lambda m: source[m.group()], call)
-    expanded = [_POWER_NAME.sub(lambda m: source[m.group()], piece) for piece in pieces]
-    on_arrays = _compiled_on_first_call("_f", "t, x, Z, u", expanded, "<network rhs>")
-
-    def on_scalars(t, x, Z, u):
-        try:
-            return on_arrays(t, np.array(x, dtype=float), np.array(Z, dtype=float), np.array(u, dtype=float)).tolist()
-        except _FLOAT_ERRORS as exc:
-            raise SimulationError(f"{exc} in right-hand side evaluation", t, x) from None
-
-    src = (
-        "def _f(t, x, Z, u):\n"
-        "    try:\n"
-        + "".join(f"        {name} = {call}\n" for call, name in powers.items())
-        + f"        dx = [{', '.join(pieces)}]\n"
-        "    except _FLOAT_ERRORS:\n"
-        "        return _on_scalars(t, x, Z, u)\n"
-        "    return dx if _isfinite(_sum(dx)) else _on_scalars(t, x, Z, u)\n"
-    )
-    env: dict[str, Any] = {
-        "_pow": math.pow,
-        "_isfinite": math.isfinite,
-        "_sum": sum,
-        "_FLOAT_ERRORS": _FLOAT_ERRORS,
-        "_on_scalars": on_scalars,
-        **_CODEGEN_FUNCS,
-    }
-    exec(compile(src, "<network rhs>", "exec"), env)
-    return env["_f"]
-
-
-class _NetworkExpressions(NamedTuple):
-    """The expressions of a network function, from which simulate writes
-    out its Runge-Kutta stages inline (sim._step_source).
-
-    bindings are (name, template, reads_state) per power and pieces one
-    template per state component, as _RhsCompiler emits them: their
-    fields {t}, {x[i]} and {Z} take the source of the stage's time,
-    state component i and delayed state vector; u stays u, and each
-    power is its binding's name.  A binding that reads neither x nor u
-    has the same value at the two middle stages.  The templates evaluate
-    in namespace, and belong to function alone: a function that wraps
-    it may compute something else.
-    """
-
-    function: Callable
-    bindings: list
-    pieces: list
-    namespace: dict
-
-
-def _network(templates: Sequence[str], powers: Mapping[str, tuple[str, bool]]) -> Callable:
-    """The network function of the emitted templates (one per state
-    component, so x has as many), carrying them as ``f.expressions``."""
-    x = [f"x[{i}]" for i in range(len(templates))]
-
-    def source(template: str) -> str:
-        return template.format(t="t", x=x, Z="Z")
-
-    f = _network_function([source(p) for p in templates], {source(call): name for call, (name, _) in powers.items()})
-    bindings = [(name, call, reads_state) for call, (name, reads_state) in powers.items()]
-    f.expressions = _NetworkExpressions(f, bindings, list(templates), f.__globals__)
-    return f
 
 
 def _compiled_on_first_call(*source) -> Callable:
     """The function of :func:`_vector_function`, compiled when first called.
 
-    A parsed system integrates through its network function on floats,
-    so most per-subsystem callables and the network function's
-    numpy-scalar twin are never called; the source is already emitted,
-    so every error in it has been raised.
+    A parsed system integrates through the float function and the fused
+    step that its spec compiles from the network expressions, and calls
+    the subsystem callables only for a stage where that raises or is not
+    finite, so most are never called; the source is already emitted, so
+    every error in it has been raised.
     """
     compiled = None
 
@@ -1192,18 +1095,19 @@ def parse_system(doc: Mapping[str, Any] | str) -> ParsedConfig:
             )
         )
 
-    # One network right-hand side over the flat state, from the trees
-    # already validated above.
+    # The expressions of the network over the flat state, from the trees
+    # already validated above; the spec compiles them on first use.
     rows = reference_rows(subsystems)
     pieces, powers = [], {}
     for i, sub in enumerate(subs_doc):
         pieces += _emit(sub["rhs"], trees[i], i + 1, dims, input_dims, delays, rows=rows, powers=powers)[0]
-    network = _network(pieces, powers)
+    bindings = tuple((name, call, reads_state) for call, (name, reads_state) in powers.items())
+    expressions = NetworkExpressions(bindings, tuple(pieces))
 
     # Declared-but-unreferenced delays are legal; the builder checks the
     # converse (every referenced delay must be declared).
     try:
-        system = build_interconnection(subsystems, delays, rhs=network)
+        system = build_interconnection(subsystems, delays, expressions=expressions)
     except ValueError as exc:
         _fail(("subsystems",), exc)
 

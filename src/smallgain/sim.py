@@ -19,12 +19,14 @@ where x and u are the flat state and input vectors and Z is the gathered
 delayed state, all three lists of floats: every distinct declared
 reference (j, theta), in sorted order, contributes the components of
 subsystem j's state at t - theta (reference_rows gives where each one
-starts).  By default f is an adapter that turns the lists into arrays,
-slices Z into each subsystem's z mapping and calls the subsystem
-right-hand sides; the JSON configuration parser instead generates a
-single function from all expressions that reads x, Z and u directly and
-evaluates on Python floats, again on numpy scalars where that raises or
-gives a value that is not finite (smallgain.dsl).
+starts).  f is DelaySystemSpec.rhs.  By default it is an adapter that
+turns the lists into arrays, slices Z into each subsystem's z mapping
+and calls the subsystem right-hand sides.  A system that the JSON
+configuration parser builds (smallgain.dsl) also carries the expressions
+of all its right-hand sides (NetworkExpressions), and the spec compiles
+them into one function that reads x, Z and u directly and evaluates on
+Python floats; where that raises or gives a value that is not finite,
+the stage is evaluated again through the adapter, on numpy scalars.
 
 Integration uses the classical fourth-order Runge-Kutta scheme with a
 fixed step h that must divide every delay.  The stages run on Python
@@ -50,16 +52,15 @@ the intervals completed so far, and one fancy index per buffer gathers
 the Z of every stage of the block.  Within a block the states and
 derivatives stay in lists, stored into the arrays when the block ends.
 
-When f carries its own expressions, as the generated network function
-does, every full step is one call of a function that simulate writes
-out for the system on its first run (_step_source): the four stages,
-inline, and the update in straight-line code over local floats.  Its
-float arithmetic classifies nothing: a step that raises or whose new
-state is not finite is refused and taken again stage by stage through
-f, reusing the inputs the refused step took, and only there do _checked
-and f's own numpy-scalar evaluation report NaN, overflow and math
-errors.  The full steps of any other f, and the shortened final step,
-are taken stage by stage.
+When the system carries expressions, every full step is one call of a
+function that the spec writes out from them on its first run
+(_step_source): the four stages, inline, and the update in
+straight-line code over local floats.  Its float arithmetic classifies
+nothing: a step that raises or whose new state is not finite is refused
+and taken again stage by stage through f, reusing the inputs the
+refused step took, and only there do _checked and the adapter's numpy
+arithmetic report NaN, overflow and math errors.  The full steps of any
+other system, and the shortened final step, are taken stage by stage.
 
 The general interpolant is written once, in _hermite:
 Trajectory.interpolate_many evaluates it for all requested times in one
@@ -89,7 +90,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +103,7 @@ __all__ = [
     "Subsystem",
     "StateFeedback",
     "DelaySystemSpec",
+    "NetworkExpressions",
     "build_interconnection",
     "build_auxiliary_system",
     "reference_rows",
@@ -191,6 +193,8 @@ class HistoryFunction:
     def polynomial(cls, coeffs: Sequence[Sequence[float]]) -> "HistoryFunction":
         """Per-component polynomial in t, coefficients in ascending order."""
         rows = [_frozen(c) for c in coeffs]
+        if not rows or any(c.ndim != 1 or c.size == 0 for c in rows):
+            raise ValueError("polynomial coefficients must be one nonempty row per component")
 
         def fn(t):
             return np.stack([np.polynomial.polynomial.polyval(t, c) for c in rows], axis=-1)
@@ -204,7 +208,7 @@ class HistoryFunction:
         vals = _frozen(values)
         if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0):
             raise ValueError("table times must be strictly increasing with at least two entries")
-        if vals.shape[0] != ts.size:
+        if vals.shape[:1] != ts.shape:
             raise ValueError("table values must have one row per time")
         dim = vals.shape[1] if vals.ndim == 2 else 1
         vals = vals.reshape(ts.size, dim)
@@ -268,8 +272,8 @@ class InputSignal:
         vals = _frozen(values)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
-        if ts.ndim != 1 or ts.size != vals.shape[0] or np.any(np.diff(ts) <= 0):
-            raise ValueError("piecewise_constant needs strictly increasing times, one per value row")
+        if ts.ndim != 1 or ts.size == 0 or vals.shape[:1] != ts.shape or np.any(np.diff(ts) <= 0):
+            raise ValueError("piecewise_constant needs one or more strictly increasing times, one per value row")
 
         def fn(t: float) -> np.ndarray:
             idx = int(np.searchsorted(ts, t, side="right")) - 1
@@ -305,8 +309,9 @@ class Subsystem:
 
     rhs is called once per Runge-Kutta stage, in subsystem order, when
     the system integrates through the default network right-hand side.
-    A system that carries its own network function (as parse_system
-    builds) never calls it.
+    A system that carries network expressions (as parse_system builds)
+    calls it only for a stage whose float evaluation raises or is not
+    finite.
     """
 
     dim: int
@@ -333,29 +338,47 @@ class StateFeedback:
     d: InputSignal
 
 
+# The functions that right-hand-side expressions may call, on floats.
+FUNCTIONS = {
+    "exp": math.exp,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "tanh": math.tanh,
+}
+
+# What float arithmetic raises where numpy scalars give inf or NaN.
+_FLOAT_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+class NetworkExpressions(NamedTuple):
+    """A network right-hand side as smallgain.dsl emits it: bindings are
+    (name, template, reads_state) per distinct power, pieces one template
+    per state component.  Their fields {t}, {x[i]} and {Z} take the source
+    of a stage's time, state component i and delayed state; u stays u,
+    each power is its binding's name, ^ is _pow and a call names an entry
+    of FUNCTIONS.  A binding that reads neither x nor u has the same value
+    at the two middle stages."""
+
+    bindings: tuple[tuple[str, str, bool], ...]
+    pieces: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class DelaySystemSpec:
     """Complete interconnected system: subsystems, shared delay set,
-    optional disturbance closure, optional network right-hand side.
+    optional disturbance closure, optional network expressions.
 
-    rhs, when given, is the network right-hand side f(t, x, Z, u) of
-    the module docstring: x, Z and u are lists of floats, Z follows
-    reference_rows(subsystems), and f returns the list of the total
-    dim.  simulate calls it once per Runge-Kutta stage instead of the
-    subsystems' own rhs callables, except where the stages are written out
-    inline from its own expressions (see _step_source).  parse_system
-    generates it to evaluate on Python floats and to evaluate the stage
-    again on numpy scalars where that raises or gives inf or NaN, so that
-    the values and warnings are those of numpy arithmetic, and attaches
-    the expressions.  When rhs is None, simulate uses an adapter that
-    converts the lists to arrays and calls every subsystem's rhs once per
-    stage.
+    expressions, as parse_system emits them, compute the subsystems'
+    right-hand sides over the flat state; the spec compiles them on first
+    use into its float stage function rhs and its fused step _step.
     """
 
     subsystems: tuple[Subsystem, ...]
     delays: tuple[float, ...]
     feedback: StateFeedback | None = None
-    rhs: Callable | None = None
+    expressions: NetworkExpressions | None = None
 
     @property
     def k(self) -> int:
@@ -388,17 +411,32 @@ class DelaySystemSpec:
         return tuple(out)
 
     @cached_property
+    def rhs(self) -> Callable:
+        """f(t, x, Z, u) of the module docstring: the subsystem adapter,
+        or with expressions their float function (_network_source),
+        compiled on first use.  That evaluates a stage that raises or is
+        not finite again through the adapter, for the values and warnings
+        of numpy arithmetic; an error there too is a SimulationError."""
+        adapter = _subsystem_adapter(self.subsystems)
+        if self.expressions is None:
+            return adapter
+
+        def fallback(t: float, x: list, Z: list, u: list) -> list:
+            try:
+                return adapter(t, x, Z, u)
+            except _FLOAT_ERRORS as exc:
+                raise SimulationError(f"{exc} in right-hand side evaluation", t, x) from None
+
+        return _compiled(_network_source(self.expressions), "<network rhs>", "_f", _sum=sum, _fallback=fallback)
+
+    @cached_property
     def _step(self) -> Callable | None:
-        """simulate's full RK4 step (see _step_source) when rhs carries
-        its own expressions, compiled on the first run, so that parsing a
-        system compiles no step; None for any other rhs."""
-        expressions = getattr(self.rhs, "expressions", None)
-        if expressions is None or expressions.function is not self.rhs:
+        """simulate's full RK4 step (see _step_source), compiled on the
+        first run; None without expressions."""
+        if self.expressions is None:
             return None
-        env = dict(expressions.namespace, _sqrt=math.sqrt, _max=max, _norm=_block_max_norm(self.dims))
-        source = _step_source(self.dims, self.total_input_dim > 0, expressions)
-        exec(compile(source, "<rk4 step>", "exec"), env)
-        return env["_step"]
+        source = _step_source(self.dims, self.total_input_dim > 0, self.expressions)
+        return _compiled(source, "<rk4 step>", "_step", _sqrt=math.sqrt, _max=max, _norm=_block_max_norm(self.dims))
 
 
 def reference_rows(subsystems: Sequence[Subsystem]) -> dict[tuple[int, float], int]:
@@ -443,15 +481,15 @@ def _subsystem_adapter(subsystems: Sequence[Subsystem]) -> Callable:
 
 
 def build_interconnection(
-    subsystems: Sequence[Subsystem], delays: Sequence[float] = (), rhs: Callable | None = None
+    subsystems: Sequence[Subsystem], delays: Sequence[float] = (), expressions: NetworkExpressions | None = None
 ) -> DelaySystemSpec:
     """Assemble and validate a DelaySystemSpec.
 
     Checks that delays are positive, finite and distinct, and that every
     declared reference points at an existing subsystem and a declared
     delay.  Dangling references are rejected here rather than surfacing
-    as KeyErrors mid-integration.  rhs is an optional network right-hand
-    side equivalent to the subsystems' (see DelaySystemSpec).
+    as KeyErrors mid-integration.  expressions are the optional network
+    expressions of the subsystems' right-hand sides (see DelaySystemSpec).
     """
     subs = tuple(subsystems)
     if not subs:
@@ -477,7 +515,7 @@ def build_interconnection(
                 raise ValueError(
                     f"subsystem {idx} references delay {th} not in the declared set {ds}"
                 )
-    return DelaySystemSpec(subs, ds, rhs=rhs)
+    return DelaySystemSpec(subs, ds, expressions=expressions)
 
 
 def build_auxiliary_system(
@@ -805,6 +843,31 @@ def _block_max_norm(dims: Sequence[int]) -> Callable[[list], float]:
     return norm
 
 
+def _compiled(source: str, filename: str, name: str, **env) -> Callable:
+    """The function name that source defines, executed with FUNCTIONS,
+    math.pow as _pow, math.isfinite as _isfinite, _FLOAT_ERRORS and env."""
+    namespace = dict(FUNCTIONS, _pow=math.pow, _isfinite=math.isfinite, _FLOAT_ERRORS=_FLOAT_ERRORS, **env)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _network_source(expressions: NetworkExpressions) -> str:
+    """Source of _f(t, x, Z, u), the expressions on Python floats with ^
+    as math.pow (numpy's scalar power, bit for bit), each distinct power
+    taken once: math.pow is a function of its operands alone.  Where that
+    raises one of _FLOAT_ERRORS or its sum is not finite, _f returns
+    _fallback(t, x, Z, u)."""
+    names = {"t": "t", "x": [f"x[{i}]" for i in range(len(expressions.pieces))], "Z": "Z"}
+    lines = [f"{name} = {template.format(**names)}" for name, template, _ in expressions.bindings]
+    lines.append(f"dx = [{', '.join(piece.format(**names) for piece in expressions.pieces)}]")
+    return (
+        "def _f(t, x, Z, u):\n    try:\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + "    except _FLOAT_ERRORS:\n        return _fallback(t, x, Z, u)\n"
+        "    return dx if _isfinite(_sum(dx)) else _fallback(t, x, Z, u)\n"
+    )
+
+
 # Stage j of a step: the prefix of its derivative's locals and of its
 # stage state's, its time, its Z and its fraction of the step.
 _STAGES = (("a", "x", "t", "Z0", "0.0"), ("b", "s", "t2", "Zm", "0.5"),
@@ -822,14 +885,13 @@ def _step_source(dims: Sequence[int], inputs: bool, expressions) -> str:
     stage-by-stage code, so with its bits.  With inputs, each stage calls
     u_at(time, step, fraction, stage state, completed).
 
-    expressions are the network function's (see dsl._NetworkExpressions),
-    written out inline at every stage; a binding that reads neither x nor
-    u is taken once for the two middle stages, which read the same Z and
-    t.  The step returns None, for simulate to take it again stage by
-    stage, where the float arithmetic raises one of the namespace's
-    _FLOAT_ERRORS, where the new state's sum is not finite, and (with
-    inputs, which may read the stage state) before an input call on a
-    stage whose sum is not.
+    expressions are the system's (see NetworkExpressions), written out
+    inline at every stage; a binding that reads neither x nor u is taken
+    once for the two middle stages, which read the same Z and t.  The
+    step returns None, for simulate to take it again stage by stage,
+    where the float arithmetic raises one of _FLOAT_ERRORS, where the new
+    state's sum is not finite, and (with inputs, which may read the stage
+    state) before an input call on a stage whose sum is not.
     """
     n = sum(dims)
 
@@ -910,7 +972,7 @@ def simulate(
             raise ValueError("disturbance-closed systems take no separate input signals")
     else:
         if inputs is None:
-            inputs = [InputSignal.zero(s.input_dim) if s.input_dim else InputSignal.zero(0) for s in sys.subsystems]
+            inputs = [InputSignal.zero(s.input_dim) for s in sys.subsystems]
         inputs = list(inputs)
         if len(inputs) != k:
             raise ValueError(f"need {k} input signals, got {len(inputs)}")
@@ -923,7 +985,7 @@ def simulate(
     n = sys.total_dim
     off = sys.offsets()
     m_total = sys.total_input_dim
-    f = sys.rhs if sys.rhs is not None else _subsystem_adapter(sys.subsystems)
+    f = sys.rhs
 
     # Every reference component once, in the order of Z: its source
     # column, its delay, and that delay in steps.

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,49 +490,52 @@ class TestParseSystem:
         with pytest.raises(ValueError, match="delta must be positive"):
             ring_system(0.0)
 
-    def test_ring_network_source_is_pinned(self, monkeypatch):
+    def test_ring_network_source_is_pinned(self):
         # Trajectories keep their bits only while the emitted source does.
-        import smallgain.dsl as dsl
+        import smallgain.sim as sim
 
-        emitted = []
-        network_function = dsl._network_function
-
-        def recorded(pieces, powers):
-            emitted.append((pieces, powers))
-            return network_function(pieces, powers)
-
-        monkeypatch.setattr(dsl, "_network_function", recorded)
-        parse_system(ring_config())
-        assert emitted == [
-            (
-                [
-                    "(((-3.0) * x[0]) + (_p0 / (1.0 + _p0)))",
-                    "(((-1.5) * x[1]) + _p1)",
-                    "(((-2.0) * x[2]) + _p2)",
-                ],
-                {"_pow(Z[1], 2.0)": "_p0", "_pow(Z[2], 3.0)": "_p1", "_pow(Z[0], 2.0)": "_p2"},
-            )
+        source = sim._network_source(ring_system().expressions)
+        assert source.splitlines() == [
+            "def _f(t, x, Z, u):",
+            "    try:",
+            "        _p0 = _pow(Z[1], 2.0)",
+            "        _p1 = _pow(Z[2], 3.0)",
+            "        _p2 = _pow(Z[0], 2.0)",
+            "        dx = [(((-3.0) * x[0]) + (_p0 / (1.0 + _p0))), (((-1.5) * x[1]) + _p1), (((-2.0) * x[2]) + _p2)]",
+            "    except _FLOAT_ERRORS:",
+            "        return _fallback(t, x, Z, u)",
+            "    return dx if _isfinite(_sum(dx)) else _fallback(t, x, Z, u)",
         ]
 
     def test_parse_system_compiles_no_step(self, monkeypatch):
         # simulate writes out its RK4 step on the first run of a system: a
         # delta sweep parses four networks and integrates only their union.
+        # Parsing a document with constant histories compiles nothing; the
+        # first run compiles the network function and the step.
+        import builtins
+
         import smallgain.sim as sim
 
-        emitted = []
-        step_source = sim._step_source
+        emitted, compiled = [], []
+        step_source, compile_source = sim._step_source, builtins.compile
 
         def recorded(*args):
             emitted.append(step_source(*args))
             return emitted[-1]
 
+        def counted(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return compile_source(source, filename, *args, **kwargs)
+
         monkeypatch.setattr(sim, "_step_source", recorded)
-        system = parse_system(ring_config()).system
-        assert emitted == []
-        hist = [HistoryFunction.constant([1.0])] * 3
+        monkeypatch.setattr(builtins, "compile", counted)
+        cfg = parse_system(ring_config())
+        assert {f.kind for f in cfg.history} == {"constant"}
+        assert emitted == [] and compiled == []
         for _ in range(2):
-            simulate(system, hist, None, T=0.1, h=0.01)
+            simulate(cfg.system, cfg.history, None, T=0.1, h=0.01)
         assert len(emitted) == 1
+        assert compiled == ["<network rhs>", "<rk4 step>"]
 
     def test_ring_step_source_is_pinned(self):
         # Trajectories keep their bits only while the fused step keeps the
@@ -539,7 +543,7 @@ class TestParseSystem:
         import smallgain.sim as sim
 
         system = ring_system()
-        source = sim._step_source(system.dims, False, system.rhs.expressions)
+        source = sim._step_source(system.dims, False, system.expressions)
         assert source.splitlines() == [
             "def _step(t, h, x, Z0, Zm, Z1, k1, u_at, step, completed):",
             "    [x0, x1, x2] = x",
@@ -597,39 +601,34 @@ class TestParseSystem:
         doc = base_doc()
         doc["subsystems"][0]["rhs"] = ["-x_1 + v_2[-0.5]^2 + (1 + v_2[-0.5]^2)^1.5 + (x_1 + t^2)^3"]
         doc["subsystems"][1]["rhs"] = ["-x_2 + (t + u_2^2)^0.5"]
-        rhs = parse_system(doc).system.rhs
-        expressions = rhs.expressions
-        assert expressions.function is rhs
-        assert expressions.bindings == [
+        system = parse_system(doc).system
+        assert system.expressions.bindings == (
             ("_p0", "_pow({Z}[0], 2.0)", False),
             ("_p1", "_pow((1.0 + _p0), 1.5)", False),
             ("_p2", "_pow({t}, 2.0)", False),
             ("_p3", "_pow(({x[0]} + _p2), 3.0)", True),
             ("_p4", "_pow(u[0], 2.0)", True),
             ("_p5", "_pow(({t} + _p4), 0.5)", True),
-        ]
-        assert expressions.pieces == ["((((-{x[0]}) + _p0) + _p1) + _p3)", "((-{x[1]}) + _p5)"]
+        )
+        assert system.expressions.pieces == ("((((-{x[0]}) + _p0) + _p1) + _p3)", "((-{x[1]}) + _p5)")
+        # The expressions are tuples, so a parsed spec stays hashable.
+        assert hash(replace(system)) == hash(system)
 
-    def test_network_takes_each_distinct_power_once(self, monkeypatch):
-        import smallgain.dsl as dsl
+    def test_network_takes_each_distinct_power_once(self):
+        import smallgain.sim as sim
 
-        emitted = []
-        network_function = dsl._network_function
-
-        def recorded(pieces, powers):
-            emitted.append((pieces, powers))
-            return network_function(pieces, powers)
-
-        monkeypatch.setattr(dsl, "_network_function", recorded)
         doc = base_doc()
         doc["subsystems"][0]["rhs"] = ["-x_1 + v_2[-0.5]^2/(1 + v_2[-0.5]^2) + (1 + v_2[-0.5]^2)^1.5"]
         doc["subsystems"][1]["rhs"] = ["-x_2 + v_2[-0.5]^2"]
-        f = parse_system(doc).system.rhs
-        [(pieces, powers)] = emitted
-        assert powers == {"_pow(Z[0], 2.0)": "_p0", "_pow((1.0 + _p0), 1.5)": "_p1"}
-        assert pieces == ["(((-x[0]) + (_p0 / (1.0 + _p0))) + _p1)", "((-x[1]) + _p0)"]
+        system = parse_system(doc).system
+        lines = sim._network_source(system.expressions).splitlines()
+        assert lines[2:5] == [
+            "        _p0 = _pow(Z[0], 2.0)",
+            "        _p1 = _pow((1.0 + _p0), 1.5)",
+            "        dx = [(((-x[0]) + (_p0 / (1.0 + _p0))) + _p1), ((-x[1]) + _p0)]",
+        ]
         z = 0.8
-        assert f(0.0, [1.0, 2.0], [z], []) == [-1.0 + z**2 / (1.0 + z**2) + (1.0 + z**2) ** 1.5, -2.0 + z**2]
+        assert system.rhs(0.0, [1.0, 2.0], [z], []) == [-1.0 + z**2 / (1.0 + z**2) + (1.0 + z**2) ** 1.5, -2.0 + z**2]
 
     def test_subsystem_rhs_is_compiled_on_first_call(self, monkeypatch):
         import smallgain.dsl as dsl
@@ -643,8 +642,8 @@ class TestParseSystem:
 
         monkeypatch.setattr(dsl, "_vector_function", counted)
         cfg = parse_system(base_doc())
-        # The network function evaluates on floats; its numpy-scalar
-        # twin is compiled only for a stage that gives inf or NaN.
+        # The network function evaluates on floats; a stage that gives inf
+        # or NaN is evaluated again through the subsystem functions.
         assert compiled == []
         rhs = cfg.system.subsystems[0].rhs
         for x1 in (1.0, 3.0):
@@ -652,7 +651,7 @@ class TestParseSystem:
             assert out.tolist() == [-x1 + 0.5]
         assert compiled == ["_rhs"]
         assert cfg.system.rhs(0.0, [-np.inf, 0.0], [2.0, 2.0], [0.0]) == [np.inf, 0.5]
-        assert compiled == ["_rhs", "_f"]
+        assert compiled == ["_rhs", "_rhs"]
 
     def test_json_text_accepted(self):
         cfg = parse_system(json.dumps(ring_config()))

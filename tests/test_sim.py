@@ -1,6 +1,5 @@
 """Delay-system integrator: accuracy, dense output, and failure modes."""
 
-import functools
 import math
 import tracemalloc
 import warnings
@@ -134,6 +133,22 @@ class TestHistoryAndInputs:
         else:  # computed afresh by every call
             row[0] = 9.0
         np.testing.assert_array_equal(read(f), before)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: HistoryFunction.table([-1.0, 0.0], 5.0), "table values must have one row per time"),
+            (lambda: HistoryFunction.polynomial([]), "one nonempty row per component"),
+            (lambda: HistoryFunction.polynomial([[]]), "one nonempty row per component"),
+            (lambda: InputSignal.piecewise_constant([0.0], 5.0), "one per value row"),
+            (lambda: InputSignal.piecewise_constant([], []), "one or more strictly increasing times"),
+        ],
+        ids=["table-scalar-values", "polynomial-no-rows", "polynomial-empty-row", "piecewise-scalar-values",
+             "piecewise-no-times"],
+    )
+    def test_malformed_data_raises_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_piecewise_input_hold_semantics(self):
         u = InputSignal.piecewise_constant([0.0, 1.0], [[2.0], [5.0]])
@@ -645,7 +660,7 @@ def same_as_reference(sys, hist, inputs, T, h, **kw):
     with np.errstate(invalid="ignore"):  # simulate reports a NaN itself
         ref = recorded(lambda: reference_simulate(sys, hist, inputs, T, h, **kw))
     assert recorded(lambda: simulate(sys, hist, inputs, T, h, **kw)) == ref
-    adapted = replace(sys, rhs=None)
+    adapted = replace(sys, expressions=None)
     assert recorded(lambda: simulate(adapted, hist, inputs, T, h, **kw)) == ref
     return ref[0]
 
@@ -775,7 +790,7 @@ class TestStageGatherAgainstReference:
     @given(dsl_cases())
     def test_bit_identical_to_reference_loop(self, case):
         sys, hist, inputs, T, h = case
-        assert sys.rhs is not None
+        assert sys.expressions is not None
         same_as_reference(sys, hist, inputs, T, h)
 
     def test_blow_up_matches_reference(self):
@@ -1017,22 +1032,6 @@ class TestFusedStep:
             traj = simulate(sys, hist, None, T, 0.01)
             assert calls == want
             assert outcome(lambda: traj) == outcome(lambda: reference_simulate(sys, hist, None, T, 0.01))
-
-    def test_a_wrapper_of_the_network_function_is_called(self):
-        # functools.wraps copies the network function's expressions onto
-        # the wrapper; they are not the wrapper's, so its stages call it.
-        sys = ring_system()
-        f = sys.rhs
-
-        def forced(t, x, Z, u):
-            return [d + 0.5 for d in f(t, x, Z, u)]
-
-        wrapped = functools.wraps(f)(lambda *args: forced(*args))
-        assert wrapped.expressions is f.expressions
-        hist = [HistoryFunction.constant([1.0])] * 3
-        result = outcome(lambda: simulate(replace(sys, rhs=wrapped), hist, None, 2.0, 0.01))
-        assert result == outcome(lambda: simulate(replace(sys, rhs=forced), hist, None, 2.0, 0.01))
-        assert result != outcome(lambda: simulate(sys, hist, None, 2.0, 0.01))
 
     @pytest.mark.parametrize(
         "term, signal",

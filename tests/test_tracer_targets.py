@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from smallgain.dsl import parse_system
+from smallgain.ring import ring_config
 from smallgain.sim import HistoryFunction, Subsystem, build_interconnection, simulate
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -54,3 +56,27 @@ def test_counted_history_is_called(history):
     calls.clear()
     traj.interpolate_many([-0.15, 0.5])
     assert calls
+
+
+def test_counted_subsystems_keep_the_fused_step():
+    # The tracer counts right-hand side calls by replacing every
+    # Subsystem.rhs of a parsed system with a counter (_post_dsl_parse).
+    # The spec still compiles its own expressions, so the run keeps its
+    # bits and the fused step takes every full step: the counter reads 0.
+    cfg = parse_system(ring_config())
+    calls = []
+
+    def counter(rhs):
+        def counted(*args):
+            calls.append(args)
+            return rhs(*args)
+
+        return counted
+
+    subsystems = tuple(dataclasses.replace(s, rhs=counter(s.rhs)) for s in cfg.system.subsystems)
+    counted = dataclasses.replace(cfg.system, subsystems=subsystems)
+    runs = [simulate(system, cfg.history, None, cfg.sim.T, cfg.sim.h) for system in (cfg.system, counted)]
+    assert calls == []
+    assert [(a.t_nodes.tobytes(), a.states.tobytes(), a.derivs.tobytes()) for a in runs] == [
+        (b.t_nodes.tobytes(), b.states.tobytes(), b.derivs.tobytes()) for b in reversed(runs)
+    ]
