@@ -29,11 +29,11 @@ would, besides the powers of the arrays it is evaluating at.
 
 Array powers stay off libm's slow path (see :func:`_pow`): an entry
 whose power must round to +0 is written as +0, not handed to numpy.
-Gains that evaluate at one array share its powers: the nodes of an
-array call that evaluate at one argument, and in the grid sweep of
-:func:`less_than_identity_chains` the sibling gains that extend one
-array.  Neither changes a bit: every value is that of ``s**p`` taken at
-every occurrence.  Scalar and array evaluation of a gain can still
+The nodes of an array call that evaluate at one argument share its
+powers, and :func:`less_than_identity_chains` takes one power for the
+saturations of one exponent at one depth of its chains.  Neither
+changes a bit: every value is that of ``s**p`` taken at every
+occurrence.  Scalar and array evaluation of a gain can still
 differ in the last bit, since numpy's array power and libm's ``pow``
 (Python's float ``**``) disagree by one ulp on about 5% of inputs on an
 AVX-512 Xeon (10,689 of 200,000 log-uniform inputs at p = 4); the tests
@@ -51,13 +51,13 @@ which checks ``g(s) < s`` on a logarithmic grid with local refinement and
 returns a three-valued verdict: verified with a margin, violated with a
 concrete witness, or inconclusive when the margin falls below floating
 point trust.  :func:`less_than_identity_chains` decides many composed
-chains of gains in one batch, as the cyclic small-gain check needs: each
-distinct innermost suffix of gains is evaluated on the grid once, and
-the refinement rounds of all chains share one probe array per round,
-with the state of every chain in arrays and the saturations of one
-exponent at one depth evaluated together.  Each verdict keeps the bits
-of checking its chain alone, and ``less_than_identity`` is the batch of
-one.
+chains of gains in one batch, as the cyclic small-gain check needs: the
+grid sweep evaluates each chain at every 32nd grid point, then only in
+the blocks between them that can still hold its worst point, and each
+refinement round puts the probes of all chains in one array.  Both
+evaluate the saturations of one exponent at one depth together.  Each
+verdict keeps the bits of checking its chain alone, and
+``less_than_identity`` is the batch of one.
 
 All objects are immutable and all functions are pure, so everything in
 this module is safe to share across threads.
@@ -65,13 +65,12 @@ this module is safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -530,6 +529,12 @@ def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# Grid points per block of the sweep, and the most points of one array
+# that it evaluates, which bounds the memory it holds.
+_BLOCK = 32
+_POINTS = 8192
+
+
 @np.errstate(invalid="raise")  # see _saturate
 def less_than_identity_chains(
     chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
@@ -541,83 +546,90 @@ def less_than_identity_chains(
     floating-point operations on the same operands as on its own, and
     the chains only share the work.
 
-    * Grid sweep: the chains are walked sorted by the identities
-      (``id``) of their gains, innermost first, keeping a stack with the
-      grid array of each depth of the current chain.  A chain starts
-      from the deepest array it shares with the previous one, so each
-      distinct innermost suffix is evaluated once, and at most the
-      longest chain's length plus one arrays are held.  The gains that
-      extend one of these arrays share its powers: ``x**q`` and
-      ``1 + x**q`` are taken once per array and exponent.  A chain's worst
-      grid point is either its witness of violation or the centre of its
-      refinement bracket.
+    * Grid sweep: a chain's worst grid point, the first argmin of
+      ``1 - g(s)/s``, is its witness of violation or the centre of its
+      refinement bracket.  The sweep evaluates the coarse points (every
+      ``_BLOCK``-th grid point and the last), then only the blocks of
+      points strictly between two of them, ``s_a < s_b``, that can hold
+      that argmin: a point there has margin at least ``1 - g(s_b)*(1 +
+      1e-9)/s_a``, as rounding is monotone and, the premise, every
+      computed chain is nondecreasing within a relative 1e-9.  A block
+      whose bound exceeds the best coarse margin, or equals it and lies
+      after the first coarse point attaining it, is skipped; the bound
+      prunes, and proves nothing off the grid.
     * Refinement: the state of every undecided chain lives in float64
       arrays, one entry per chain, and each round puts the two probes of
-      every chain into one array (an ``(n, 2)`` array, stored flat).  It
-      is evaluated depth by depth (see :func:`_depth_plan`), and every
-      chain is updated at once with ``np.where``, in the order of
-      comparisons of checking it alone.  A violated chain leaves the
-      batch.
+      every chain into one ``(n, 2)`` array.  Every chain is updated at
+      once with ``np.where``, in the order of comparisons of checking it
+      alone.  A violated chain leaves the batch.
 
-    numpy evaluates elementwise, so an entry of the shared array gets
-    the bits it gets in a chain's own two-probe array; the tests check
+    Both run through one plan, built once per batch (see :func:`_plan`),
+    whose steps evaluate the rows of an array depth by depth, innermost
+    gain first (see :func:`_steps`).  numpy evaluates elementwise, so a
+    point gets the bits it gets in a chain's own array; the tests check
     that premise for every primitive.
     """
     if not all(chains):
         raise ValueError("every chain needs at least one gain")
+    if not chains:
+        return []
     pts = grid.points()
+    plan = _plan(chains)
     verdicts: list[Verdict | None] = [None] * len(chains)
-    # The undecided chains and their starting states (centre margin, s,
-    # value, then lo and hi).
-    undecided: list[int] = []
-    starts: list[tuple] = []
+    coarse = np.arange(0, len(pts) + _BLOCK - 1, _BLOCK)
+    coarse[-1] = len(pts) - 1
+    # (chain, margin, grid index, value) of the first argmin of every row
+    # swept: the coarse points of each chain, then each block it keeps.
+    found, fine = [], []
 
-    # stack[d] is the grid array after the d innermost gains of the
-    # previous chain, whose gain identities are prev; powers[d] is the
-    # power cache of stack[d], shared by the gains that extend it.
-    stack, powers, prev = [pts], [{}], ()
-    for key, i in sorted([(tuple(map(id, reversed(chain))), i) for i, chain in enumerate(chains)]):
-        shared = 0
-        for a, b in zip(key, prev):
-            if a != b:
-                break
-            shared += 1
-        del stack[shared + 1 :], powers[shared + 1 :]
-        for f in reversed(chains[i][: len(key) - shared]):
-            stack.append(_evaluate(f, stack[-1], powers=powers[-1]))
-            powers.append({})
-        prev, vals = key, stack[-1]
-        margins = 1.0 - vals / pts
-        worst = int(np.argmin(margins))
-        margin, s, val = float(margins[worst]), float(pts[worst]), float(vals[worst])
-        if margin <= 0.0 and val >= s:
-            verdicts[i] = Verdict(VerdictStatus.VIOLATED, margin, s, val)
-        else:
-            # The bracket is the pair of neighbouring grid points.
-            undecided.append(i)
-            starts.append((margin, s, val, pts[max(worst - 1, 0)], pts[min(worst + 1, len(pts) - 1)]))
-    del stack, powers
+    def sweep(rows: np.ndarray, at: np.ndarray) -> tuple:
+        vals = _run(_steps(plan, rows), pts[at])
+        margins = 1.0 - vals / pts[at]
+        k, j = np.arange(len(rows)), np.argmin(margins, axis=1)
+        found.append((rows, margins[k, j], at[k, j], vals[k, j]))
+        return vals, margins[k, j, None], j[:, None]
 
-    # Rows of state: the centre's margin, s and value, then lo and hi;
-    # rows of best: the smallest margin seen, its s and its value.  Each
-    # round evaluates the two geometric midpoints of every bracket and
-    # re-centres it on the worst of the three samples.
-    idx = np.array(undecided, dtype=np.intp)
-    state = np.array(starts, dtype=float).reshape(-1, 5).T
+    chunk = max(1, _POINTS // len(coarse))
+    for start in range(0, len(chains), chunk):
+        rows = np.arange(start, min(start + chunk, len(chains)))
+        vals, best, first = sweep(rows, np.tile(coarse, (len(rows), 1)))
+        with np.errstate(over="ignore"):
+            bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
+        r, b = np.nonzero((bound < best) | ((bound == best) & (np.arange(len(coarse) - 1) < first)))
+        fine.append((rows[r], b))
+    owner, block = map(np.concatenate, zip(*fine))
+    step = _POINTS // _BLOCK
+    for start in range(0, len(owner), step):
+        b = block[start : start + step, None]
+        # A short last block repeats its last point, an empty one its start.
+        sweep(owner[start : start + step], np.minimum(coarse[b] + np.arange(1, _BLOCK), coarse[b + 1] - 1))
+    # A chain's worst point is its smallest margin found, the first on ties.
+    chain, margin, worst, value = map(np.concatenate, zip(*found))
+    order = np.lexsort((worst, margin, chain))
+    pick = order[np.searchsorted(chain[order], np.arange(len(chains)))]
+    worst = worst[pick]
+
+    # Rows of state: the centre's margin, s and value, then lo and hi (at
+    # first the worst grid point and its neighbours); rows of best: the
+    # smallest margin seen, its s and its value.  Each round re-centres a
+    # bracket on the worst of its centre and two geometric midpoints.
+    lo, hi = pts[np.maximum(worst - 1, 0)], pts[np.minimum(worst + 1, len(pts) - 1)]
+    state = np.stack([margin[pick], pts[worst], value[pick], lo, hi])
+    violated = (state[0] <= 0.0) & (state[2] >= state[1])
+    for i, (m, s, v) in zip(np.flatnonzero(violated).tolist(), state[:3, violated].T.tolist()):
+        verdicts[i] = Verdict(VerdictStatus.VIOLATED, m, s, v)
+    idx = np.flatnonzero(~violated)
+    state = state[:, idx]
     best = state[:3]
-    plan = None
+    steps = _steps(plan, idx)
     for _ in range(grid.refinement_depth):
         if not idx.size:
             break
-        if plan is None:
-            plan = _depth_plan([chains[i] for i in idx.tolist()])
         centre, lo, hi = state[:3], state[3], state[4]
-        probes = np.stack([_geometric_means(lo, centre[1]), _geometric_means(centre[1], hi)], axis=1).ravel()
-        pvals = probes.copy()
-        for evaluate, entries in plan:
-            pvals[entries] = evaluate(pvals[entries])
+        probes = _geometric_means(state[[3, 1]], state[[1, 4]]).T
+        pvals = _run(steps, probes.copy())
         # a[:, r] and b[:, r] are (margin, s, value) of the r-th chain's probes.
-        a, b = np.stack([1.0 - pvals / probes, probes, pvals]).reshape(3, -1, 2).transpose(2, 0, 1)
+        a, b = np.stack([1.0 - pvals / probes, probes, pvals]).transpose(2, 0, 1)
         # Probe a updates the best sample and is tested before probe b.
         best = np.where(a[0] < best[0], a, best)
         violated_a = a[2] >= a[1]
@@ -632,7 +644,8 @@ def less_than_identity_chains(
             for i, (m, s, v) in zip(idx[violated].tolist(), witness.T.tolist()):
                 verdicts[i] = Verdict(VerdictStatus.VIOLATED, m, s, v)
             kept = ~violated
-            idx, state, best, plan = idx[kept], state[:, kept], best[:, kept], None
+            idx, state, best = idx[kept], state[:, kept], best[:, kept]
+            steps = _steps(plan, idx)
 
     for i, (m, s, v) in zip(idx.tolist(), best.T.tolist()):
         status = VerdictStatus.VERIFIED_ON_GRID if m > grid.margin else VerdictStatus.INCONCLUSIVE
@@ -640,36 +653,57 @@ def less_than_identity_chains(
     return verdicts
 
 
-def _depth_plan(chains: list[tuple[KFunction, ...]]) -> list[tuple[Callable, slice | np.ndarray]]:
-    """Evaluation plan of a refinement round, two probe entries per chain.
+def _plan(chains: Sequence[Sequence[KFunction]]) -> tuple[np.ndarray, np.ndarray, list[KFunction]]:
+    """Evaluation plan of a batch of chains: ``(group, level, heads)``.
 
-    Lists ``(evaluate, entries)`` depth by depth, innermost gain first.
-    At each depth the ``SaturatingRational`` gains of one exponent q and
-    one side of c = 1 share one step, which evaluates their entries with
-    an array of their levels c (see :func:`_saturating`); every
-    other distinct gain has a step of its own.  ``entries`` is a slice
-    where the chains of a step are adjacent, else an index array.
+    ``group[i, d]`` is the group of chain i's gain at depth d, innermost
+    first (-1 past its end), and ``level[i, d]`` its level c if it is a
+    ``SaturatingRational``.  Those of one exponent q and one side of c = 1
+    form one group, evaluated with an array of levels (see
+    :func:`_saturating`); every other distinct gain is a group of its own,
+    and ``heads[k]`` is a gain of group k.
     """
-    plan = []
-    for depth in range(1, max(map(len, chains)) + 1):
-        rows: dict[object, tuple[KFunction, list[int]]] = {}
-        for r, chain in enumerate(chains):
-            if depth <= len(chain):
-                f = chain[-depth]
-                key = (f.q, f.c > 1.0) if type(f) is SaturatingRational else id(f)
-                rows.setdefault(key, (f, []))[1].append(r)
-        for key, (f, rs) in rows.items():
-            if rs[-1] - rs[0] == len(rs) - 1:
-                entries = slice(2 * rs[0], 2 * rs[-1] + 2)
-            else:
-                entries = np.array([j for r in rs for j in (2 * r, 2 * r + 1)])
-            if isinstance(key, tuple):
-                q, big = key
-                levels = np.repeat([chains[r][-depth].c for r in rs], 2)
-                plan.append((functools.partial(_saturating, q, levels, big), entries))
-            else:
-                plan.append((functools.partial(_evaluate, f), entries))
-    return plan
+    keys: dict[object, int] = {}
+    heads, entry = [], {}
+    for f in {id(f): f for chain in chains for f in chain}.values():
+        sat = type(f) is SaturatingRational
+        k = keys.setdefault((f.q, f.c > 1.0) if sat else id(f), len(keys))
+        if k == len(heads):
+            heads.append(f)
+        entry[id(f)] = (k, f.c if sat else 0.0)
+    depth = max(map(len, chains))
+    plan = np.array([[entry[id(f)] for f in reversed(c)] + [(-1, 0.0)] * (depth - len(c)) for c in chains])
+    return plan[..., 0].astype(np.intp), plan[..., 1], heads
+
+
+def _steps(plan: tuple, rows: np.ndarray) -> list[tuple]:
+    """Steps ``(f, sel, c)`` that evaluate ``plan`` on an array whose row i
+    holds points of chain ``rows[i]``, depth by depth: the rows ``sel`` of
+    one group (a slice where adjacent) and their levels c, if saturations."""
+    group, level, heads = plan
+    steps = []
+    for depth in range(group.shape[1]):
+        at = group[rows, depth]
+        if at.max(initial=-1) < 0:  # past the end of every chain
+            break
+        order = np.argsort(at, kind="stable")
+        keys = at[order]
+        ends = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
+        pos = order.tolist()
+        for k, start, stop in zip(keys[ends[:-1]].tolist(), ends, ends[1:]):
+            adjacent = pos[stop - 1] - pos[start] == stop - start - 1
+            sel = slice(pos[start], pos[stop - 1] + 1) if adjacent else order[start:stop]
+            if k >= 0:
+                f = heads[k]
+                steps.append((f, sel, level[rows[sel], depth, None] if type(f) is SaturatingRational else None))
+    return steps
+
+
+def _run(steps: list[tuple], x: np.ndarray) -> np.ndarray:
+    """Apply ``steps`` (see :func:`_steps`) to x in place."""
+    for f, sel, c in steps:
+        x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel]) if type(f) is SaturatingRational else _evaluate(f, x[sel])
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ enumerated in canonical rotation (the smallest node first), shortest
 first and lexicographically within each length, via backtracking
 restricted to start-node minima, with a configurable cap guarding
 against combinatorial blowup.  All cycles are then checked in one batch
-(:func:`~smallgain.gains.less_than_identity_chains`), which evaluates
-each distinct innermost run of edge gains once and gives every cycle
-the verdict it gets when checked alone.
+(:func:`~smallgain.gains.less_than_identity_chains`), which evaluates a
+cycle only where its worst grid point can lie and gives every cycle the
+verdict it gets when checked alone.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Mapping
 
 from .gains import (
     DEFAULT_GRID,
+    Compose,
     GridSpec,
     KFunction,
     Verdict,
@@ -254,7 +255,7 @@ class SmallGainCheck:
         return min(self.reports, key=lambda r: r.margin)
 
     def to_dict(self) -> dict:
-        memo: dict = {}  # the cycles' gains share their edge gains
+        memo: dict = {}  # the cycles' gains share edge gains and inner nodes
         return {
             "status": self.status.value,
             "cycles": [r.to_dict(memo) for r in self.reports],
@@ -279,10 +280,13 @@ def check_cyclic_small_gain(
     cycles = enumerate_simple_cycles(g, max_cycles=max_cycles)
     chains = [_cycle_edges(g, cycle) for cycle in cycles]
     verdicts = less_than_identity_chains(chains, grid)
-    reports = [
-        CycleReport(cycle, compose_chain(*chain), verdict)
-        for cycle, chain, verdict in zip(cycles, chains, verdicts)
-    ]
+    # Cycles that end in one run of edges share its node, keyed by identities.
+    composed, reports = {}, []
+    for cycle, chain, verdict in zip(cycles, chains, verdicts):
+        gain = chain[-1]
+        for f in chain[-2::-1]:
+            gain = composed.get((id(f), id(gain))) or composed.setdefault((id(f), id(gain)), Compose(f, gain))
+        reports.append(CycleReport(cycle, gain, verdict))
     if any(r.verdict.violated for r in reports):
         status = VerdictStatus.VIOLATED
     elif any(r.verdict.inconclusive for r in reports):

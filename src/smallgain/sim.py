@@ -208,8 +208,8 @@ class HistoryFunction:
         vals = _frozen(values)
         if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0):
             raise ValueError("table times must be strictly increasing with at least two entries")
-        if vals.shape[:1] != ts.shape:
-            raise ValueError("table values must have one row per time")
+        if vals.shape[:1] != ts.shape or vals.ndim > 2 or vals.size == 0:
+            raise ValueError("table values must have one row per time, each a nonempty flat row")
         dim = vals.shape[1] if vals.ndim == 2 else 1
         vals = vals.reshape(ts.size, dim)
 
@@ -274,6 +274,8 @@ class InputSignal:
             vals = vals.reshape(-1, 1)
         if ts.ndim != 1 or ts.size == 0 or vals.shape[:1] != ts.shape or np.any(np.diff(ts) <= 0):
             raise ValueError("piecewise_constant needs one or more strictly increasing times, one per value row")
+        if vals.ndim != 2 or vals.shape[1] == 0:
+            raise ValueError("piecewise_constant values must be nonempty flat rows")
 
         def fn(t: float) -> np.ndarray:
             idx = int(np.searchsorted(ts, t, side="right")) - 1

@@ -1,9 +1,12 @@
 """Gain algebra: evaluation, closure operations, and the identity check."""
 
+import importlib
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from smallgain.gains import (
     max_of,
     pointwise_max,
 )
+from smallgain.dsl import parse_system
 from smallgain.graph import build_gain_digraph, check_cyclic_small_gain, cycle_gain, enumerate_simple_cycles
 from smallgain.reduction import closed_loop_input_gains
 
@@ -766,9 +770,26 @@ class TestBatchedCycleCheck:
             less_than_identity_chains([(Linear(0.5),), ()])
         assert less_than_identity_chains([]) == []
 
+    def test_cycles_that_end_alike_share_their_composed_nodes(self):
+        g = build_gain_digraph(4, {(i, j): Linear(0.1 * (i + j)) for i in range(1, 5) for j in range(1, 5) if i != j})
+        result = check_cyclic_small_gain(g)
+        # The ids of the nodes that compose each innermost run of edges.
+        nodes: dict[tuple, set] = {}
+        for report in result.reports:
+            c, node = report.cycle, report.gain
+            edges = [g.edges[(c[r], c[(r + 1) % len(c)])] for r in range(len(c))]
+            for d in range(len(edges) - 1):
+                nodes.setdefault(tuple(map(id, edges[d:])), set()).add(id(node))
+                node = node.inner
+            assert node is edges[-1]
+        assert all(len(ids) == 1 for ids in nodes.values())
+        assert len(nodes) < sum(len(r.cycle) - 1 for r in result.reports)
+
     def test_complete_digraph_check_keeps_memory_small(self):
         # Complete k=6 has 409 cycles; holding each cycle's grid array
-        # would take about 13 MB, the suffix stack a few hundred kB.
+        # would take about 13 MB.  The sweep evaluates arrays of at most
+        # 8,192 grid points, the coarse points of 63 cycles or 256 of the
+        # blocks it keeps: under 1 MB.
         edges = {
             (i, j): SaturatingRational(0.5 + 0.1 * ((i * j) % 5), 2.0 + 2.0 * ((i + j) % 2))
             for i in range(1, 7)
@@ -799,6 +820,142 @@ OWN_STEP_EDGES = (
     SaturatingRational(0.5, 40.0),  # s^40 overflows: the inf/inf lane
 )
 COARSE = GridSpec(s_min=1e-3, s_max=1e3, n_points=3)
+# Worst margins at the ends of this grid put probes where the product of
+# two points underflows or overflows.
+EXTREME = GridSpec(s_min=1e-300, s_max=1e300, n_points=40, refinement_depth=10)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# A 6-cycle of dense6 (seed 0, cycle (1, 6, 4, 3, 5, 2)) whose worst margin,
+# 1 - 3.5e-14, is tied over grid indices 2282-2291 of the default grid:
+# the tie starts inside the block between coarse indices 2272 and 2304.
+TIED_CYCLE = tuple(
+    SaturatingRational(c, q)
+    for c, q in [
+        (0.9626922210856335, 2.0),
+        (0.6399104799264763, 4.0),
+        (1.1650902979414126, 2.0),
+        (0.8332102055034482, 4.0),
+        (1.1181144717134208, 2.0),
+        (1.3215320773128396, 2.0),
+    ]
+)
+SWEPT = replace(DEFAULT_GRID, refinement_depth=0)
+
+
+def coarse_indices(n: int) -> set:
+    return set(range(0, n, gains._BLOCK)) | {n - 1}
+
+
+def sweep_margins(chain, grid):
+    pts = grid.points()
+    return pts, 1.0 - reference_call(compose_chain(*chain), pts) / pts
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """bench/workloads.py, imported without writing bytecode next to it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = saved
+
+
+class TestBlockSweep:
+    """The grid sweep evaluates the coarse points and only the blocks
+    that can hold a chain's worst point, and finds the argmin of the full
+    grid: the per-chain reference evaluates every grid point."""
+
+    @given(shared_edge_digraphs(), st.builds(
+        GridSpec,
+        s_min=st.sampled_from([1e-8, 1e-3]),
+        s_max=st.sampled_from([1e3, 1e8]),
+        n_points=st.sampled_from([1000, 4096]),
+        refinement_depth=st.integers(0, 8),
+    ))
+    @settings(max_examples=25, deadline=None)
+    def test_large_grids_match_the_per_cycle_reference(self, g, grid):
+        for report in check_cyclic_small_gain(g, grid).reports:
+            assert report.verdict.to_dict() == reference_less_than_identity(report.gain, grid).to_dict()
+
+    def test_tied_margins_keep_the_first_index(self):
+        pts, margins = sweep_margins(TIED_CYCLE, SWEPT)
+        ties = np.flatnonzero(margins == margins.min())
+        assert len(ties) > 1 and ties[0] not in coarse_indices(len(pts))
+        chains = [TIED_CYCLE, TIED_CYCLE[::-1], TIED_CYCLE[1:]]
+        got = less_than_identity_chains(chains, SWEPT)
+        assert got[0].margin == margins.min() and got[0].witness == pts[ties[0]]
+        for grid in (SWEPT, DEFAULT_GRID):
+            assert less_than_identity_chains(chains, grid) == [
+                reference_less_than_identity(compose_chain(*c), grid) for c in chains
+            ]
+
+    @pytest.mark.parametrize(
+        "chain, violated",
+        [
+            # Worst margin at grid index 2073, inside a block.
+            ((SaturatingRational(0.5, 3.0),), False),
+            # Above the identity at grid index 2049 alone.
+            ((SaturatingRational(1.015, 1000.0),), True),
+            # s^50 overflows from about 1.4e6 on: inf at the upper coarse
+            # points of the blocks there, and the first inf inside a block.
+            ((Linear(1e-10), Power(50.0)), True),
+        ],
+        ids=["worst-inside", "violated-inside", "inf-at-coarse"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_worst_points_inside_a_block(self, chain, violated):
+        pts, margins = sweep_margins(chain, SWEPT)
+        worst = int(np.argmin(margins))
+        assert worst not in coarse_indices(len(pts))
+        if violated:
+            coarse = sorted(coarse_indices(len(pts)))
+            values = reference_call(compose_chain(*chain), pts[coarse])
+            assert np.isinf(values).any() or np.all(values < pts[coarse])
+        got = less_than_identity_chains([chain, (Linear(0.5),)], SWEPT)[0]
+        assert got.violated == violated and got.witness == pts[worst]
+        for grid in (SWEPT, DEFAULT_GRID):
+            assert less_than_identity(compose_chain(*chain), grid) == reference_less_than_identity(
+                compose_chain(*chain), grid
+            )
+
+    @pytest.mark.parametrize("n", [2, 31, 32, 33, 65])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_short_grids_match_the_reference(self, n):
+        pool = SATURATION_FAMILIES + OWN_STEP_EDGES + SPECIAL_GAINS
+        chains = [(f,) for f in pool] + [(f, g) for f in pool[::2] for g in pool[1::2]] + [TIED_CYCLE]
+        for grid in (GridSpec(n_points=n), GridSpec(s_min=0.1, s_max=10.0, n_points=n, refinement_depth=3)):
+            got = less_than_identity_chains(chains, grid)
+            assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, EXTREME, GridSpec(n_points=65)], ids=["default", "extreme", "n65"])
+    def test_no_warning_that_the_reference_does_not_give(self, grid):
+        pool = SATURATION_FAMILIES + OWN_STEP_EDGES + (Linear(1.0 - 1e-13), Linear(1e-10), Power(50.0))
+        chains = [(f,) for f in pool] + [(f, g) for f in pool for g in pool]
+        quiet = []
+        for chain in chains:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reference_less_than_identity(compose_chain(*chain), grid)
+            if not any(issubclass(w.category, RuntimeWarning) for w in caught):
+                quiet.append(chain)
+        assert len(quiet) >= 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            less_than_identity_chains(quiet, grid)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense6_verdicts_match_the_reference(self, workloads, seed):
+        cfg = parse_system(workloads.build("dense6", seed).doc)
+        result = check_cyclic_small_gain(cfg.digraph, cfg.checks.grid)
+        assert len(result.reports) == 409
+        for report in result.reports:
+            assert report.verdict == reference_less_than_identity(report.gain, cfg.checks.grid)
 
 
 class TestArrayRefinement:
@@ -819,9 +976,7 @@ class TestArrayRefinement:
             GridSpec(n_points=64),
             COARSE,
             GridSpec(n_points=2, refinement_depth=12),
-            # Worst margins at the ends of this grid put probes where the
-            # product of two points underflows or overflows.
-            GridSpec(s_min=1e-300, s_max=1e300, n_points=40, refinement_depth=10),
+            EXTREME,
         ],
         ids=["n64", "coarse", "n2", "extreme"],
     )
@@ -835,10 +990,11 @@ class TestArrayRefinement:
 
         # Each depth evaluates the families in one step per (q, c > 1),
         # each step with the levels of its gains.
-        plan = gains._depth_plan([c for c, v in zip(chains, got) if not v.violated])
-        grouped = [step.args for step, _ in plan if step.func is gains._saturating]
-        assert {(2.0, False), (2.0, True), (4.0, False), (4.0, True)} <= {(q, big) for q, _, big in grouped}
-        assert any(len(set(levels)) > 1 for _, levels, _ in grouped)
+        group, level, heads = gains._plan(chains)
+        grouped = [(k, (f.q, f.c > 1.0)) for k, f in enumerate(heads) if type(f) is SaturatingRational]
+        keys = [key for _, key in grouped]
+        assert {(2.0, False), (2.0, True), (4.0, False), (4.0, True)} <= set(keys) and len(set(keys)) == len(keys)
+        assert any(len(set(level[group == k])) > 1 for k, _ in grouped)
 
     @pytest.mark.parametrize(
         "f, grid",
@@ -859,7 +1015,7 @@ class TestArrayRefinement:
         got = less_than_identity_chains(chains, grid)
         assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
 
-    def test_mid_batch_violations_rebuild_the_plan(self, monkeypatch):
+    def test_mid_batch_violations_keep_the_plan(self, monkeypatch):
         # Below the identity at the three grid points, above it between
         # them: found in refinement round 4 and round 5 respectively.
         late = {SaturatingRational(1.6, 8.0): 4, SaturatingRational(1.4, 12.0): 5}
@@ -874,14 +1030,14 @@ class TestArrayRefinement:
             plans.append(len(batch))
             return plan_of(batch)
 
-        plan_of = gains._depth_plan
-        monkeypatch.setattr(gains, "_depth_plan", recorded)
+        plan_of = gains._plan
+        monkeypatch.setattr(gains, "_plan", recorded)
         got = less_than_identity_chains(chains, COARSE)
         monkeypatch.undo()
         assert got == [reference_less_than_identity(compose_chain(*c), COARSE) for c in chains]
-        # Built for the undecided chains, then again after each round
-        # that lost chains.
-        assert len(plans) == 3 and plans[0] > plans[1] > plans[2] > 0
+        # Built once for the whole batch: the chains that leave it in
+        # rounds 4 and 5 only drop their rows.
+        assert plans == [len(chains)]
         assert {v.status for v in got} == set(VerdictStatus)
 
 
@@ -996,14 +1152,21 @@ class TestPowersOffTheSlowPath:
         }
         g = build_gain_digraph(6, edges)
         calls, pow_of = [], gains._pow
+        swept, run_of = [], gains._run
 
         def recorded(s, p):
             if isinstance(s, np.ndarray) and s.size >= gains._MASK_MIN:
-                calls.append((s, p))  # held, so that ids stay distinct
+                calls.append((s, p))
                 return pow_of(s.view(PowerRecorder), p)
             return pow_of(s, p)
 
+        def run(steps, x):
+            if x.shape[1] > 2:  # not an (n, 2) array of refinement probes
+                swept.append(x.size)
+            return run_of(steps, x)
+
         monkeypatch.setattr(gains, "_pow", recorded)
+        monkeypatch.setattr(gains, "_run", run)
         PowerRecorder.entries = []
         got = check_cyclic_small_gain(g)
         monkeypatch.undo()
@@ -1017,15 +1180,10 @@ class TestPowersOffTheSlowPath:
                 assert not np.any((entries <= zero_below(p)) & ~np.signbit(entries))
         assert any(np.any(s <= zero_below(p)) for s, p in calls if p == 4.0)
 
-        # One power per distinct (grid array, exponent): the arrays are
-        # the distinct innermost suffixes of the cycles' edge chains.
-        chains = [
-            [edges[(c[r], c[(r + 1) % len(c)])] for r in range(len(c))] for c in enumerate_simple_cycles(g)
-        ]
-        pairs = {(tuple(map(id, chain[len(chain) - d :])), chain[-d - 1].q) for chain in chains for d in range(len(chain))}
-        extended = {(tuple(map(id, chain[len(chain) - d :])), id(chain[-d - 1])) for chain in chains for d in range(len(chain))}
-        swept = [(id(s), p) for s, p in calls if s.size == DEFAULT_GRID.n_points]
-        assert len(swept) == len(set(swept)) == len(pairs) < len(extended)
+        # The sweep evaluates each cycle at its coarse points and in the
+        # few blocks that can hold its worst point: at most a tenth of
+        # the grid points of all cycles.
+        assert 0 < sum(swept) <= 0.1 * len(got.reports) * DEFAULT_GRID.n_points
 
 
 class TestAdditiveToMax:

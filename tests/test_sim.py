@@ -142,9 +142,12 @@ class TestHistoryAndInputs:
             (lambda: HistoryFunction.polynomial([[]]), "one nonempty row per component"),
             (lambda: InputSignal.piecewise_constant([0.0], 5.0), "one per value row"),
             (lambda: InputSignal.piecewise_constant([], []), "one or more strictly increasing times"),
+            (lambda: HistoryFunction.table([-1.0, 0.0], [[], []]), "each a nonempty flat row"),
+            (lambda: HistoryFunction.table([-1.0, 0.0], np.zeros((2, 2, 2))), "each a nonempty flat row"),
+            (lambda: InputSignal.piecewise_constant([0.0], [[]]), "values must be nonempty flat rows"),
         ],
         ids=["table-scalar-values", "polynomial-no-rows", "polynomial-empty-row", "piecewise-scalar-values",
-             "piecewise-no-times"],
+             "piecewise-no-times", "table-empty-rows", "table-nested-rows", "piecewise-empty-row"],
     )
     def test_malformed_data_raises_at_construction(self, make, message):
         with pytest.raises(ValueError, match=message):
