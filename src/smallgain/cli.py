@@ -91,7 +91,9 @@ class _Run:
         self.artifacts: list[str] = []
 
     def write_json(self, name: str, obj) -> None:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+    def write_text(self, name: str, text: str) -> None:
         (self.out / name).write_text(text, encoding="utf-8")
         self.artifacts.append(name)
         log.info("wrote %s", self.out / name)
@@ -167,9 +169,10 @@ def _check_steps(cfg: ParsedConfig) -> ParsedConfig:
 
 
 class _Analysis:
-    """A config's small-gain check and closed-loop gains, each with its
-    JSON document, computed when first read.  The children of a delta
-    sweep share one: they differ only in delays and right-hand sides."""
+    """A config's small-gain check and closed-loop gains, each with the
+    text of its artifact, computed when first read.  The children of a
+    delta sweep share one: they differ only in delays and right-hand
+    sides."""
 
     def __init__(self, cfg: ParsedConfig):
         self.digraph, self.grid = cfg.digraph, cfg.checks.grid
@@ -180,27 +183,27 @@ class _Analysis:
             result = check_cyclic_small_gain(self.digraph, self.grid)
         except CycleCountExceeded as exc:
             raise ConfigError(str(exc))
-        return result, result.to_dict()
+        return result, result.to_json()
 
     @functools.cached_property
     def closed(self):
         closed = closed_loop_input_gains(self.digraph, self.grid, check=self.check[0])
-        return closed, closed.to_dict(_GAIN_TABLE_SAMPLES)
+        return closed, json.dumps(closed.to_dict(_GAIN_TABLE_SAMPLES), indent=2, sort_keys=True) + "\n"
 
 
 def _analyze_stage(analysis: _Analysis, run: _Run, say=print) -> tuple[int, object]:
     """Small-gain check plus closed-loop gains.  Returns (exit, closed)."""
-    result, doc = analysis.check
-    run.write_json("cycle_reports.json", doc)
-    say(f"cycles: {len(result.reports)}")
+    result, text = analysis.check
+    run.write_text("cycle_reports.json", text)
+    say(f"cycles: {len(result.cycles)}")
     if result.status is VerdictStatus.VERIFIED_ON_GRID:
         worst = result.worst()
         if worst is None:
             say("small-gain: verified (no cycles)")
         else:
             say(f"small-gain: verified, min margin {worst.margin:.6g}")
-        closed, doc = analysis.closed
-        run.write_json("closed_loop_gains.json", doc)
+        closed, text = analysis.closed
+        run.write_text("closed_loop_gains.json", text)
         return EXIT_OK, closed
     worst = result.worst()
     if result.status is VerdictStatus.VIOLATED:

@@ -20,7 +20,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +79,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "end"
     text: str
     pos: int
@@ -89,14 +88,15 @@ class _Token:
 def _tokenize(source: str, error_cls: type) -> list[_Token]:
     tokens = []
     pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise error_cls(f"unexpected character {source[pos]!r}", source, pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        start, end = m.span()
+        if start != pos:  # the matches skipped an unexpected character
+            break
+        if m.lastgroup != "ws":
+            tokens.append(_Token(m.lastgroup, source[start:end], start))
+        pos = end
+    if pos < len(source):
+        raise error_cls(f"unexpected character {source[pos]!r}", source, pos)
     tokens.append(_Token("end", "", len(source)))
     return tokens
 

@@ -51,12 +51,14 @@ which checks ``g(s) < s`` on a logarithmic grid with local refinement and
 returns a three-valued verdict: verified with a margin, violated with a
 concrete witness, or inconclusive when the margin falls below floating
 point trust.  :func:`less_than_identity_chains` decides many composed
-chains of gains in one batch, as the cyclic small-gain check needs: the
-grid sweep evaluates each chain at every 32nd grid point, then only in
-the blocks between them that can still hold its worst point, and each
-refinement round puts the probes of all chains in one array.  Both
-evaluate the saturations of one exponent at one depth together.  Each
-verdict keeps the bits of checking its chain alone, and
+chains of gains in one batch, as the cyclic small-gain check needs (it
+passes its chains as arrays, see :func:`_chain_verdicts`): the grid
+sweep evaluates every 32nd grid point once per distinct suffix (run of
+innermost gains) of the chains, then each chain only in the blocks
+between them that can still hold its worst point, and each refinement
+round puts the probes of all chains in one array.  All evaluate the
+saturations of one exponent, and the ``Linear`` gains, at one depth
+together.  Each verdict keeps the bits of checking its chain alone, and
 ``less_than_identity`` is the batch of one.
 
 All objects are immutable and all functions are pure, so everything in
@@ -529,95 +531,87 @@ def _geometric_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Grid points per block of the sweep, and the most points of one array
-# that it evaluates, which bounds the memory it holds.
+# Grid points per block of the sweep, the most points of one array of
+# blocks and the most chains of one array of coarse points: these bound
+# the memory the sweep holds.
 _BLOCK = 32
 _POINTS = 8192
+_CHAINS = 128
+# The verdict statuses by their codes in _chain_verdicts, worst last.
+_STATUSES = (VerdictStatus.VERIFIED_ON_GRID, VerdictStatus.INCONCLUSIVE, VerdictStatus.VIOLATED)
 
 
-@np.errstate(invalid="raise")  # see _saturate
 def less_than_identity_chains(
     chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
 ) -> list[Verdict]:
-    """Check ``compose_chain(*chain) < id`` for every chain in one batch.
+    """Check ``compose_chain(*chain) < id`` for every chain in one batch
+    (see :func:`_chain_verdicts`): verdict i equals
+    ``less_than_identity(compose_chain(*chains[i]), grid)`` bit for bit."""
+    if not all(chains):
+        raise ValueError("every chain needs at least one gain")
+    gains = list({id(f): f for chain in chains for f in chain}.values())
+    at = {id(f): i for i, f in enumerate(gains)}
+    depth = max(map(len, chains), default=0)
+    index = np.array([[at[id(f)] for f in reversed(c)] + [-1] * (depth - len(c)) for c in chains], dtype=np.intp)
+    codes, numbers = _chain_verdicts(gains, index.reshape(len(chains), depth), grid)
+    return [Verdict(_STATUSES[c], m, s, v) for c, (m, s, v) in zip(codes.tolist(), numbers.tolist())]
 
-    Verdict i equals ``less_than_identity(compose_chain(*chains[i]),
-    grid)`` bit for bit: each chain is evaluated with the same
-    floating-point operations on the same operands as on its own, and
-    the chains only share the work.
+
+@np.errstate(invalid="raise")  # see _saturate
+def _chain_verdicts(gains: Sequence[KFunction], index: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts of many chains against the identity, in columns.
+
+    Row i of ``index`` holds chain i's gains as positions in ``gains``,
+    innermost first, and -1 past its end.  Returns the status codes
+    (positions in ``_STATUSES``) and the rows (margin, witness, value)
+    of ``less_than_identity(compose_chain(*chain), grid)``, bit
+    for bit: each chain is evaluated with the same floating-point
+    operations on the same operands as on its own, and the chains only
+    share the work.
 
     * Grid sweep: a chain's worst grid point, the first argmin of
       ``1 - g(s)/s``, is its witness of violation or the centre of its
       refinement bracket.  The sweep evaluates the coarse points (every
-      ``_BLOCK``-th grid point and the last), then only the blocks of
-      points strictly between two of them, ``s_a < s_b``, that can hold
-      that argmin: a point there has margin at least ``1 - g(s_b)*(1 +
-      1e-9)/s_a``, as rounding is monotone and, the premise, every
-      computed chain is nondecreasing within a relative 1e-9.  A block
-      whose bound exceeds the best coarse margin, or equals it and lies
-      after the first coarse point attaining it, is skipped; the bound
-      prunes, and proves nothing off the grid.
+      ``_BLOCK``-th grid point and the last) once per distinct suffix
+      of the chains in a chunk of ``_CHAINS`` (see :func:`_steps`), then
+      only the blocks of points strictly between two of them, ``s_a <
+      s_b``, that can hold that argmin: a point there has margin at
+      least ``1 - g(s_b)*(1 + 1e-9)/s_a``, as rounding is monotone and,
+      the premise, every computed chain is nondecreasing within a
+      relative 1e-9.  A block whose bound exceeds the best coarse
+      margin, or equals it and lies after the first coarse point
+      attaining it, is skipped; the bound prunes, and proves nothing off
+      the grid.
     * Refinement: the state of every undecided chain lives in float64
       arrays, one entry per chain, and each round puts the two probes of
       every chain into one ``(n, 2)`` array.  Every chain is updated at
       once with ``np.where``, in the order of comparisons of checking it
       alone.  A violated chain leaves the batch.
 
-    Both run through one plan, built once per batch (see :func:`_plan`),
-    whose steps evaluate the rows of an array depth by depth, innermost
-    gain first (see :func:`_steps`).  numpy evaluates elementwise, so a
-    point gets the bits it gets in a chain's own array; the tests check
-    that premise for every primitive.
+    Both run through one plan, built once per batch (see :func:`_plan`).
+    numpy evaluates elementwise, so a point gets the bits it gets in a
+    chain's own array; the tests check that premise for every primitive.
     """
-    if not all(chains):
-        raise ValueError("every chain needs at least one gain")
-    if not chains:
-        return []
+    n = len(index)
+    codes, numbers = np.zeros(n, dtype=np.int8), np.empty((n, 3))
+    if not n:
+        return codes, numbers
+    # Sorted by their gains, innermost first, the chains that share a
+    # suffix are adjacent; rows below are positions in this order.
+    order = np.lexsort(index.T[::-1])
+    plan = _plan(gains, index[order])
     pts = grid.points()
-    plan = _plan(chains)
-    verdicts: list[Verdict | None] = [None] * len(chains)
-    coarse = np.arange(0, len(pts) + _BLOCK - 1, _BLOCK)
-    coarse[-1] = len(pts) - 1
-    # (chain, margin, grid index, value) of the first argmin of every row
-    # swept: the coarse points of each chain, then each block it keeps.
-    found, fine = [], []
-
-    def sweep(rows: np.ndarray, at: np.ndarray) -> tuple:
-        vals = _run(_steps(plan, rows), pts[at])
-        margins = 1.0 - vals / pts[at]
-        k, j = np.arange(len(rows)), np.argmin(margins, axis=1)
-        found.append((rows, margins[k, j], at[k, j], vals[k, j]))
-        return vals, margins[k, j, None], j[:, None]
-
-    chunk = max(1, _POINTS // len(coarse))
-    for start in range(0, len(chains), chunk):
-        rows = np.arange(start, min(start + chunk, len(chains)))
-        vals, best, first = sweep(rows, np.tile(coarse, (len(rows), 1)))
-        with np.errstate(over="ignore"):
-            bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
-        r, b = np.nonzero((bound < best) | ((bound == best) & (np.arange(len(coarse) - 1) < first)))
-        fine.append((rows[r], b))
-    owner, block = map(np.concatenate, zip(*fine))
-    step = _POINTS // _BLOCK
-    for start in range(0, len(owner), step):
-        b = block[start : start + step, None]
-        # A short last block repeats its last point, an empty one its start.
-        sweep(owner[start : start + step], np.minimum(coarse[b] + np.arange(1, _BLOCK), coarse[b + 1] - 1))
-    # A chain's worst point is its smallest margin found, the first on ties.
-    chain, margin, worst, value = map(np.concatenate, zip(*found))
-    order = np.lexsort((worst, margin, chain))
-    pick = order[np.searchsorted(chain[order], np.arange(len(chains)))]
-    worst = worst[pick]
+    margin, worst, value = _sweep(plan, pts)
 
     # Rows of state: the centre's margin, s and value, then lo and hi (at
     # first the worst grid point and its neighbours); rows of best: the
     # smallest margin seen, its s and its value.  Each round re-centres a
     # bracket on the worst of its centre and two geometric midpoints.
     lo, hi = pts[np.maximum(worst - 1, 0)], pts[np.minimum(worst + 1, len(pts) - 1)]
-    state = np.stack([margin[pick], pts[worst], value[pick], lo, hi])
+    state = np.stack([margin, pts[worst], value, lo, hi])
     violated = (state[0] <= 0.0) & (state[2] >= state[1])
-    for i, (m, s, v) in zip(np.flatnonzero(violated).tolist(), state[:3, violated].T.tolist()):
-        verdicts[i] = Verdict(VerdictStatus.VIOLATED, m, s, v)
+    codes[order[violated]] = 2
+    numbers[order[violated]] = state[:3, violated].T
     idx = np.flatnonzero(~violated)
     state = state[:, idx]
     best = state[:3]
@@ -640,70 +634,160 @@ def less_than_identity_chains(
         new = np.where(centre[0] < new[0], np.concatenate([centre, [a[1], b[1]]]), new)
         state = np.where(b[0] < new[0], np.concatenate([b, [centre[1], hi]]), new)
         if violated.any():
-            witness = np.where(violated_a, a, b)[:, violated]
-            for i, (m, s, v) in zip(idx[violated].tolist(), witness.T.tolist()):
-                verdicts[i] = Verdict(VerdictStatus.VIOLATED, m, s, v)
+            codes[order[idx[violated]]] = 2
+            numbers[order[idx[violated]]] = np.where(violated_a, a, b)[:, violated].T
             kept = ~violated
             idx, state, best = idx[kept], state[:, kept], best[:, kept]
             steps = _steps(plan, idx)
-
-    for i, (m, s, v) in zip(idx.tolist(), best.T.tolist()):
-        status = VerdictStatus.VERIFIED_ON_GRID if m > grid.margin else VerdictStatus.INCONCLUSIVE
-        verdicts[i] = Verdict(status, m, s, v)
-    return verdicts
+    codes[order[idx]] = ~(best[0] > grid.margin)  # inconclusive, or verified
+    numbers[order[idx]] = best.T
+    return codes, numbers
 
 
-def _plan(chains: Sequence[Sequence[KFunction]]) -> tuple[np.ndarray, np.ndarray, list[KFunction]]:
-    """Evaluation plan of a batch of chains: ``(group, level, heads)``.
+def _sweep(plan: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The margin, grid index and value of each chain's worst point on the
+    grid ``pts``, swept as :func:`_chain_verdicts` describes."""
+    n = len(plan[0])
+    coarse = np.arange(0, len(pts) + _BLOCK - 1, _BLOCK)
+    coarse[-1] = len(pts) - 1
+    # (chain, margin, grid index, value) of the first argmin of every row
+    # swept: the coarse points of each chain, then each block it keeps.
+    found, fine = [], []
 
-    ``group[i, d]`` is the group of chain i's gain at depth d, innermost
-    first (-1 past its end), and ``level[i, d]`` its level c if it is a
-    ``SaturatingRational``.  Those of one exponent q and one side of c = 1
+    def sweep(rows: np.ndarray, at: np.ndarray, vals: np.ndarray) -> tuple:
+        margins = 1.0 - vals / pts[at]
+        k, j = np.arange(len(rows)), np.argmin(margins, axis=1)
+        found.append((rows, margins[k, j], at[k, j], vals[k, j]))
+        return margins[k, j, None], j[:, None]
+
+    for start in range(0, n, _CHAINS):
+        rows = np.arange(start, min(start + _CHAINS, n))
+        vals = _run(_steps(plan, rows, shared=True), np.tile(pts[coarse], (len(rows), 1)))
+        best, first = sweep(rows, np.tile(coarse, (len(rows), 1)), vals)
+        with np.errstate(over="ignore"):
+            bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
+        r, b = np.nonzero((bound < best) | ((bound == best) & (np.arange(len(coarse) - 1) < first)))
+        fine.append((rows[r], b))
+    owner, block = map(np.concatenate, zip(*fine))
+    step = _POINTS // _BLOCK
+    for start in range(0, len(owner), step):
+        rows, b = owner[start : start + step], block[start : start + step, None]
+        # A short last block repeats its last point, an empty one its start.
+        at = np.minimum(coarse[b] + np.arange(1, _BLOCK), coarse[b + 1] - 1)
+        sweep(rows, at, _run(_steps(plan, rows), pts[at]))
+    # A chain's worst point is its smallest margin found, the first on ties.
+    chain, margin, worst, value = map(np.concatenate, zip(*found))
+    pick = np.lexsort((worst, margin, chain))
+    pick = pick[np.searchsorted(chain[pick], np.arange(n))]
+    return margin[pick], worst[pick], value[pick]
+
+
+def _plan(gains: Sequence[KFunction], index: np.ndarray) -> tuple:
+    """Evaluation plan ``(index, group, level, heads, last)`` of chains
+    given as rows of positions in ``gains``, innermost first and -1 past
+    a chain's end.
+
+    ``group[i, d]`` is the group of gain ``index[i, d]`` (-1 past the end)
+    and ``level[i, d]`` its level: c of a ``SaturatingRational``, a of a
+    ``Linear``.  The saturations of one exponent q and one side of c = 1
     form one group, evaluated with an array of levels (see
-    :func:`_saturating`); every other distinct gain is a group of its own,
-    and ``heads[k]`` is a gain of group k.
+    :func:`_saturating`), and so do all ``Linear`` gains; every other
+    distinct gain is a group of its own.  ``heads[k]`` is a gain of group
+    k, and ``last[i]`` the depth of chain i's outermost gain.
     """
     keys: dict[object, int] = {}
-    heads, entry = [], {}
-    for f in {id(f): f for chain in chains for f in chain}.values():
-        sat = type(f) is SaturatingRational
-        k = keys.setdefault((f.q, f.c > 1.0) if sat else id(f), len(keys))
-        if k == len(heads):
+    heads, group, level = [], [], []
+    for f in gains:
+        if type(f) is SaturatingRational:
+            key, c = (f.q, f.c > 1.0), f.c
+        else:
+            key, c = (Linear, f.a) if type(f) is Linear else (id(f), 0.0)
+        group.append(keys.setdefault(key, len(keys)))
+        level.append(c)
+        if group[-1] == len(heads):
             heads.append(f)
-        entry[id(f)] = (k, f.c if sat else 0.0)
-    depth = max(map(len, chains))
-    plan = np.array([[entry[id(f)] for f in reversed(c)] + [(-1, 0.0)] * (depth - len(c)) for c in chains])
-    return plan[..., 0].astype(np.intp), plan[..., 1], heads
+    # Position -1 reads the last entry: group -1.
+    group, level = np.array([*group, -1])[index], np.array([*level, 0.0])[index]
+    return index, group, level, heads, np.count_nonzero(index >= 0, axis=1) - 1
 
 
-def _steps(plan: tuple, rows: np.ndarray) -> list[tuple]:
-    """Steps ``(f, sel, c)`` that evaluate ``plan`` on an array whose row i
-    holds points of chain ``rows[i]``, depth by depth: the rows ``sel`` of
-    one group (a slice where adjacent) and their levels c, if saturations."""
-    group, level, heads = plan
+def _steps(plan: tuple, rows: np.ndarray, shared: bool = False) -> tuple[list[tuple], int]:
+    """Steps that evaluate ``plan`` on an array whose row i holds points
+    of chain ``rows[i]`` (see :func:`_run`), planned for all depths at once.
+
+    Depth d holds a row for each chain that reaches it or, if ``shared``,
+    for each distinct suffix of d + 1 gains among them (the chains must
+    then be adjacent rows of the plan), ordered by group, then by first
+    chain.  A step is ``(take, groups, ends, leaf)``; a group is ``(f,
+    rows, c)``: its gain, a slice, and its levels if it has them.
+    """
+    if not len(rows):
+        return [], 0
+    index, group, level, heads, last = plan
+    n, last = len(rows), last[rows]
+    width = last.max() + 1  # the depths that these chains reach
+    starts = np.arange(width)[:, None] <= last  # entry d*n + i: row i at depth d
+    if shared:  # a row starts a suffix where it differs from the row before
+        index = index[:, :width][rows].T
+        differs = np.ones(index.shape, dtype=bool)
+        differs[:, 1:] = index[:, 1:] != index[:, :-1]
+        starts &= np.logical_or.accumulate(differs, axis=0)
+
+    def locate(entry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The depth of each entry and its position in the plan's arrays."""
+        depth = entry // n
+        return depth, rows[entry - depth * n] * group.shape[1] + depth
+
+    depth, at = locate(entry := np.flatnonzero(starts))
+    entry = entry[np.argsort(depth * len(heads) + group.ravel()[at], kind="stable")]
+    depth, at = locate(entry)
+    start = np.searchsorted(depth, np.arange(width + 1))
+    place = np.empty(starts.size, dtype=np.intp)  # of each entry in its depth's array
+    place[entry] = np.arange(len(entry)) - start[depth]
+    if shared:  # a row takes the place of its suffix's first row
+        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        place = np.take_along_axis(place.reshape(starts.shape), first, axis=1).ravel()
+    # Depth 0 takes the chains' own rows, a deeper depth its rows' places
+    # one depth less: a slice where that is a run.
+    take = np.where(depth > 0, place[entry - n], entry)
+    breaks = np.flatnonzero(take[1:] - take[:-1] != 1) + 1
+    runs = np.searchsorted(breaks, start[1:]) == np.searchsorted(breaks, start[:-1], side="right")
+    ends = np.argsort(last, kind="stable")
+    leaf = place[last[ends] * n + ends]
+    done = np.searchsorted(last[ends], np.arange(width + 1)).tolist()
+    start = start.tolist()
     steps = []
-    for depth in range(group.shape[1]):
-        at = group[rows, depth]
-        if at.max(initial=-1) < 0:  # past the end of every chain
-            break
-        order = np.argsort(at, kind="stable")
-        keys = at[order]
-        ends = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
-        pos = order.tolist()
-        for k, start, stop in zip(keys[ends[:-1]].tolist(), ends, ends[1:]):
-            adjacent = pos[stop - 1] - pos[start] == stop - start - 1
-            sel = slice(pos[start], pos[stop - 1] + 1) if adjacent else order[start:stop]
-            if k >= 0:
-                f = heads[k]
-                steps.append((f, sel, level[rows[sel], depth, None] if type(f) is SaturatingRational else None))
-    return steps
+    for d, (a, b, run) in enumerate(zip(start, start[1:], runs.tolist())):
+        t = slice(int(take[a]), int(take[b - 1]) + 1) if run else take[a:b]
+        steps.append((t, [], ends[done[d] : done[d + 1]], leaf[done[d] : done[d + 1]]))
+    kind, c = group.ravel()[at], level.ravel()[at]
+    cuts = (np.flatnonzero((kind[1:] != kind[:-1]) | (depth[1:] != depth[:-1])) + 1).tolist()
+    for k, d, a, b in zip(kind[[0, *cuts]].tolist(), depth[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(at)]):
+        f = heads[k]
+        steps[d][1].append((f, slice(a - start[d], b - start[d]), c[a:b, None] if type(f) in (Linear, SaturatingRational) else None))
+    return steps, n
 
 
-def _run(steps: list[tuple], x: np.ndarray) -> np.ndarray:
-    """Apply ``steps`` (see :func:`_steps`) to x in place."""
-    for f, sel, c in steps:
-        x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel]) if type(f) is SaturatingRational else _evaluate(f, x[sel])
-    return x
+def _run(steps: tuple, x: np.ndarray) -> np.ndarray:
+    """The values of the chains of ``steps`` (see :func:`_steps`) at the
+    points in the rows of x, which it overwrites.  Each depth takes its
+    rows from those of the depth before, applies each group's gain to its
+    slice, and puts the rows ``leaf`` of the chains that end there into
+    their rows ``ends`` of the result."""
+    depths, n = steps
+    out = np.empty((n, x.shape[1]))
+    for take, groups, ends, leaf in depths:
+        x = x[take]
+        for f, sel, c in groups:
+            if c is None:
+                x[sel] = _evaluate(f, x[sel])
+            elif type(f) is Linear:
+                x[sel] *= c  # a*s, as Linear evaluates it
+            else:
+                x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel])
+        if len(leaf):
+            out[ends] = x[leaf]
+    return out
 
 
 # ---------------------------------------------------------------------------

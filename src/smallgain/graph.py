@@ -11,28 +11,37 @@ gain around the loop must stay below the identity.  Cycles are
 enumerated in canonical rotation (the smallest node first), shortest
 first and lexicographically within each length, via backtracking
 restricted to start-node minima, with a configurable cap guarding
-against combinatorial blowup.  All cycles are then checked in one batch
-(:func:`~smallgain.gains.less_than_identity_chains`), which evaluates a
-cycle only where its worst grid point can lie and gives every cycle the
-verdict it gets when checked alone.
+against combinatorial blowup.  All cycles are then checked in one batch,
+handed over as an array of positions in the distinct edge gains (see
+:func:`~smallgain.gains.less_than_identity_chains`): a run of innermost
+edges that several cycles share is evaluated once, a cycle only where
+its worst grid point can lie, and every cycle gets the verdict it gets
+when checked alone.  The verdicts stay in columns; a cycle's
+:class:`CycleReport` and composed gain are built only when asked for,
+and ``cycle_reports.json`` is written with one format call per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .gains import (
+    _STATUSES,
     DEFAULT_GRID,
     Compose,
     GridSpec,
     KFunction,
     Verdict,
     VerdictStatus,
+    _chain_verdicts,
     _serialize,
     compose_chain,
-    less_than_identity_chains,
 )
 
 __all__ = [
@@ -187,21 +196,15 @@ def enumerate_simple_cycles(
     return cycles
 
 
-def _cycle_edges(g: GainDigraph, cycle: tuple[int, ...]) -> tuple[KFunction, ...]:
-    """Edge gains around a cycle: g[i1,i2], g[i2,i3], ..., g[ir,i1]."""
-    pairs = [(cycle[idx], cycle[(idx + 1) % len(cycle)]) for idx in range(len(cycle))]
-    try:
-        return tuple(g.edges[p] for p in pairs)
-    except KeyError as missing:
-        raise ValueError(f"cycle {cycle} uses absent gain {missing.args[0]}") from None
-
-
 def cycle_gain(g: GainDigraph, cycle: tuple[int, ...]) -> KFunction:
     """Composed gain around a cycle, innermost edge last-to-first.
 
     For cycle (i1, ..., ir) the result evaluates
     g[i1,i2](g[i2,i3](... g[ir,i1](s)))."""
-    return compose_chain(*_cycle_edges(g, cycle))
+    try:
+        return compose_chain(*(g.edges[p] for p in zip(cycle, cycle[1:] + cycle[:1])))
+    except KeyError as missing:
+        raise ValueError(f"cycle {cycle} uses absent gain {missing.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -230,29 +233,59 @@ class CycleReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallGainCheck:
     """Aggregate result of checking every simple cycle.
 
+    Cycle i's edge gains are ``gains[e]`` for e in ``index[i]``,
+    innermost first (-1 past its end), and its verdict is in columns: its
+    status ``codes[i]`` (see :func:`~smallgain.gains._chain_verdicts`) and
+    its ``numbers[i]``, (margin, witness, value).  ``reports`` is built
+    when first read; checks are equal when their statuses and reports are.
     digraph and grid record what the check was computed for, so that
     elimination can accept it as a certificate instead of checking the
-    cycles again; they take no part in equality or serialization.
+    cycles again.
     """
 
     status: VerdictStatus
-    reports: tuple[CycleReport, ...]
-    digraph: GainDigraph | None = field(default=None, compare=False, repr=False)
-    grid: GridSpec | None = field(default=None, compare=False)
+    cycles: list[tuple[int, ...]]
+    gains: list[KFunction] = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    codes: np.ndarray = field(repr=False)
+    numbers: np.ndarray = field(repr=False)
+    digraph: GainDigraph | None = field(default=None, repr=False)
+    grid: GridSpec | None = None
 
     @property
     def verified(self) -> bool:
         return self.status is VerdictStatus.VERIFIED_ON_GRID
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SmallGainCheck):
+            return NotImplemented
+        return (self.status, self.reports) == (other.status, other.reports)
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.reports))
+
+    def _verdict(self, i: int) -> Verdict:
+        return Verdict(_STATUSES[self.codes[i]], *self.numbers[i].tolist())
+
+    @cached_property
+    def reports(self) -> tuple[CycleReport, ...]:
+        """One report per cycle; cycles that end in one run of edges share
+        the node that composes it."""
+        gains = self._per_suffix(self.gains, Compose)
+        return tuple(CycleReport(c, f, self._verdict(i)) for i, (c, f) in enumerate(zip(self.cycles, gains)))
+
     def worst(self) -> CycleReport | None:
-        """The report with the smallest margin, or None when acyclic."""
-        if not self.reports:
+        """The report with the smallest margin, the first on ties, or None
+        when acyclic; built alone, without ``reports``."""
+        if not self.cycles:
             return None
-        return min(self.reports, key=lambda r: r.margin)
+        margins = self.numbers[:, 0].tolist()
+        i = min(range(len(margins)), key=margins.__getitem__)
+        return CycleReport(self.cycles[i], cycle_gain(self.digraph, self.cycles[i]), self._verdict(i))
 
     def to_dict(self) -> dict:
         memo: dict = {}  # the cycles' gains share edge gains and inner nodes
@@ -260,6 +293,63 @@ class SmallGainCheck:
             "status": self.status.value,
             "cycles": [r.to_dict(memo) for r in self.reports],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"``,
+        written with one format call per cycle."""
+        memo: dict = {}
+        gains = self._per_suffix([_serialize(f, memo) for f in self.gains], "compose({},{})".format)
+        floats = [_JSON_FLOATS.get(r, r) for r in map(float.__repr__, self.numbers.ravel().tolist())]
+        statuses = [encode_basestring_ascii(s.value) for s in _STATUSES]
+        templates = {r: _CYCLE % ",\n".join(["        %d"] * r) for r in set(map(len, self.cycles))}
+        cycles = ",\n".join(
+            templates[len(cycle)] % (*cycle, encode_basestring_ascii(gain), margin, statuses[code], value, witness)
+            for cycle, gain, code, (margin, witness, value) in zip(
+                self.cycles, gains, self.codes.tolist(), zip(*[iter(floats)] * 3)
+            )
+        )
+        listed = f"[\n{cycles}\n  ]" if cycles else "[]"
+        return f'{{\n  "cycles": {listed},\n  "status": {encode_basestring_ascii(self.status.value)}\n}}\n'
+
+    def _per_suffix(self, items: list, compose: Callable) -> list:
+        """Per cycle, ``items[e]`` of its innermost edge gain e, then
+        ``compose(items[e], inner)`` outward, once per distinct run of
+        innermost edges."""
+        runs: dict = {}  # (run, edge) -> (run one edge longer, its value)
+        out = []
+        for row in self.index.tolist():
+            run = value = None
+            for e in row[: row.index(-1)] if -1 in row else row:
+                run, value = runs.get((run, e)) or runs.setdefault(
+                    (run, e), (len(runs), items[e] if run is None else compose(items[e], value))
+                )
+            out.append(value)
+        return out
+
+
+# The floats that json spells apart from float.__repr__, and the text of
+# one cycle of SmallGainCheck.to_json with its %d nodes left to fill in.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CYCLE = (
+    '    {\n      "cycle": [\n%s\n      ],\n      "gain": %%s,\n      "verdict": {\n        "margin": %%s,\n'
+    '        "status": %%s,\n        "value": %%s,\n        "witness": %%s\n      }\n    }'
+)
+
+
+def _cycle_index(g: GainDigraph, cycles: list[tuple[int, ...]]) -> tuple[list[KFunction], np.ndarray]:
+    """The distinct edge gains of g, by identity, and per cycle the
+    positions of its edge gains among them: g[ir,i1], g[i(r-1),ir], ...,
+    g[i1,i2], innermost first, then -1."""
+    gains = list({id(f): f for f in g.edges.values()}.values())
+    at = {id(f): i for i, f in enumerate(gains)}
+    edge = np.full((g.k + 1, g.k + 1), -1, dtype=np.intp)  # node 0 has no edges
+    for (i, j), f in g.edges.items():
+        edge[i, j] = at[id(f)]
+    # Rows (i1, ir, ..., i2, i1, 0, ...): edge d runs from node d + 1 to node d.
+    width = max(map(len, cycles), default=0) + 1
+    nodes = np.array([[c[0], *c[::-1], *[0] * (width - len(c) - 1)] for c in cycles], dtype=np.intp)
+    nodes = nodes.reshape(len(cycles), width)
+    return gains, edge[nodes[:, 1:], nodes[:, :-1]]
 
 
 def check_cyclic_small_gain(
@@ -278,20 +368,7 @@ def check_cyclic_small_gain(
     cycle's composed gain on its own.
     """
     cycles = enumerate_simple_cycles(g, max_cycles=max_cycles)
-    chains = [_cycle_edges(g, cycle) for cycle in cycles]
-    verdicts = less_than_identity_chains(chains, grid)
-    # Cycles that end in one run of edges share its node, keyed by identities.
-    composed, reports = {}, []
-    for cycle, chain, verdict in zip(cycles, chains, verdicts):
-        gain = chain[-1]
-        for f in chain[-2::-1]:
-            gain = composed.get((id(f), id(gain))) or composed.setdefault((id(f), id(gain)), Compose(f, gain))
-        reports.append(CycleReport(cycle, gain, verdict))
-    if any(r.verdict.violated for r in reports):
-        status = VerdictStatus.VIOLATED
-    elif any(r.verdict.inconclusive for r in reports):
-        status = VerdictStatus.INCONCLUSIVE
-    else:
-        status = VerdictStatus.VERIFIED_ON_GRID
-    return SmallGainCheck(status, tuple(reports), g, grid)
+    gains, index = _cycle_index(g, cycles)
+    codes, numbers = _chain_verdicts(gains, index, grid)
+    return SmallGainCheck(_STATUSES[codes.max(initial=0)], cycles, gains, index, codes, numbers, g, grid)
 

@@ -1,6 +1,7 @@
 """Gain algebra: evaluation, closure operations, and the identity check."""
 
 import importlib
+import json
 import math
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ from smallgain.gains import (
     pointwise_max,
 )
 from smallgain.dsl import parse_system
+import smallgain.graph as graph
 from smallgain.graph import build_gain_digraph, check_cyclic_small_gain, cycle_gain, enumerate_simple_cycles
 from smallgain.reduction import closed_loop_input_gains
 
@@ -733,6 +735,18 @@ class TestBatchedCycleCheck:
             assert report.gain == cycle_gain(g, report.cycle)
             assert report.verdict.to_dict() == reference_less_than_identity(report.gain, grid).to_dict()
 
+    @given(shared_edge_digraphs(), grids)
+    @settings(max_examples=40, deadline=None)
+    def test_text_and_reports_built_on_demand_match_their_oracles(self, g, grid):
+        check = check_cyclic_small_gain(g, grid)
+        worst = check.worst()  # built before the reports
+        assert check.to_json() == json.dumps(check.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert [r.cycle for r in check.reports] == check.cycles == enumerate_simple_cycles(g)
+        for report in check.reports:
+            assert report.gain == cycle_gain(g, report.cycle)
+        assert worst == (min(check.reports, key=lambda r: r.margin) if check.reports else None)
+        assert check.worst() == worst
+
     @given(st.one_of(gain_trees(max_leaves=4), st.sampled_from(SPECIAL_GAINS)), grids)
     @settings(max_examples=60, deadline=None)
     def test_batch_of_one_matches_the_reference(self, f, grid):
@@ -806,6 +820,27 @@ class TestBatchedCycleCheck:
             tracemalloc.stop()
         assert len(result.reports) == 409
         assert peak < 1.5e6
+
+    def test_seven_node_complete_digraph_check_keeps_memory_small(self):
+        # Complete k=7 has 2,365 cycles.  Sweeping them took a peak of
+        # 2.4 MB before the coarse points were evaluated once per distinct
+        # suffix; the check must not hold more than that.
+        edges = {
+            (i, j): SaturatingRational(0.5 + 0.1 * ((i * j) % 5), 2.0 + 2.0 * ((i + j) % 2))
+            for i in range(1, 8)
+            for j in range(1, 8)
+            if i != j
+        }
+        g = build_gain_digraph(7, edges)
+        DEFAULT_GRID.points()
+        tracemalloc.start()
+        try:
+            result = check_cyclic_small_gain(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.cycles) == 2365
+        assert peak < 2.4e6
 
 
 # Saturations of both exponents on both sides of c = 1, which share a
@@ -958,6 +993,49 @@ class TestBlockSweep:
             assert report.verdict == reference_less_than_identity(report.gain, cfg.checks.grid)
 
 
+def mixed_complete_digraph(k: int):
+    """A complete digraph whose edges cycle through saturations of both
+    exponents and both sides of c = 1, Linear gains and own-step gains."""
+    pool = SATURATION_FAMILIES + (Linear(0.5), Linear(0.9)) + OWN_STEP_EDGES
+    return build_gain_digraph(
+        k, {(i, j): pool[(3 * i + 5 * j) % len(pool)] for i in range(1, k + 1) for j in range(1, k + 1) if i != j}
+    )
+
+
+class TestSuffixTree:
+    """The coarse pass evaluates each distinct suffix of the chains, a run
+    of innermost edge gains, once: as one row of its depth's array."""
+
+    @pytest.mark.parametrize("k", [3, 5, 6])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_coarse_values_keep_the_bits_of_each_chain(self, k):
+        g = mixed_complete_digraph(k)
+        distinct, index = graph._cycle_index(g, enumerate_simple_cycles(g))
+        index = index[np.lexsort(index.T[::-1])]
+        plan = gains._plan(distinct, index)
+        rows = np.arange(len(index))
+        pts = DEFAULT_GRID.points()[sorted(coarse_indices(DEFAULT_GRID.n_points))]
+        steps = gains._steps(plan, rows, shared=True)
+        with np.errstate(invalid="raise"):
+            got = gains._run(steps, np.tile(pts, (len(rows), 1)))
+        for row, values in zip(index.tolist(), got):
+            chain = [distinct[e] for e in reversed(row) if e >= 0]
+            assert bits(values) == bits(reference_call(compose_chain(*chain), pts))
+        # One row per distinct suffix, fewer than the edges of the chains.
+        suffixes = {tuple(row[: d + 1]) for row in index.tolist() for d, e in enumerate(row) if e >= 0}
+        evaluated = sum(sel.stop - sel.start for _, groups, _, _ in steps[0] for _, sel, _ in groups)
+        assert evaluated == len(suffixes) < np.count_nonzero(index >= 0)
+
+    def test_chunks_keep_every_verdict(self, monkeypatch):
+        # Chunks of two chains split suffixes at every other boundary.
+        g = mixed_complete_digraph(5)
+        want = check_cyclic_small_gain(g)
+        monkeypatch.setattr(gains, "_CHAINS", 2)
+        got = check_cyclic_small_gain(g)
+        assert got == want and got.numbers.tobytes() == want.numbers.tobytes()
+        assert {r.verdict.status for r in got.reports} == {VerdictStatus.VERIFIED_ON_GRID, VerdictStatus.VIOLATED}
+
+
 class TestArrayRefinement:
     """The refinement state of all chains in arrays, against the
     one-chain-at-a-time reference."""
@@ -980,17 +1058,21 @@ class TestArrayRefinement:
         ],
         ids=["n64", "coarse", "n2", "extreme"],
     )
-    def test_mixed_steps_match_the_reference(self, grid):
+    def test_mixed_steps_match_the_reference(self, grid, monkeypatch):
         pool = SATURATION_FAMILIES + OWN_STEP_EDGES + (Linear(1.0 - 1e-13),)
         chains = [(f,) for f in pool] + [(f, g) for f in pool for g in pool]
         chains += [(f, g, h) for f in SATURATION_FAMILIES[::3] for g in OWN_STEP_EDGES[:3] for h in SATURATION_FAMILIES]
+        plans, plan_of = [], gains._plan
+        monkeypatch.setattr(gains, "_plan", lambda *args: plans.append(plan_of(*args)) or plans[-1])
         got = less_than_identity_chains(chains, grid)
+        monkeypatch.undo()
         assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
         assert {v.status for v in got} == set(VerdictStatus)
 
         # Each depth evaluates the families in one step per (q, c > 1),
         # each step with the levels of its gains.
-        group, level, heads = gains._plan(chains)
+        [(index, group, level, heads, _)] = plans
+        assert index.shape == (len(chains), 3) and sorted(index.tolist()) == index.tolist()
         grouped = [(k, (f.q, f.c > 1.0)) for k, f in enumerate(heads) if type(f) is SaturatingRational]
         keys = [key for _, key in grouped]
         assert {(2.0, False), (2.0, True), (4.0, False), (4.0, True)} <= set(keys) and len(set(keys)) == len(keys)
@@ -1026,9 +1108,9 @@ class TestArrayRefinement:
         chains += [(f,) for f in late] + [(f,) for f in SATURATION_FAMILIES] + [(Linear(1.0 - 1e-13),)]
         plans = []
 
-        def recorded(batch):
-            plans.append(len(batch))
-            return plan_of(batch)
+        def recorded(distinct, index):
+            plans.append(len(index))
+            return plan_of(distinct, index)
 
         plan_of = gains._plan
         monkeypatch.setattr(gains, "_plan", recorded)

@@ -1,5 +1,7 @@
 """Gain digraph construction and simple-cycle enumeration."""
 
+import json
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -10,6 +12,7 @@ from smallgain.gains import (
     Identity,
     Linear,
     Power,
+    SaturatingRational,
     VerdictStatus,
 )
 from smallgain.graph import (
@@ -218,3 +221,56 @@ class TestCyclicSmallGain:
         assert "compose" in cycle_doc["gain"]
         assert cycle_doc["verdict"]["status"] == "verified_on_grid"
 
+
+def oracle_text(check: SmallGainCheck) -> str:
+    """The text of cycle_reports.json as the json module writes it."""
+    return json.dumps(check.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestCycleReportsText:
+    """``SmallGainCheck.to_json`` writes one format call per cycle; its
+    text is that of the json module, byte for byte."""
+
+    def test_complete_saturating_digraph(self):
+        edges = {
+            (i, j): SaturatingRational(0.5 + 0.1 * ((i * j) % 5), 2.0 + 2.0 * ((i + j) % 2))
+            for i in range(1, 7)
+            for j in range(1, 7)
+            if i != j
+        }
+        check = check_cyclic_small_gain(build_gain_digraph(6, edges))
+        assert len(check.cycles) == 409 and check.verified
+        assert check.to_json() == oracle_text(check)
+
+    def test_violated_three_cycle(self):
+        edges = {(1, 2): Linear(1.2), (2, 3): Linear(1.1), (3, 1): Linear(0.9)}
+        check = check_cyclic_small_gain(build_gain_digraph(3, edges))
+        assert check.status is VerdictStatus.VIOLATED
+        assert check.to_json() == oracle_text(check)
+
+    def test_inconclusive_check(self):
+        edges = {(1, 2): Linear(0.5), (2, 1): Linear(0.5), (3, 4): Linear(1.0 - 1e-15), (4, 3): Linear(1.0)}
+        check = check_cyclic_small_gain(build_gain_digraph(4, edges))
+        assert check.status is VerdictStatus.INCONCLUSIVE
+        assert check.to_json() == oracle_text(check)
+
+    def test_acyclic_digraph(self):
+        check = check_cyclic_small_gain(build_gain_digraph(3, {(1, 2): Linear(5.0), (2, 3): Power(2.0)}))
+        assert check.to_json() == oracle_text(check) == '{\n  "cycles": [],\n  "status": "verified_on_grid"\n}\n'
+
+    def test_numbers_json_spells_apart(self):
+        check = check_cyclic_small_gain(ring_gains())
+        for margin, witness, value in [(float("inf"), 1.0, float("nan")), (float("-inf"), float("nan"), 0.0)]:
+            odd = replace(check, numbers=np.array([[margin, witness, value]]))
+            assert odd.to_json() == oracle_text(odd)
+        assert '"margin": -Infinity' in odd.to_json() and '"witness": NaN' in odd.to_json()
+
+    def test_witnesses_at_the_ends_of_the_grid(self):
+        # A flat margin has its first minimum at s_min; a margin that
+        # falls all the way has it at s_max.
+        low = check_cyclic_small_gain(build_gain_digraph(2, {(1, 2): Linear(0.5), (2, 1): Linear(0.5)}))
+        high = check_cyclic_small_gain(build_gain_digraph(2, {(1, 2): Linear(1e-5), (2, 1): Power(1.2)}))
+        assert low.worst().witness == 1e-8 and high.worst().witness == 1e8
+        for check in (low, high):
+            assert check.to_json() == oracle_text(check)
+        assert '"witness": 1e-08' in low.to_json() and '"witness": 100000000.0' in high.to_json()

@@ -289,8 +289,9 @@ class TestClosedLoopGains:
 
         monkeypatch.setattr(smallgain.reduction, "check_cyclic_small_gain", refuse)
         monkeypatch.setattr(smallgain.gains, "less_than_identity", refuse)
+        monkeypatch.setattr(smallgain.gains, "less_than_identity_chains", refuse)
         for module in (smallgain.gains, smallgain.graph):
-            monkeypatch.setattr(module, "less_than_identity_chains", refuse)
+            monkeypatch.setattr(module, "_chain_verdicts", refuse)
         closed = closed_loop_input_gains(g, GridSpec(n_points=512), check=check)
         assert closed == fresh
         assert closed.to_dict((0.5, 2.0)) == fresh.to_dict((0.5, 2.0))

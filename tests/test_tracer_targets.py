@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import smallgain.graph as graph
 from smallgain.dsl import parse_system
+from smallgain.gains import Linear
 from smallgain.ring import ring_config
 from smallgain.sim import HistoryFunction, Subsystem, build_interconnection, simulate
 
@@ -80,3 +82,22 @@ def test_counted_subsystems_keep_the_fused_step():
     assert [(a.t_nodes.tobytes(), a.states.tobytes(), a.derivs.tobytes()) for a in runs] == [
         (b.t_nodes.tobytes(), b.states.tobytes(), b.derivs.tobytes()) for b in reversed(runs)
     ]
+
+
+def test_check_takes_its_cycles_from_the_traced_enumeration(monkeypatch):
+    # The tracer's graph.cycles counts the cycles that the module
+    # attribute graph.enumerate_simple_cycles returns, so the check must
+    # call it, once, and check every cycle it returns.
+    returned = []
+    enumerate_cycles = graph.enumerate_simple_cycles
+
+    def counted(*args, **kwargs):
+        returned.append(enumerate_cycles(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(graph, "enumerate_simple_cycles", counted)
+    g = graph.build_gain_digraph(6, {(i, j): Linear(0.1) for i in range(1, 7) for j in range(1, 7) if i != j})
+    check = graph.check_cyclic_small_gain(g)
+    assert len(returned) == 1 and len(returned[0]) == 409
+    assert check.cycles is returned[0]
+    assert [r.cycle for r in check.reports] == returned[0]
