@@ -53,11 +53,12 @@ concrete witness, or inconclusive when the margin falls below floating
 point trust.  :func:`less_than_identity_chains` decides many composed
 chains of gains in one batch, as the cyclic small-gain check needs (it
 passes its chains as arrays, see :func:`_chain_verdicts`): the grid
-sweep evaluates every 32nd grid point once per distinct suffix (run of
-innermost gains) of the chains, then each chain only in the blocks
-between them that can still hold its worst point, and each refinement
-round puts the probes of all chains in one array.  All evaluate the
-saturations of one exponent, and the ``Linear`` gains, at one depth
+sweep evaluates every chain at every 32nd grid point, then only in the
+blocks between them that can still hold its worst point, and each
+refinement round puts the probes of all chains in one array.  Every pass
+takes the chains longest first, so the rows that reach a depth are the
+first rows of its array, and evaluates them depth by depth, the
+saturations of one exponent, and the ``Linear`` gains, of one depth
 together.  Each verdict keeps the bits of checking its chain alone, and
 ``less_than_identity`` is the batch of one.
 
@@ -544,8 +545,8 @@ _STATUSES = (VerdictStatus.VERIFIED_ON_GRID, VerdictStatus.INCONCLUSIVE, Verdict
 def less_than_identity_chains(
     chains: Sequence[Sequence[KFunction]], grid: GridSpec = DEFAULT_GRID
 ) -> list[Verdict]:
-    """Check ``compose_chain(*chain) < id`` for every chain in one batch
-    (see :func:`_chain_verdicts`): verdict i equals
+    """Check ``compose_chain(*chain) < id`` for every chain in one batch,
+    longest first (see :func:`_chain_verdicts`): verdict i equals
     ``less_than_identity(compose_chain(*chains[i]), grid)`` bit for bit."""
     if not all(chains):
         raise ValueError("every chain needs at least one gain")
@@ -572,14 +573,13 @@ def _chain_verdicts(gains: Sequence[KFunction], index: np.ndarray, grid: GridSpe
     * Grid sweep: a chain's worst grid point, the first argmin of
       ``1 - g(s)/s``, is its witness of violation or the centre of its
       refinement bracket.  The sweep evaluates the coarse points (every
-      ``_BLOCK``-th grid point and the last) once per distinct suffix
-      of the chains in a chunk of ``_CHAINS`` (see :func:`_steps`), then
-      only the blocks of points strictly between two of them, ``s_a <
-      s_b``, that can hold that argmin: a point there has margin at
-      least ``1 - g(s_b)*(1 + 1e-9)/s_a``, as rounding is monotone and,
-      the premise, every computed chain is nondecreasing within a
-      relative 1e-9.  A block whose bound exceeds the best coarse
-      margin, or equals it and lies after the first coarse point
+      ``_BLOCK``-th grid point and the last) of chunks of ``_CHAINS``
+      chains, then only the blocks of points strictly between two of
+      them, ``s_a < s_b``, that can hold that argmin: a point there has
+      margin at least ``1 - g(s_b)*(1 + 1e-9)/s_a``, as rounding is
+      monotone and, the premise, every computed chain is nondecreasing
+      within a relative 1e-9.  A block whose bound exceeds the best
+      coarse margin, or equals it and lies after the first coarse point
       attaining it, is skipped; the bound prunes, and proves nothing off
       the grid.
     * Refinement: the state of every undecided chain lives in float64
@@ -588,17 +588,19 @@ def _chain_verdicts(gains: Sequence[KFunction], index: np.ndarray, grid: GridSpe
       once with ``np.where``, in the order of comparisons of checking it
       alone.  A violated chain leaves the batch.
 
-    Both run through one plan, built once per batch (see :func:`_plan`).
-    numpy evaluates elementwise, so a point gets the bits it gets in a
-    chain's own array; the tests check that premise for every primitive.
+    Both run through one plan, built once per batch with the chains
+    longest first, and every array they evaluate keeps that order, so the
+    rows that reach depth d are its first rows (see :func:`_plan` and
+    :func:`_steps`).  numpy evaluates elementwise, so a point gets the
+    bits it gets in a chain's own array, as the tests check.
     """
     n = len(index)
     codes, numbers = np.zeros(n, dtype=np.int8), np.empty((n, 3))
     if not n:
         return codes, numbers
-    # Sorted by their gains, innermost first, the chains that share a
-    # suffix are adjacent; rows below are positions in this order.
-    order = np.lexsort(index.T[::-1])
+    # Longest first, the chains that reach a depth are the first rows of
+    # any rows taken in this order; rows below are positions in it.
+    order = np.argsort(-np.count_nonzero(index >= 0, axis=1), kind="stable")
     plan = _plan(gains, index[order])
     pts = grid.points()
     margin, worst, value = _sweep(plan, pts)
@@ -662,7 +664,7 @@ def _sweep(plan: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     for start in range(0, n, _CHAINS):
         rows = np.arange(start, min(start + _CHAINS, n))
-        vals = _run(_steps(plan, rows, shared=True), np.tile(pts[coarse], (len(rows), 1)))
+        vals = _run(_steps(plan, rows), np.tile(pts[coarse], (len(rows), 1)))
         best, first = sweep(rows, np.tile(coarse, (len(rows), 1)), vals)
         with np.errstate(over="ignore"):
             bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
@@ -683,9 +685,9 @@ def _sweep(plan: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _plan(gains: Sequence[KFunction], index: np.ndarray) -> tuple:
-    """Evaluation plan ``(index, group, level, heads, last)`` of chains
-    given as rows of positions in ``gains``, innermost first and -1 past
-    a chain's end.
+    """Evaluation plan ``(group, level, heads, lengths)`` of chains given
+    as rows of positions in ``gains``, innermost first and -1 past a
+    chain's end.
 
     ``group[i, d]`` is the group of gain ``index[i, d]`` (-1 past the end)
     and ``level[i, d]`` its level: c of a ``SaturatingRational``, a of a
@@ -693,7 +695,8 @@ def _plan(gains: Sequence[KFunction], index: np.ndarray) -> tuple:
     form one group, evaluated with an array of levels (see
     :func:`_saturating`), and so do all ``Linear`` gains; every other
     distinct gain is a group of its own.  ``heads[k]`` is a gain of group
-    k, and ``last[i]`` the depth of chain i's outermost gain.
+    k, and ``lengths[i]`` the number of gains of chain i; the rows of a
+    plan come longest first (see :func:`_chain_verdicts`).
     """
     keys: dict[object, int] = {}
     heads, group, level = [], [], []
@@ -708,86 +711,51 @@ def _plan(gains: Sequence[KFunction], index: np.ndarray) -> tuple:
             heads.append(f)
     # Position -1 reads the last entry: group -1.
     group, level = np.array([*group, -1])[index], np.array([*level, 0.0])[index]
-    return index, group, level, heads, np.count_nonzero(index >= 0, axis=1) - 1
+    return group, level, heads, np.count_nonzero(index >= 0, axis=1)
 
 
-def _steps(plan: tuple, rows: np.ndarray, shared: bool = False) -> tuple[list[tuple], int]:
-    """Steps that evaluate ``plan`` on an array whose row i holds points
-    of chain ``rows[i]`` (see :func:`_run`), planned for all depths at once.
+def _steps(plan: tuple, rows: np.ndarray) -> list[tuple]:
+    """Steps that evaluate ``plan`` in place on an array whose row i holds
+    points of chain ``rows[i]`` (see :func:`_run`).
 
-    Depth d holds a row for each chain that reaches it or, if ``shared``,
-    for each distinct suffix of d + 1 gains among them (the chains must
-    then be adjacent rows of the plan), ordered by group, then by first
-    chain.  A step is ``(take, groups, ends, leaf)``; a group is ``(f,
-    rows, c)``: its gain, a slice, and its levels if it has them.
+    The chains of ``rows`` must not get longer down the array, so that the
+    rows that reach depth d are its first rows; ValueError otherwise.  A
+    step ``(f, sel, c)`` applies gain f, with levels c, to the rows
+    ``sel`` of one depth: one step per group of that depth, innermost
+    depth first.  ``sel`` is a slice where one group fills the depth's
+    rows and an index array otherwise.
     """
-    if not len(rows):
-        return [], 0
-    index, group, level, heads, last = plan
-    n, last = len(rows), last[rows]
-    width = last.max() + 1  # the depths that these chains reach
-    starts = np.arange(width)[:, None] <= last  # entry d*n + i: row i at depth d
-    if shared:  # a row starts a suffix where it differs from the row before
-        index = index[:, :width][rows].T
-        differs = np.ones(index.shape, dtype=bool)
-        differs[:, 1:] = index[:, 1:] != index[:, :-1]
-        starts &= np.logical_or.accumulate(differs, axis=0)
-
-    def locate(entry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The depth of each entry and its position in the plan's arrays."""
-        depth = entry // n
-        return depth, rows[entry - depth * n] * group.shape[1] + depth
-
-    depth, at = locate(entry := np.flatnonzero(starts))
-    entry = entry[np.argsort(depth * len(heads) + group.ravel()[at], kind="stable")]
-    depth, at = locate(entry)
-    start = np.searchsorted(depth, np.arange(width + 1))
-    place = np.empty(starts.size, dtype=np.intp)  # of each entry in its depth's array
-    place[entry] = np.arange(len(entry)) - start[depth]
-    if shared:  # a row takes the place of its suffix's first row
-        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-        place = np.take_along_axis(place.reshape(starts.shape), first, axis=1).ravel()
-    # Depth 0 takes the chains' own rows, a deeper depth its rows' places
-    # one depth less: a slice where that is a run.
-    take = np.where(depth > 0, place[entry - n], entry)
-    breaks = np.flatnonzero(take[1:] - take[:-1] != 1) + 1
-    runs = np.searchsorted(breaks, start[1:]) == np.searchsorted(breaks, start[:-1], side="right")
-    ends = np.argsort(last, kind="stable")
-    leaf = place[last[ends] * n + ends]
-    done = np.searchsorted(last[ends], np.arange(width + 1)).tolist()
-    start = start.tolist()
+    group, level, heads, lengths = plan
+    lengths = lengths[rows]
+    if (lengths[1:] > lengths[:-1]).any():
+        raise ValueError("the chains of rows must not get longer down the array")
+    # Each row at each depth it reaches, by depth, then group, then row.
+    depth, row = np.nonzero(np.arange(lengths.max(initial=0))[:, None] < lengths)
+    at = rows[row], depth
+    key = depth * len(heads) + group[at]
+    order = np.argsort(key, kind="stable")
+    key, row, level = key[order], row[order], level[at][order, None]
+    starts = np.unique(key, return_index=True)[1].tolist()
+    reached = np.bincount(depth).tolist()  # the rows that reach each depth
     steps = []
-    for d, (a, b, run) in enumerate(zip(start, start[1:], runs.tolist())):
-        t = slice(int(take[a]), int(take[b - 1]) + 1) if run else take[a:b]
-        steps.append((t, [], ends[done[d] : done[d + 1]], leaf[done[d] : done[d + 1]]))
-    kind, c = group.ravel()[at], level.ravel()[at]
-    cuts = (np.flatnonzero((kind[1:] != kind[:-1]) | (depth[1:] != depth[:-1])) + 1).tolist()
-    for k, d, a, b in zip(kind[[0, *cuts]].tolist(), depth[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(at)]):
-        f = heads[k]
-        steps[d][1].append((f, slice(a - start[d], b - start[d]), c[a:b, None] if type(f) in (Linear, SaturatingRational) else None))
-    return steps, n
+    for a, b in zip(starts, [*starts[1:], len(key)]):
+        d, k = divmod(int(key[a]), len(heads))
+        steps.append((heads[k], slice(0, b - a) if b - a == reached[d] else row[a:b], level[a:b]))
+    return steps
 
 
-def _run(steps: tuple, x: np.ndarray) -> np.ndarray:
-    """The values of the chains of ``steps`` (see :func:`_steps`) at the
-    points in the rows of x, which it overwrites.  Each depth takes its
-    rows from those of the depth before, applies each group's gain to its
-    slice, and puts the rows ``leaf`` of the chains that end there into
-    their rows ``ends`` of the result."""
-    depths, n = steps
-    out = np.empty((n, x.shape[1]))
-    for take, groups, ends, leaf in depths:
-        x = x[take]
-        for f, sel, c in groups:
-            if c is None:
-                x[sel] = _evaluate(f, x[sel])
-            elif type(f) is Linear:
-                x[sel] *= c  # a*s, as Linear evaluates it
-            else:
-                x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel])
-        if len(leaf):
-            out[ends] = x[leaf]
-    return out
+def _run(steps: list[tuple], x: np.ndarray) -> np.ndarray:
+    """x, whose rows hold points of the chains of ``steps`` (see
+    :func:`_steps`), overwritten with the chains' values there: each step
+    applies its gain to its rows, with their levels."""
+    for f, sel, c in steps:
+        if type(f) is Linear:
+            x[sel] *= c  # a*s, as Linear evaluates it
+        elif type(f) is SaturatingRational:
+            x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel])
+        else:
+            x[sel] = _evaluate(f, x[sel])
+    return x
 
 
 # ---------------------------------------------------------------------------

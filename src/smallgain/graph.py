@@ -13,10 +13,9 @@ first and lexicographically within each length, via backtracking
 restricted to start-node minima, with a configurable cap guarding
 against combinatorial blowup.  All cycles are then checked in one batch,
 handed over as an array of positions in the distinct edge gains (see
-:func:`~smallgain.gains.less_than_identity_chains`): a run of innermost
-edges that several cycles share is evaluated once, a cycle only where
-its worst grid point can lie, and every cycle gets the verdict it gets
-when checked alone.  The verdicts stay in columns; a cycle's
+:func:`~smallgain.gains.less_than_identity_chains`): each cycle is
+evaluated only where its worst grid point can lie, and gets the verdict
+it gets when checked alone.  The verdicts stay in columns; a cycle's
 :class:`CycleReport` and composed gain are built only when asked for,
 and ``cycle_reports.json`` is written with one format call per cycle.
 """
@@ -64,7 +63,7 @@ class CycleCountExceeded(RuntimeError):
         super().__init__(
             f"number of simple cycles exceeds the cap of {cap}; "
             "the network is too densely coupled for exhaustive cycle checking "
-            "(raise max_cycles to insist)"
+            "(pass a larger max_cycles to check_cyclic_small_gain or enumerate_simple_cycles)"
         )
         self.cap = cap
 

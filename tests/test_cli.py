@@ -600,6 +600,21 @@ class TestErrors:
             main(["analyze"])
         assert exc_info.value.code == 1
 
+    def test_cycle_cap_names_the_keyword_that_raises_it(self, tmp_path, capsys, monkeypatch):
+        # The check reads the module attribute, so the patch reaches it.
+        import smallgain.graph
+
+        def too_many(*args, **kwargs):
+            raise smallgain.graph.CycleCountExceeded(10)
+
+        monkeypatch.setattr(smallgain.graph, "enumerate_simple_cycles", too_many)
+        assert main(["analyze", ring_doc(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: number of simple cycles exceeds the cap of 10;")
+        for name in ("max_cycles", "check_cyclic_small_gain", "enumerate_simple_cycles"):
+            assert name in err
+        assert "raise max_cycles" not in err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])

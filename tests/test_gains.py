@@ -1002,32 +1002,88 @@ def mixed_complete_digraph(k: int):
     )
 
 
+def longest_first(index: np.ndarray) -> np.ndarray:
+    """The order in which _chain_verdicts takes chains: longest first,
+    in the given order among chains of one length."""
+    return np.argsort(-np.count_nonzero(index >= 0, axis=1), kind="stable")
+
+
+@st.composite
+def planned_rows(draw):
+    """Chains longest first, as _chain_verdicts orders them, and rows of
+    them in that order that repeat chains as the fine pass repeats a chain
+    for each block it keeps: the cycles of a mixed complete digraph, or
+    chains drawn from the saturation families and the own-step edges."""
+    if draw(st.booleans()):
+        g = mixed_complete_digraph(draw(st.integers(2, 5)))
+        distinct, index = graph._cycle_index(g, enumerate_simple_cycles(g))
+    else:
+        distinct = list(SATURATION_FAMILIES + OWN_STEP_EDGES)
+        chains = draw(st.lists(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=4), min_size=1, max_size=12))
+        index = np.array([c + [-1] * (4 - len(c)) for c in chains], dtype=np.intp)
+    index = index[longest_first(index)]
+    picked = sorted(draw(st.lists(st.integers(0, len(index) - 1), min_size=1, max_size=12)))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(picked), max_size=len(picked)))
+    return distinct, index, np.repeat(picked, repeats), draw(st.integers(0, 2**32 - 1))
+
+
 class TestSuffixTree:
-    """The coarse pass evaluates each distinct suffix of the chains, a run
-    of innermost edge gains, once: as one row of its depth's array."""
+    """Every pass evaluates its rows depth by depth, with the chains taken
+    longest first: the rows that reach a depth are the first rows."""
 
     @pytest.mark.parametrize("k", [3, 5, 6])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_coarse_values_keep_the_bits_of_each_chain(self, k):
         g = mixed_complete_digraph(k)
         distinct, index = graph._cycle_index(g, enumerate_simple_cycles(g))
-        index = index[np.lexsort(index.T[::-1])]
+        index = index[longest_first(index)]
         plan = gains._plan(distinct, index)
         rows = np.arange(len(index))
         pts = DEFAULT_GRID.points()[sorted(coarse_indices(DEFAULT_GRID.n_points))]
-        steps = gains._steps(plan, rows, shared=True)
         with np.errstate(invalid="raise"):
-            got = gains._run(steps, np.tile(pts, (len(rows), 1)))
+            got = gains._run(gains._steps(plan, rows), np.tile(pts, (len(rows), 1)))
         for row, values in zip(index.tolist(), got):
             chain = [distinct[e] for e in reversed(row) if e >= 0]
             assert bits(values) == bits(reference_call(compose_chain(*chain), pts))
-        # One row per distinct suffix, fewer than the edges of the chains.
-        suffixes = {tuple(row[: d + 1]) for row in index.tolist() for d, e in enumerate(row) if e >= 0}
-        evaluated = sum(sel.stop - sel.start for _, groups, _, _ in steps[0] for _, sel, _ in groups)
-        assert evaluated == len(suffixes) < np.count_nonzero(index >= 0)
+
+    @given(planned_rows())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_steps_keep_the_bits_of_each_row(self, case):
+        distinct, index, rows, seed = case
+        # Points of the default grid and of one reaching over- and underflow.
+        pts = np.concatenate([DEFAULT_GRID.points(), EXTREME.points()])
+        x = pts[np.random.default_rng(seed).integers(0, len(pts), (len(rows), 5))]
+        with np.errstate(invalid="raise"):
+            got = gains._run(gains._steps(gains._plan(distinct, index), rows), x.copy())
+        for r, points, values in zip(rows.tolist(), x, got):
+            chain = [distinct[e] for e in reversed(index[r].tolist()) if e >= 0]
+            assert bits(values) == bits(reference_call(compose_chain(*chain), points))
+
+    def test_steps_refuse_rows_whose_chains_get_longer(self):
+        distinct = [Linear(0.5), SaturatingRational(0.9, 2.0)]
+        plan = gains._plan(distinct, np.array([[0, 1], [1, -1]]))
+        assert len(gains._steps(plan, np.array([0, 0, 1]))) == 3
+        for rows in ([1, 0], [0, 1, 1, 0]):
+            with pytest.raises(ValueError, match="must not get longer"):
+                gains._steps(plan, np.array(rows))
+
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_linear_ring_steps_are_slices(self, k, monkeypatch):
+        edges = {(i, i % k + 1): Linear(0.5 + 0.01 * i) for i in range(1, k + 1)}
+        edges.update({(i % k + 1, i): Linear(0.9 - 0.01 * i) for i in range(1, k + 1)})
+        g = build_gain_digraph(k, edges)
+        planned, steps_of = [], gains._steps
+        monkeypatch.setattr(gains, "_steps", lambda *args: planned.append(steps_of(*args)) or planned[-1])
+        check = check_cyclic_small_gain(g)
+        monkeypatch.undo()
+        assert check.verified and len(check.cycles) == k + 2
+        assert planned and all(isinstance(sel, slice) for steps in planned for _, sel, _ in steps)
+        for report in check.reports:
+            assert report.verdict == reference_less_than_identity(report.gain, DEFAULT_GRID)
 
     def test_chunks_keep_every_verdict(self, monkeypatch):
-        # Chunks of two chains split suffixes at every other boundary.
+        # Chunks of two chains, some of them holding chains of two lengths.
         g = mixed_complete_digraph(5)
         want = check_cyclic_small_gain(g)
         monkeypatch.setattr(gains, "_CHAINS", 2)
@@ -1063,16 +1119,20 @@ class TestArrayRefinement:
         chains = [(f,) for f in pool] + [(f, g) for f in pool for g in pool]
         chains += [(f, g, h) for f in SATURATION_FAMILIES[::3] for g in OWN_STEP_EDGES[:3] for h in SATURATION_FAMILIES]
         plans, plan_of = [], gains._plan
-        monkeypatch.setattr(gains, "_plan", lambda *args: plans.append(plan_of(*args)) or plans[-1])
+        monkeypatch.setattr(gains, "_plan", lambda *args: plans.append((args[1], plan_of(*args))) or plans[-1][1])
         got = less_than_identity_chains(chains, grid)
         monkeypatch.undo()
         assert got == [reference_less_than_identity(compose_chain(*c), grid) for c in chains]
         assert {v.status for v in got} == set(VerdictStatus)
 
+        # The chains are planned longest first, in their given order
+        # among chains of one length.
+        [(index, (group, level, heads, _))] = plans
+        at = {id(f): i for i, f in enumerate({id(f): f for c in chains for f in c}.values())}
+        want = [[at[id(f)] for f in reversed(c)] + [-1] * (3 - len(c)) for c in sorted(chains, key=len, reverse=True)]
+        assert index.tolist() == want
         # Each depth evaluates the families in one step per (q, c > 1),
         # each step with the levels of its gains.
-        [(index, group, level, heads, _)] = plans
-        assert index.shape == (len(chains), 3) and sorted(index.tolist()) == index.tolist()
         grouped = [(k, (f.q, f.c > 1.0)) for k, f in enumerate(heads) if type(f) is SaturatingRational]
         keys = [key for _, key in grouped]
         assert {(2.0, False), (2.0, True), (4.0, False), (4.0, True)} <= set(keys) and len(set(keys)) == len(keys)
