@@ -15,36 +15,36 @@ assembled), supports scalar and vectorized evaluation, and serializes to
 a small expression grammar via :meth:`KFunction.to_expr`.
 
 Trees built by elimination share subtrees, so they are really DAGs.
-Scalar evaluation and serialization visit each distinct node once per
+Evaluation and serialization visit each distinct node once per
 argument: a memo keyed by ``(id(node), id(argument))`` returns the
 value already computed for that node at that very argument object, and
 each distinct node's expression string is built once per ``to_expr``
 call.  Every node still performs the same operations on the same
 operands, so values and strings are bit-for-bit those of the plain tree
-recursion.  A caller that evaluates or serializes several gains may
-share one memo among them; an array call takes a memo the same way, as
-the closed-loop tables do.  An array call without a memo does not
-memoise nodes, so it holds no more arrays at once than the recursion
-would, besides the powers of the arrays it is evaluating at.
+recursion.  Every call, scalar or array, walks the DAG with a memo: a
+fresh one, or one the caller shares among several gains evaluated at
+the same argument object, as the closed-loop tables do.  A memo is
+valid only while the arrays it has seen are not mutated, and an array
+call holds one array per distinct node until it returns.
 
 Array powers stay off libm's slow path (see :func:`_pow`): an entry
 whose power must round to +0 is written as +0, not handed to numpy.
-The nodes of an array call that evaluate at one argument share its
-powers, and :func:`less_than_identity_chains` takes one power for the
-saturations of one exponent at one depth of its chains.  Neither
-changes a bit: every value is that of ``s**p`` taken at every
-occurrence.  Scalar and array evaluation of a gain can still
-differ in the last bit, since numpy's array power and libm's ``pow``
-(Python's float ``**``) disagree by one ulp on about 5% of inputs on an
-AVX-512 Xeon (10,689 of 200,000 log-uniform inputs at p = 4); the tests
-compare the two with ``rtol=1e-13``.
+:func:`less_than_identity_chains` takes one power for the saturations
+of one exponent at one depth of its chains.  Neither changes a bit:
+every value is that of ``s**p`` taken at every occurrence.  Scalar and
+array evaluation of a gain can still differ in the last bit, since
+numpy's array power and libm's ``pow`` (Python's float ``**``)
+disagree by one ulp on about 5% of inputs on an AVX-512 Xeon (10,689
+of 200,000 log-uniform inputs at p = 4); the tests compare the two
+with ``rtol=1e-13``.
 
 Scalar and vectorized evaluation share IEEE overflow behaviour: an
-intermediate that overflows gives ``inf``, not an ``OverflowError`` (a
-scalar whose Python-float evaluation overflows is evaluated again as
-``np.float64``).  ``SaturatingRational`` gives c wherever s^q overflows,
-since it is bounded by c and tends to c; for c > 1 it evaluates
-c*(s^q/(1+s^q)), so c*s^q overflowing cannot push it above c.
+intermediate that overflows gives ``inf``, not an ``OverflowError`` or
+a numpy warning (a scalar whose Python-float evaluation overflows is
+evaluated again as ``np.float64``).  ``SaturatingRational`` gives c
+wherever s^q overflows, since it is bounded by c and tends to c; for
+c > 1 it evaluates c*(s^q/(1+s^q)), so c*s^q overflowing cannot push
+it above c.
 
 The one nontrivial decision procedure here is :func:`less_than_identity`,
 which checks ``g(s) < s`` on a logarithmic grid with local refinement and
@@ -118,39 +118,40 @@ class KFunction:
         """Evaluate at a scalar or an array of arguments s >= 0.
 
         A negative argument raises ValueError; -0.0, NaN and inf are
-        evaluated.  A call may pass ``memo``, a dict shared by calls at
-        the same argument object (see :func:`_evaluate`).  An array call
-        without one evaluates every occurrence of a node, but the nodes
-        that evaluate at one array share its powers.  The tables of
-        ``ClosedLoopGains.to_dict`` are the values of one array call.
+        evaluated, and an overflowing intermediate gives inf, silently.
+        The call walks the gain's DAG once (see :func:`_evaluate`) with
+        ``memo``, or with a fresh memo when none is given; a memo may be
+        shared by calls at the same argument object while that object is
+        not mutated.  An array call holds one array per distinct node
+        until it returns, or for as long as the caller keeps ``memo``.
+        The tables of ``ClosedLoopGains.to_dict`` are the values of one
+        array call.
         """
+        memo = {} if memo is None else memo
         if np.isscalar(s) or isinstance(s, (int, float)):
             if s < 0:
                 raise ValueError(f"gain argument must be nonnegative, got {float(s)!r}")
+            s = float(s)  # a numpy scalar would warn where a float raises
             # Plain floats are the fast path, but float ** raises on overflow
             # and a saturated SaturatingRational gives nan there; either
             # sends the point through the np.float64 path below.
-            try:
-                out = float(_evaluate(self, s, {} if memo is None else memo))
-            except OverflowError:
-                out = math.nan
-            if not math.isnan(out) or math.isnan(s):
-                return out
-            with np.errstate(invalid="raise"):
-                return float(_evaluate(self, np.float64(s), {}))
+            with np.errstate(over="ignore"):
+                try:
+                    out = float(_evaluate(self, s, memo))
+                except OverflowError:
+                    out = math.nan
+                if not math.isnan(out) or math.isnan(s):
+                    return out
+                with np.errstate(invalid="raise"):
+                    return float(_evaluate(self, np.float64(s), {}))
         negative = np.less(s, 0)
         if negative.any():
             raise ValueError(f"gain argument must be nonnegative, got {float(np.extract(negative, s)[0])!r}")
-        with np.errstate(invalid="raise"):
-            return _evaluate(self, s, memo, powers={})
+        with np.errstate(invalid="raise", over="ignore"):
+            return _evaluate(self, s, memo)
 
-    def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
-        """Evaluate a primitive; Compose and Max go through :func:`_evaluate`.
-
-        ``powers`` holds the powers of ``s`` already taken (see
-        :func:`_shared_pow`); only ``Power`` and ``SaturatingRational``
-        read it.
-        """
+    def _eval(self, s: Scalar) -> Scalar:
+        """Evaluate a primitive; Compose and Max go through :func:`_evaluate`."""
         raise NotImplementedError
 
     def to_expr(self) -> str:
@@ -169,7 +170,7 @@ class KFunction:
 class Identity(KFunction):
     """The identity gain s."""
 
-    def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
+    def _eval(self, s: Scalar) -> Scalar:
         return s
 
     def _expr(self) -> str:
@@ -185,7 +186,7 @@ class Linear(KFunction):
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _check_positive("Linear coefficient", self.a))
 
-    def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
+    def _eval(self, s: Scalar) -> Scalar:
         return self.a * s
 
     def _expr(self) -> str:
@@ -201,10 +202,8 @@ class Power(KFunction):
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _check_positive("Power exponent", self.p))
 
-    def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
-        if powers is None:
-            return _pow(s, self.p)
-        return _shared_pow(s, self.p, powers)[0]
+    def _eval(self, s: Scalar) -> Scalar:
+        return _pow(s, self.p)
 
     def _expr(self) -> str:
         return f"s^{self.p!r}"
@@ -221,11 +220,8 @@ class SaturatingRational(KFunction):
         object.__setattr__(self, "c", _check_positive("Saturation level", self.c))
         object.__setattr__(self, "q", _check_positive("Saturation exponent", self.q))
 
-    def _eval(self, s: Scalar, powers: dict | None = None) -> Scalar:
-        if powers is None:
-            return _saturating(self.q, self.c, self.c > 1.0, s)
-        u, v = _shared_pow(s, self.q, powers, plus_one=True)
-        return _saturate(self.c, self.c > 1.0, u, v)
+    def _eval(self, s: Scalar) -> Scalar:
+        return _saturating(self.q, self.c, self.c > 1.0, s)
 
     def _expr(self) -> str:
         return f"{self.c!r}*s^{self.q!r}/(1+s^{self.q!r})"
@@ -257,65 +253,50 @@ class Max(KFunction):
                 raise TypeError(f"Max expects KFunction operands, got {part!r}")
 
 
-def _saturate(c: Scalar, big: bool, u: Scalar, v: Scalar) -> Scalar:
-    """c*u/v with v = 1+u, for one level c or an array of levels.
+def _saturating(q: float, c: Scalar, big: bool, s: Scalar) -> Scalar:
+    """c*s^q/(1+s^q) for one level c, or for an array of levels, one per
+    entry of s: the gains of one exponent and one side of c = 1.
 
-    c*u overflows for finite u only when c > 1 (``big``); taking the
+    c*s^q overflows for finite s^q only when c > 1 (``big``); taking the
     ratio first keeps the result at most c there.  c <= 1 keeps the plain
-    expression and its bits.  Where s^q overflowed, u/v is inf/inf.
+    expression and its bits.  Where s^q overflowed, the ratio is inf/inf.
     Numpy raises that only under np.errstate(invalid="raise"), which
     KFunction.__call__ and less_than_identity_chains set, so the common
     path pays no check; the gain tends to c, its bound.
     """
+    u = _pow(s, q)
     try:
-        return c * (u / v) if big else c * u / v
+        return c * (u / (1.0 + u)) if big else c * u / (1.0 + u)
     except FloatingPointError:
         with np.errstate(invalid="ignore"):
-            return np.where(np.isinf(u), c, _saturate(c, big, u, v))
+            return np.where(np.isinf(u), c, _saturating(q, c, big, s))
 
 
-def _saturating(q: float, c: Scalar, big: bool, s: Scalar) -> Scalar:
-    """c*s^q/(1+s^q) for one level c, or for an array of levels, one per
-    entry of s: the gains of one exponent and one side of c = 1."""
-    u = _pow(s, q)
-    return _saturate(c, big, u, 1.0 + u)
-
-
-def _evaluate(g: KFunction, s: Scalar, memo: dict | None = None, powers: dict | None = None) -> Scalar:
+def _evaluate(g: KFunction, s: Scalar, memo: dict) -> Scalar:
     """Evaluate g at s, each distinct (node, argument) pair once.
 
     ``memo`` maps ``(id(node), id(arg))`` to ``(value, arg)``; holding
     the argument keeps its id from being reused while the memo lives, and
     the nodes are held by the tree being evaluated.  One memo may be
-    shared by several trees evaluated at the same argument object.  A
-    node reached again through a shared subtree at an argument object it
-    has already seen returns the stored value, which is the value the
-    recursion would compute again.  With ``memo`` None every node is
-    evaluated as often as it occurs in the tree.
-
-    ``powers`` is the power cache of the array s (see
-    :func:`_shared_pow`), or None, which turns the sharing off.  Every
-    node that evaluates at s itself shares it: the operands of a Max, the
-    inner gain of a Compose, and its outer gain where the inner one
-    returns s (an Identity).  An outer gain evaluated at a new array gets
-    a new cache, dropped with that array.
+    shared by several trees evaluated at the same argument object, and is
+    valid only while no argument array it has seen is mutated.  A node
+    reached again through a shared subtree at an argument object it has
+    already seen returns the stored value, which is the value the
+    recursion would compute again.  The memo holds one value per distinct
+    (node, argument) pair, one array each in an array call, until it is
+    dropped.
     """
-    if memo is not None:
-        key = (id(g), id(s))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
+    key = (id(g), id(s))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[0]
     if isinstance(g, Compose):
-        inner = _evaluate(g.inner, s, memo, powers)
-        if powers is not None and inner is not s:
-            powers = {}
-        out = _evaluate(g.outer, inner, memo, powers)
+        out = _evaluate(g.outer, _evaluate(g.inner, s, memo), memo)
     elif isinstance(g, Max):
-        out = np.maximum(_evaluate(g.left, s, memo, powers), _evaluate(g.right, s, memo, powers))
+        out = np.maximum(_evaluate(g.left, s, memo), _evaluate(g.right, s, memo))
     else:
-        out = g._eval(s, powers)
-    if memo is not None:
-        memo[key] = (out, s)
+        out = g._eval(s)
+    memo[key] = (out, s)
     return out
 
 
@@ -350,21 +331,6 @@ def _pow(s: Scalar, p: float) -> Scalar:
     out = np.zeros(s.shape)
     out[keep] = s[keep] ** p
     return out
-
-
-def _shared_pow(s: np.ndarray, p: float, powers: dict, plus_one: bool = False) -> list:
-    """``[s**p, 1 + s**p]``, each taken once per ``powers`` dict.
-
-    ``powers`` belongs to the one array s and maps p to that pair; the
-    second entry is None until a gain asks for it.  Sibling gains that
-    extend s with the same exponent share one power, with its bits.
-    """
-    pair = powers.get(p)
-    if pair is None:
-        pair = powers[p] = [_pow(s, p), None]
-    if plus_one and pair[1] is None:
-        pair[1] = 1.0 + pair[0]
-    return pair
 
 
 def _serialize(g: KFunction, memo: dict[int, str]) -> str:
@@ -558,7 +524,7 @@ def less_than_identity_chains(
     return [Verdict(_STATUSES[c], m, s, v) for c, (m, s, v) in zip(codes.tolist(), numbers.tolist())]
 
 
-@np.errstate(invalid="raise")  # see _saturate
+@np.errstate(invalid="raise", over="ignore")  # see _saturating; overflow gives inf
 def _chain_verdicts(gains: Sequence[KFunction], index: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Verdicts of many chains against the identity, in columns.
 
@@ -666,8 +632,7 @@ def _sweep(plan: tuple, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         rows = np.arange(start, min(start + _CHAINS, n))
         vals = _run(_steps(plan, rows), np.tile(pts[coarse], (len(rows), 1)))
         best, first = sweep(rows, np.tile(coarse, (len(rows), 1)), vals)
-        with np.errstate(over="ignore"):
-            bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
+        bound = 1.0 - vals[:, 1:] * (1.0 + 1e-9) / pts[coarse[:-1]]
         r, b = np.nonzero((bound < best) | ((bound == best) & (np.arange(len(coarse) - 1) < first)))
         fine.append((rows[r], b))
     owner, block = map(np.concatenate, zip(*fine))
@@ -754,7 +719,7 @@ def _run(steps: list[tuple], x: np.ndarray) -> np.ndarray:
         elif type(f) is SaturatingRational:
             x[sel] = _saturating(f.q, c, f.c > 1.0, x[sel])
         else:
-            x[sel] = _evaluate(f, x[sel])
+            x[sel] = _evaluate(f, x[sel], {})
     return x
 
 

@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .gains import (
     _STATUSES,
     DEFAULT_GRID,
-    Compose,
     GridSpec,
     KFunction,
     Verdict,
@@ -272,10 +271,9 @@ class SmallGainCheck:
 
     @cached_property
     def reports(self) -> tuple[CycleReport, ...]:
-        """One report per cycle; cycles that end in one run of edges share
-        the node that composes it."""
-        gains = self._per_suffix(self.gains, Compose)
-        return tuple(CycleReport(c, f, self._verdict(i)) for i, (c, f) in enumerate(zip(self.cycles, gains)))
+        """One report per cycle, its gain built by :func:`cycle_gain` as in
+        :meth:`worst`; the cycles' gains share only edge gains."""
+        return tuple(CycleReport(c, cycle_gain(self.digraph, c), self._verdict(i)) for i, c in enumerate(self.cycles))
 
     def worst(self) -> CycleReport | None:
         """The report with the smallest margin, the first on ties, or None
@@ -287,7 +285,7 @@ class SmallGainCheck:
         return CycleReport(self.cycles[i], cycle_gain(self.digraph, self.cycles[i]), self._verdict(i))
 
     def to_dict(self) -> dict:
-        memo: dict = {}  # the cycles' gains share edge gains and inner nodes
+        memo: dict = {}  # the cycles' gains share edge gains
         return {
             "status": self.status.value,
             "cycles": [r.to_dict(memo) for r in self.reports],
@@ -295,9 +293,16 @@ class SmallGainCheck:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"``,
-        written with one format call per cycle."""
+        written with one format call per cycle; each cycle's gain string is
+        folded from its edges' strings, innermost edge out."""
         memo: dict = {}
-        gains = self._per_suffix([_serialize(f, memo) for f in self.gains], "compose({},{})".format)
+        edges = [_serialize(f, memo) for f in self.gains]
+        gains = []
+        for cycle, row in zip(self.cycles, self.index.tolist()):
+            gain = edges[row[0]]
+            for e in row[1 : len(cycle)]:
+                gain = f"compose({edges[e]},{gain})"
+            gains.append(gain)
         floats = [_JSON_FLOATS.get(r, r) for r in map(float.__repr__, self.numbers.ravel().tolist())]
         statuses = [encode_basestring_ascii(s.value) for s in _STATUSES]
         templates = {r: _CYCLE % ",\n".join(["        %d"] * r) for r in set(map(len, self.cycles))}
@@ -309,21 +314,6 @@ class SmallGainCheck:
         )
         listed = f"[\n{cycles}\n  ]" if cycles else "[]"
         return f'{{\n  "cycles": {listed},\n  "status": {encode_basestring_ascii(self.status.value)}\n}}\n'
-
-    def _per_suffix(self, items: list, compose: Callable) -> list:
-        """Per cycle, ``items[e]`` of its innermost edge gain e, then
-        ``compose(items[e], inner)`` outward, once per distinct run of
-        innermost edges."""
-        runs: dict = {}  # (run, edge) -> (run one edge longer, its value)
-        out = []
-        for row in self.index.tolist():
-            run = value = None
-            for e in row[: row.index(-1)] if -1 in row else row:
-                run, value = runs.get((run, e)) or runs.setdefault(
-                    (run, e), (len(runs), items[e] if run is None else compose(items[e], value))
-                )
-            out.append(value)
-        return out
 
 
 # The floats that json spells apart from float.__repr__, and the text of

@@ -295,6 +295,20 @@ class TestVerify:
         assert len(calls) == 1
         assert read_json(out, "closed_loop_gains.json")["k"] == 3
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gain_overflow_gives_inf_without_a_warning(self, tmp_path, capsys, command):
+        # The cycle composes s^2/(2(1+s^2)) with s^40 and s^10, whose
+        # powers overflow at the top of the grid; sigma_2 = 4*s^40
+        # overflows at scalar arguments too.
+        doc = ring_config(T=10.0)
+        doc["gains"]["edges"].update({"2,3": "s^40", "3,1": "s^10"})
+        doc["gains"]["sigma"]["2"] = "4*s^40"
+        assert main([command, write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert "small-gain: verified, min margin 0.50478" in captured.out
+        assert captured.err == ""
+
     def test_grid_reaching_below_the_normal_range(self, tmp_path, capsys):
         # Refinement probes between 1e-200 and its neighbour, whose
         # product underflows to 0.
